@@ -17,15 +17,12 @@ from .constants import (
     base_case,
     bound_evaluate,
     build_ledger,
-    explicit_ledger,
-    recurse,
 )
 from .geometry import (
     DirectionSelection,
     RootAction,
     TranslationTuple,
     TupleStats,
-    floor_expanding,
     log_star_norm,
     select_direction,
     star_norm,
@@ -42,14 +39,10 @@ from .modular import (
     check_integral_estimate,
     correlation,
     delta_statistics,
-    eval_eisenstein,
     fit_decay,
     mu_integral,
-    mu_integral_2d,
-    reduce,
     reduce_arrays,
     s_norm_surrogate,
-    twisted_correlation,
     windowed_average,
     windowed_average_mu_sq,
 )
@@ -69,15 +62,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionParams", "BoundLedger", "BoundValue", "ConstantGrowth",
     "LedgerRow", "PowerLawGrowth", "TabulatedGrowth", "base_case",
-    "bound_evaluate", "build_ledger", "explicit_ledger", "recurse",
+    "bound_evaluate", "build_ledger",
     "DirectionSelection", "RootAction", "TranslationTuple", "TupleStats",
-    "floor_expanding", "log_star_norm", "select_direction", "star_norm",
-    "tuple_stats",
+    "log_star_norm", "select_direction", "star_norm", "tuple_stats",
     "BumpProfile", "ConstantObservable", "DecayFit", "EisensteinObservable",
     "HorocycleMeasure", "IntegralEstimate", "UpperHalfPoint",
     "check_integral_estimate", "correlation", "delta_statistics",
-    "eval_eisenstein", "fit_decay", "mu_integral", "mu_integral_2d",
-    "reduce", "reduce_arrays", "s_norm_surrogate", "twisted_correlation",
+    "fit_decay", "mu_integral", "reduce_arrays", "s_norm_surrogate",
     "windowed_average", "windowed_average_mu_sq",
     "WindowChoice", "choose_window", "pigeonhole",
     "TorusMeasure", "TorusObservable", "TwistFunctional",

@@ -31,9 +31,7 @@ __all__ = [
     "BoundLedger",
     "BoundValue",
     "base_case",
-    "recurse",
     "build_ledger",
-    "explicit_ledger",
     "bound_evaluate",
 ]
 
@@ -229,10 +227,12 @@ def _log_P(params, d):
 
 
 def base_case(params):
-    """First row of the table: d_1 = 2 d_o,
+    """First row of the table and the scalar B':
+    d_1 = 2 d_o,
     B' = M_{d_o} B_{2 d_o}^2 + 2 B_{d_o},
     D_1 = max(D_o, 5 max(sqrt(C), sqrt(D_o B'))),
     delta_1 = c delta_o / (2 (c + 2 b_{2 d_o})).
+    Returns (d_1, D_1, delta_1, B').
     """
     d1 = 2 * params.d_o
     log_Bprime = _logaddexp(
@@ -243,45 +243,10 @@ def base_case(params):
     log_D1 = max(math.log(params.D_o), log_D1p)
     delta1 = (params.c * params.delta_o
               / (2.0 * (params.c + 2.0 * params.b(2 * params.d_o))))
-    assert delta1 < params.delta_o <= 1.0
-    return d1, math.exp(log_D1), delta1
-
-
-def _base_row(params):
-    d1, D1, delta1 = base_case(params)
-    return LedgerRow(r=1, d_r=d1, D_r=D1, log_D_r=math.log(D1),
-                     delta_r=delta1, eps_r=math.nan, Q_r=math.nan,
-                     threshold=1.0, log_threshold=0.0)
-
-
-def _step_exponents(params, r, prev):
-    """(d_r, eps_r, delta_r) shared by both table modes."""
-    c1 = min(params.a / 2.0, params.c / 4.0)
-    b_next = params.b(prev.d_r + params.d_o)
-    denom = 2.0 * c1 / r + 2.0 * r * b_next
-    eps_r = prev.delta_r / denom
-    delta_r = c1 * prev.delta_r / (r * denom)
-    return prev.d_r + params.d_o, eps_r, delta_r
-
-
-def recurse(params, ledger, r):
-    """One induction step in the recursive mode:
-
-        D_r = 2 P_1 P_{d_{r-1}}^(r b_{d_{r-1}+d_o}) sqrt(D_{r-1}) + r Q
-
-    with P_1 = sqrt(14 C), Q = 2 max(A, P_1), c_1 = min(a/2, c/4).
-    Requires the ledger filled through r-1.
-    """
-    if r < 2:
-        raise ValueError("recursion starts at r = 2")
-    prev = ledger.row(r - 1)
-    d_r, eps_r, delta_r = _step_exponents(params, r, prev)
-    c1, P1, Q, Bprime = _derived_scalars(params)
-    b_next = params.b(prev.d_r + params.d_o)
-    log_main = (math.log(2.0 * P1) + r * b_next * _log_P(params, prev.d_r)
-                + 0.5 * prev.log_D_r)
-    log_D_r = _logaddexp(log_main, math.log(r * Q))
-    return d_r, math.exp(log_D_r), delta_r, eps_r
+    if not delta1 < params.delta_o:
+        raise ArithmeticError("base exponent delta_1 = %g does not drop "
+                              "below delta_o = %g" % (delta1, params.delta_o))
+    return d1, math.exp(log_D1), delta1, math.exp(log_Bprime)
 
 
 @dataclass(frozen=True)
@@ -324,20 +289,13 @@ class BoundLedger:
             raise ValueError("ledger holds r <= %d, row %d requested"
                              % (len(self.rows), r))
         row = self.rows[r - 1]
-        assert row.r == r
+        if row.r != r:
+            raise ValueError("ledger row %d is labelled r=%d" % (r, row.r))
         return row
 
     @property
     def r_max(self):
         return len(self.rows)
-
-    def to_csv(self):
-        lines = ["r,d_r,D_r,log10_D_r,delta_r,eps_r,threshold"]
-        for row in self.rows:
-            lines.append("%d,%d,%.16e,%.16e,%.16e,%.16e,%.16e" % (
-                row.r, row.d_r, row.D_r, row.log_D_r / _LOG10,
-                row.delta_r, row.eps_r, row.threshold))
-        return "\n".join(lines) + "\n"
 
     def to_json(self):
         out = {
@@ -388,51 +346,6 @@ class BoundLedger:
                    **kw)
 
 
-def _derived_scalars(params):
-    c1 = min(params.a / 2.0, params.c / 4.0)
-    P1 = math.sqrt(14.0 * params.C)
-    Q = 2.0 * max(params.A, P1)
-    log_Bprime = _logaddexp(
-        params.log_M(params.d_o) + 2.0 * params.log_B(2 * params.d_o),
-        math.log(2.0) + params.log_B(params.d_o))
-    return c1, P1, Q, math.exp(log_Bprime)
-
-
-def build_ledger(params, r_max, mode="theorem-A"):
-    """Fill the table for r = 1..r_max.
-
-    mode "theorem-A" works for any growth profile; "theorem-B" delegates
-    to explicit_ledger and requires power-law growth.
-    """
-    if mode == "theorem-B":
-        return explicit_ledger(params, r_max)
-    if mode != "theorem-A":
-        raise ValueError("mode must be 'theorem-A' or 'theorem-B'")
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    c1, P1, Q, Bprime = _derived_scalars(params)
-    rows = [_base_row(params)]
-    P_table = {}
-    for r in range(2, r_max + 1):
-        prev = rows[-1]
-        d_r, eps_r, delta_r = _step_exponents(params, r, prev)
-        log_P = _log_P(params, prev.d_r)
-        P_table[prev.d_r] = log_P
-        b_next = params.b(prev.d_r + params.d_o)
-        log_main = (math.log(2.0 * P1) + r * b_next * log_P
-                    + 0.5 * prev.log_D_r)
-        log_D_r = _logaddexp(log_main, math.log(r * Q))
-        rows.append(LedgerRow(
-            r=r, d_r=d_r, D_r=math.exp(log_D_r), log_D_r=log_D_r,
-            delta_r=delta_r, eps_r=eps_r, Q_r=math.nan,
-            threshold=1.0, log_threshold=0.0))
-    return BoundLedger(
-        mode="theorem-A", params=params, rows=tuple(rows),
-        c1=c1, P1=P1, Q=Q, Bprime=Bprime,
-        P_table=tuple(sorted((d, math.exp(lp), lp)
-                             for d, lp in P_table.items())))
-
-
 def _smallest_lambda(log_deltas, r_max):
     """Smallest lam > 1 with delta_r >= 1/((r!)^2 (r+1)! lam^r) for all
     r <= r_max, by bisection to 1e-9.
@@ -462,50 +375,85 @@ def _smallest_lambda(log_deltas, r_max):
     return hi
 
 
-def explicit_ledger(params, r_max):
-    """Table in explicit mode (power-law growth only).
+def build_ledger(params, r_max, mode="theorem-A"):
+    """Fill the table for r = 1..r_max.
 
-    Update: Q_r = Q P_{d_{r-1}}^(c_1/r), D_r = 2 P_1 sqrt(D_{r-1}) + r Q_r,
-    each row valid for Delta > P_{d_{r-1}}^(1/eps_r).  Also reports the
-    factorial certificate lambda, the linear-growth constant H1 with
-    D_r <= H1 r, gamma = 2 max(c_1, 2 ell)/lambda, and
-    H2 = (L1 (L2+2))^gamma.  Exponents delta_r, eps_r coincide with the
-    recursive mode.
+    Both modes share the exponents: with c_1 = min(a/2, c/4) and
+    b = b_{d_{r-1}+d_o},
+
+        d_r = d_{r-1} + d_o,  eps_r = delta_{r-1} / (2 c_1/r + 2 r b),
+        delta_r = c_1 eps_r / r.
+
+    With P_1 = sqrt(14 C) and Q = 2 max(A, P_1), mode "theorem-A" (any
+    growth profile, unconditional in Delta >= 1) applies the recursive
+    update
+
+        D_r = 2 P_1 P_{d_{r-1}}^(r b) sqrt(D_{r-1}) + r Q
+
+    in log space.  Mode "theorem-B" (power-law growth only) uses the
+    explicit update Q_r = Q P_{d_{r-1}}^(c_1/r),
+    D_r = 2 P_1 sqrt(D_{r-1}) + r Q_r, each row valid for
+    Delta > P_{d_{r-1}}^(1/eps_r), and reports the factorial certificate
+    lambda, the linear-growth constant H1 with D_r <= H1 r,
+    gamma = 2 max(c_1, 2 ell)/lambda and H2 = (L1 (L2+2))^gamma.
     """
+    if mode not in ("theorem-A", "theorem-B"):
+        raise ValueError("mode must be 'theorem-A' or 'theorem-B'")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    explicit = mode == "theorem-B"
     g = params.growth
-    if not isinstance(g, PowerLawGrowth):
-        raise ValueError("explicit mode requires power-law growth")
-    c1, P1, Q, Bprime = _derived_scalars(params)
-    log_cap = math.log(g.L1 * (g.L2 + 2.0))
-    rows = [_base_row(params)]
+    if explicit:
+        if not isinstance(g, PowerLawGrowth):
+            raise ValueError("explicit mode requires power-law growth")
+        log_cap = math.log(g.L1 * (g.L2 + 2.0))
+    c1 = min(params.a / 2.0, params.c / 4.0)
+    P1 = math.sqrt(14.0 * params.C)
+    Q = 2.0 * max(params.A, P1)
+    d1, D1, delta1, Bprime = base_case(params)
+    rows = [LedgerRow(r=1, d_r=d1, D_r=D1, log_D_r=math.log(D1),
+                      delta_r=delta1, eps_r=math.nan, Q_r=math.nan,
+                      threshold=1.0, log_threshold=0.0)]
     P_table = {}
     for r in range(2, r_max + 1):
         prev = rows[-1]
-        d_r, eps_r, delta_r = _step_exponents(params, r, prev)
+        b_next = params.b(prev.d_r + params.d_o)
+        denom = 2.0 * c1 / r + 2.0 * r * b_next
+        eps_r = prev.delta_r / denom
+        delta_r = c1 * prev.delta_r / (r * denom)
         log_P = _log_P(params, prev.d_r)
         P_table[prev.d_r] = log_P
-        # uniform cap on P_d makes Q_r and hence D_r/r bounded
-        assert log_P <= log_cap + 1e-12, "P_d exceeds L1(L2+2)"
-        Q_r = Q * math.exp(c1 / r * log_P)
-        D_r = 2.0 * P1 * math.sqrt(prev.D_r) + r * Q_r
-        log_thr = log_P / eps_r
+        if explicit:
+            # uniform cap on P_d makes Q_r and hence D_r/r bounded
+            if log_P > log_cap + 1e-12:
+                raise ArithmeticError("P_%d exceeds L1(L2+2)" % prev.d_r)
+            Q_r = Q * math.exp(c1 / r * log_P)
+            D_r = 2.0 * P1 * math.sqrt(prev.D_r) + r * Q_r
+            log_D_r = math.log(D_r)
+            log_thr = log_P / eps_r
+            thr = math.exp(log_thr) if log_thr < 709.0 else math.inf
+        else:
+            log_main = (math.log(2.0 * P1) + r * b_next * log_P
+                        + 0.5 * prev.log_D_r)
+            log_D_r = _logaddexp(log_main, math.log(r * Q))
+            D_r, Q_r, thr, log_thr = math.exp(log_D_r), math.nan, 1.0, 0.0
         rows.append(LedgerRow(
-            r=r, d_r=d_r, D_r=D_r, log_D_r=math.log(D_r),
+            r=r, d_r=prev.d_r + params.d_o, D_r=D_r, log_D_r=log_D_r,
             delta_r=delta_r, eps_r=eps_r, Q_r=Q_r,
-            threshold=math.exp(log_thr) if log_thr < 709.0 else math.inf,
-            log_threshold=log_thr))
-    lam = _smallest_lambda([math.log(rw.delta_r) for rw in rows], r_max)
-    H1 = max(rw.D_r / rw.r for rw in rows)
-    gamma = 2.0 * max(c1, 2.0 * g.ell) / lam
-    H2 = (g.L1 * (g.L2 + 2.0)) ** gamma
+            threshold=thr, log_threshold=log_thr))
+    certificates = {}
+    if explicit:
+        lam = _smallest_lambda([math.log(rw.delta_r) for rw in rows], r_max)
+        gamma = 2.0 * max(c1, 2.0 * g.ell) / lam
+        certificates = {"lam": lam, "gamma": gamma,
+                        "H1": max(rw.D_r / rw.r for rw in rows),
+                        "H2": (g.L1 * (g.L2 + 2.0)) ** gamma}
     return BoundLedger(
-        mode="theorem-B", params=params, rows=tuple(rows),
+        mode=mode, params=params, rows=tuple(rows),
         c1=c1, P1=P1, Q=Q, Bprime=Bprime,
         P_table=tuple(sorted((d, math.exp(lp), lp)
                              for d, lp in P_table.items())),
-        lam=lam, gamma=gamma, H1=H1, H2=H2)
+        **certificates)
 
 
 @dataclass(frozen=True)

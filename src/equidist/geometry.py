@@ -25,10 +25,8 @@ __all__ = [
     "DirectionSelection",
     "star_norm",
     "log_star_norm",
-    "floor_expanding",
     "tuple_stats",
     "select_direction",
-    "rho_floor_exp",
 ]
 
 
@@ -229,23 +227,6 @@ def star_norm(action, t):
     return math.exp(log_star_norm(action, t))
 
 
-def floor_expanding(t, m, n):
-    """Minimum coordinate of t, the distance to the boundary of the
-    nonnegative cone for the (m, n) block action; errors on a length
-    mismatch.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (int(m) + int(n),):
-        raise ValueError("expected %d coordinates for m=%d, n=%d, got %d"
-                         % (int(m) + int(n), m, n, t.size))
-    return float(np.min(t))
-
-
-def rho_floor_exp(t):
-    """Built-in growth rate rho(t) = exp(min coordinate)."""
-    return math.exp(float(np.min(np.asarray(t, dtype=float))))
-
-
 @dataclass(frozen=True)
 class TupleStats:
     """Multiplicative statistics of a tuple with their logarithms.
@@ -266,31 +247,17 @@ class TupleStats:
     log_Delta_r: float
 
 
-def _log_rho_values(tup, rho):
-    if rho is None:
-        return [float(np.min(t)) for t in tup.entries]
-    logs = []
-    for t in tup.entries:
-        v = float(rho(np.array(t)))
-        if not math.isfinite(v) or v < 1.0 - 1e-12:
-            raise ValueError("rho must be finite and >= 1 on every entry, "
-                             "got %r" % v)
-        logs.append(math.log(max(v, 1.0)))
-    return logs
-
-
-def tuple_stats(action, tup, rho=None):
+def tuple_stats(action, tup):
     """Statistics (rho_r, m_r, M_r, Delta_r) of a translation tuple.
 
-    rho is a callable returning the multiplicative growth value of one
-    entry; None selects the built-in exp(min coordinate), evaluated in
-    log space so large translations cannot overflow.
+    The growth value of one entry is rho(t) = exp(min coordinate),
+    evaluated in log space so large translations cannot overflow.
     """
-    log_rhos = _log_rho_values(tup, rho)
+    log_rhos = [float(np.min(t)) for t in tup.entries]
     log_rho_r = min(log_rhos)
-    if rho is None and log_rho_r < -1e-12:
-        raise ValueError("built-in rho requires min coordinate >= 0 on "
-                         "every entry")
+    if log_rho_r < -1e-12:
+        raise ValueError("rho = exp(min coordinate) requires min "
+                         "coordinate >= 0 on every entry")
     r = tup.r
     log_m = math.inf
     log_M = 0.0  # the pair (i, i) always contributes star norm 1
@@ -383,10 +350,12 @@ def select_direction(action, tup):
     l = order.index(j) + 1
     # sanity: decreasing, top equals M_r, the j-image sits at exactly 1,
     # and the bottom image is at most M_r^{-1} times the top
-    assert all(sorted_logs[k] >= sorted_logs[k + 1] for k in range(r - 1))
-    assert abs(sorted_logs[0] - log_M) <= 1e-9 * max(1.0, abs(log_M))
-    assert abs(image_logs[j]) == 0.0
-    assert sorted_logs[-1] <= sorted_logs[0] - log_M + 1e-9
+    if not (all(sorted_logs[k] >= sorted_logs[k + 1] for k in range(r - 1))
+            and abs(sorted_logs[0] - log_M) <= 1e-9 * max(1.0, abs(log_M))
+            and image_logs[j] == 0.0
+            and sorted_logs[-1] <= sorted_logs[0] - log_M + 1e-9):
+        raise ArithmeticError("direction selection failed its image-norm "
+                              "checks (log M_r = %r)" % log_M)
     return DirectionSelection(
         degenerate=False,
         chosen_root=a + 1,

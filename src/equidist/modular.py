@@ -16,11 +16,11 @@ converges spectrally).  The independent cross-check oracle used in the
 tests is adaptive quadrature.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 __all__ = [
     "UpperHalfPoint",
@@ -30,13 +30,9 @@ __all__ = [
     "HorocycleMeasure",
     "IntegralEstimate",
     "DecayFit",
-    "reduce",
     "reduce_arrays",
-    "eval_eisenstein",
     "mu_integral",
-    "mu_integral_2d",
     "correlation",
-    "twisted_correlation",
     "windowed_average",
     "windowed_average_mu_sq",
     "check_integral_estimate",
@@ -86,12 +82,6 @@ def reduce_arrays(x, y):
     else:
         raise ArithmeticError("reduction did not settle within 500 sweeps")
     return rx.reshape(shape), ry.reshape(shape)
-
-
-def reduce(z):
-    """Fundamental-domain representative of a single point."""
-    rx, ry = reduce_arrays(z.x, z.y)
-    return UpperHalfPoint(float(rx), float(ry))
 
 
 @dataclass(frozen=True)
@@ -222,44 +212,29 @@ class ConstantObservable:
         return out
 
 
-def eval_eisenstein(obs, z):
-    """Module-level convenience for the full enumeration at one point."""
-    return obs.value(z)
+@functools.cache
+def _legendre_rule():
+    """256-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(256)
 
 
 def mu_integral(profile):
     """Mean of the automorphized profile: (3/pi) * integral f(y) / y^2 dy.
 
-    Indicator profiles integrate in closed form; the smooth bump goes
-    through adaptive quadrature with the error estimate checked.
+    Indicator profiles integrate in closed form.  The smooth bump is C^inf
+    with compact support, so a fixed 256-point Gauss-Legendre rule on its
+    support converges to machine precision.
     """
     if profile.kind == "indicator":
         return (3.0 / math.pi) * (1.0 / profile.y_lo - 1.0 / profile.y_hi)
-    val, err = quad(lambda u: profile.value(u) / (u * u),
-                    profile.y_lo, profile.y_hi, epsabs=1e-13, epsrel=1e-12)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise ArithmeticError("profile quadrature did not converge "
-                              "(err=%g)" % err)
-    return (3.0 / math.pi) * val
-
-
-def mu_integral_2d(obs, epsabs=1e-10, epsrel=1e-10):
-    """Independent mean: 2-D quadrature of the observable over the
-    fundamental domain against (3/pi) dx dy / y^2.  The integrand
-    vanishes above the profile's y_hi, which truncates the cusp.
-    """
-    y_hi = obs.profile.y_hi
-
-    def integrand(y, x):
-        return float(obs.value_reduced(x, y)) / (y * y)
-
-    val, err = dblquad(integrand, -0.5, 0.5,
-                       lambda x: math.sqrt(max(1.0 - x * x, 0.75)),
-                       lambda x: y_hi, epsabs=epsabs, epsrel=epsrel)
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise ArithmeticError("fundamental-domain quadrature did not "
-                              "converge (err=%g)" % err)
-    return (3.0 / math.pi) * val
+    x, w = _legendre_rule()
+    half = 0.5 * (profile.y_hi - profile.y_lo)
+    y = profile.y_lo + half * (x + 1.0)
+    val = (3.0 / math.pi) * half * float(np.sum(w * profile.value(y)
+                                                / (y * y)))
+    if not math.isfinite(val):
+        raise ArithmeticError("profile quadrature is not finite (%r)" % val)
+    return val
 
 
 class HorocycleMeasure:
@@ -286,7 +261,17 @@ class HorocycleMeasure:
         return cls(TorusMeasure.haar(1), base_height=base_height)
 
 
-def _validate_experiment(observables, times, nodes):
+def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
+    """r-correlation of translated observables against the horocycle
+    density, twisted by the character e(xi x) = e^(2 pi i xi x): the
+    midpoint quadrature of
+
+        e(xi x) * rho(x) * prod_i obs_i(x + i * base_height * e^(-t_i))
+
+    over one period x in [0, 1); xi = 0 gives the plain correlation.
+    Deterministic for fixed nodes: the node set and the summation order
+    are fixed.
+    """
     observables = list(observables)
     times = [float(t) for t in times]
     if len(observables) < 1 or len(observables) != len(times):
@@ -299,36 +284,11 @@ def _validate_experiment(observables, times, nodes):
     nodes = int(nodes)
     if nodes < 16:
         raise ValueError("at least 16 quadrature nodes are required")
-    return observables, times, nodes
-
-
-def correlation(sigma, observables, times, nodes=2 ** 14):
-    """r-correlation of translated observables against the horocycle
-    density: the midpoint quadrature of
-
-        rho(x) * prod_i obs_i(x + i * base_height * e^(-t_i))
-
-    over one period x in [0, 1).  Deterministic for fixed nodes: the
-    node set and the summation order are fixed.
-    """
-    observables, times, nodes = _validate_experiment(observables, times,
-                                                     nodes)
-    x = (np.arange(nodes) + 0.5) / nodes
-    vals = sigma.density.value(x).astype(complex)
-    for obs, t in zip(observables, times):
-        y = sigma.base_height * math.exp(-t)
-        vals = vals * obs.value_at(x, np.full(nodes, y))
-    return complex(np.mean(vals))
-
-
-def twisted_correlation(sigma, xi, observables, times, nodes=2 ** 14):
-    """Correlation with the oscillatory factor e^(2 pi i xi x) inserted."""
-    observables, times, nodes = _validate_experiment(observables, times,
-                                                     nodes)
     xi = int(xi)
     x = (np.arange(nodes) + 0.5) / nodes
     vals = sigma.density.value(x).astype(complex)
-    vals = vals * np.exp(2j * math.pi * xi * x)
+    if xi:
+        vals = vals * np.exp(2j * math.pi * xi * x)
     for obs, t in zip(observables, times):
         y = sigma.base_height * math.exp(-t)
         vals = vals * obs.value_at(x, np.full(nodes, y))

@@ -16,16 +16,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
-from equidist.cli import _random_params, main
-from equidist.constants import (AssumptionParams, PowerLawGrowth,
-                                build_ledger, explicit_ledger)
+from equidist.cli import _brute_force_pq, _suite_ledger, main
+from equidist.constants import AssumptionParams, PowerLawGrowth, build_ledger
 from equidist.geometry import DirectionSelection
 from equidist.modular import (BumpProfile, EisensteinObservable,
                               HorocycleMeasure, check_integral_estimate,
                               correlation, delta_statistics, fit_decay,
-                              mu_integral_2d, reduce_arrays)
+                              reduce_arrays)
 from equidist.selection import choose_window, pigeonhole
 from equidist.wiener import (TorusMeasure, TorusObservable,
                              character_expansion_check, equivariance_check,
@@ -65,15 +64,11 @@ def test_criterion_1_constants_ledger():
     assert row2.eps_r == pytest.approx(float(eps_2), rel=1e-9)
     assert row2.delta_r == pytest.approx(float(delta_2), rel=1e-9)
 
-    rng = np.random.default_rng(20260815)
-    for _ in range(100):
-        params = _random_params(rng)
-        table = build_ledger(params, 12)
-        deltas = [row.delta_r for row in table.rows]
-        assert all(later < earlier
-                   for earlier, later in zip(deltas, deltas[1:]))
-        for row in table.rows:
-            assert row.d_r == (row.r + 1) * params.d_o
+    # 100 random parameter sets through the verify battery's ledger
+    # suite: strictly decreasing delta_r, d_r = (r+1) d_o, eps_r in
+    # (0, 1) and finite log D_r at r_max 12
+    checked, failures = _suite_ledger(np.random.default_rng(20260815), 100)
+    assert (checked, failures) == (100, 0.0)
 
     assert time.perf_counter() - start < 1.0
 
@@ -87,23 +82,6 @@ def _make_selection(norms):
         relabeling=tuple(range(1, len(norms) + 1)), log_norms=logs,
         norms=tuple(float(v) for v in norms), w_log_norm=0.0, w_norm=1.0,
         w_label="e[1,1],1")
-
-
-def _brute_force_pq(betas, theta):
-    """First (p, q) in lexicographic order satisfying the gap sandwich,
-    decided without logarithms: beta_{p+1} < beta_1 theta^((q+1)/r) is
-    equivalent to beta_{p+1}^r < beta_1^r theta^(q+1), and every float
-    is an exact rational, so Fraction powers settle each comparison."""
-    r = len(betas)
-    b_pow = [Fraction(b) ** r for b in betas]
-    th = Fraction(theta)
-    th_pow = [th ** k for k in range(r)]
-    for p in range(1, r):
-        for q in range(0, r - 1):
-            if (b_pow[p] < b_pow[0] * th_pow[q] * th
-                    and b_pow[0] * th_pow[q] <= b_pow[p - 1]):
-                return p, q
-    return None
 
 
 def _random_gap_instance(rng):
@@ -240,6 +218,22 @@ def test_criterion_4_wiener_module():
 
 # ------------------------------------------------------------ criterion 5
 
+def _mu_integral_2d(obs, epsabs=1e-10, epsrel=1e-10):
+    """Independent mean: 2-D quadrature of the observable over the
+    fundamental domain against (3/pi) dx dy / y^2.  The integrand
+    vanishes above the profile's y_hi, which truncates the cusp.
+    """
+    def integrand(y, x):
+        return float(obs.value_reduced(x, y)) / (y * y)
+
+    val, err = dblquad(integrand, -0.5, 0.5,
+                       lambda x: math.sqrt(max(1.0 - x * x, 0.75)),
+                       lambda x: obs.profile.y_hi,
+                       epsabs=epsabs, epsrel=epsrel)
+    assert err <= 1e-6 * max(1.0, abs(val))
+    return (3.0 / math.pi) * val
+
+
 def test_criterion_5_modular_geometry():
     start = time.perf_counter()
     rng = np.random.default_rng(57721)
@@ -280,12 +274,12 @@ def test_criterion_5_modular_geometry():
             base, abs=1e-10)
 
     smooth = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-    assert mu_integral_2d(smooth) == pytest.approx(smooth.mu, rel=1e-6)
+    assert _mu_integral_2d(smooth) == pytest.approx(smooth.mu, rel=1e-6)
 
     sharp = EisensteinObservable(BumpProfile("indicator", 2.0, 3.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        quad2d = mu_integral_2d(sharp, epsabs=1e-6, epsrel=1e-6)
+        quad2d = _mu_integral_2d(sharp, epsabs=1e-6, epsrel=1e-6)
     assert quad2d == pytest.approx(sharp.mu, rel=1e-3)
     assert sharp.mu == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
 
@@ -332,7 +326,7 @@ def test_criterion_6_equidistribution_trend():
 # ------------------------------------------------------------ criterion 7
 
 def test_criterion_7_factorial_certificate():
-    led = explicit_ledger(golden_params(), 10)
+    led = build_ledger(golden_params(), 10, mode="theorem-B")
 
     for row in led.rows:
         floor = 1.0 / (math.factorial(row.r) ** 2

@@ -11,7 +11,8 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from equidist.cli import main
+from equidist.cli import _brute_force_pq, main
+from equidist.selection import pigeonhole
 
 GOLDEN_PARAMS = {
     "d_o": 1, "D_o": 1.0, "delta_o": 1.0, "C": 1.0, "c": 0.4,
@@ -343,9 +344,10 @@ class TestFitCommand:
 
 class TestVerifyCommand:
     def test_battery_passes(self, tmp_path, runner):
+        # the manifest the README gives
         mpath = write_manifest(tmp_path / "v.json",
                                {"mode": "verify", "seed": 42,
-                                "verify": {"trials": 60}})
+                                "verify": {"trials": 400}})
         res = runner.invoke(main, ["verify", "--manifest", mpath,
                                    "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
@@ -355,3 +357,10 @@ class TestVerifyCommand:
         for suite in report["suites"]:
             assert suite["passed"], suite
         assert res.output.count("PASS") == 7
+
+    def test_brute_force_keeps_upper_bound_strict(self):
+        # log2 betas 6, 5, -24 with theta = 2^-3: (1, 0) would need
+        # beta_2 = 32 < 64 * theta^(1/3) = 32, which is false
+        betas, theta = [2.0 ** 6, 2.0 ** 5, 2.0 ** -24], 2.0 ** -3
+        assert _brute_force_pq(betas, theta) == (2, 1)
+        assert pigeonhole(betas, theta) == (2, 1)

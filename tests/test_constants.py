@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from equidist.constants import (AssumptionParams, BoundLedger, ConstantGrowth,
                                 PowerLawGrowth, TabulatedGrowth, base_case,
-                                bound_evaluate, build_ledger, explicit_ledger,
-                                recurse)
+                                bound_evaluate, build_ledger)
 
 
 def unit_params():
@@ -81,16 +80,20 @@ class TestAssumptionParams:
 
 class TestBaseCase:
     def test_unit_parameters(self):
-        d1, D1, delta1 = base_case(unit_params())
+        d1, D1, delta1, Bprime = base_case(unit_params())
         assert d1 == 2
         assert D1 == pytest.approx(5.0 * math.sqrt(3.0), rel=1e-15)
         assert delta1 == pytest.approx(1.0 / 22.0, rel=1e-15)
+        # B' = M_1 B_2^2 + 2 B_1 = 3 for unit growth; the ledger reports it
+        assert Bprime == pytest.approx(3.0, rel=1e-15)
+        assert build_ledger(unit_params(), 1).Bprime == Bprime
 
     def test_d_o_two(self):
         p = AssumptionParams(d_o=2, D_o=1.0, delta_o=1.0, C=1.0, c=0.4,
                              A=1.0, a=1.0, growth=PowerLawGrowth(1, 1, 1))
-        d1, D1, delta1 = base_case(p)
+        d1, D1, delta1, Bprime = base_case(p)
         assert d1 == 4
+        assert Bprime == pytest.approx(3.0)
         # B' = M_2 B_4^2 + 2 B_2 = 3 again for unit growth
         assert D1 == pytest.approx(5.0 * math.sqrt(3.0))
         assert delta1 == pytest.approx(0.4 / (2 * (0.4 + 8.0)))
@@ -98,7 +101,7 @@ class TestBaseCase:
     def test_large_D_o_dominates(self):
         p = AssumptionParams(d_o=1, D_o=1e6, delta_o=1.0, C=1.0, c=0.4,
                              A=1.0, a=1.0, growth=PowerLawGrowth(1, 1, 1))
-        _, D1, _ = base_case(p)
+        _, D1, _, _ = base_case(p)
         assert D1 == pytest.approx(1e6, rel=1e-12)
 
 
@@ -117,31 +120,43 @@ class TestRecursiveLedger:
         assert math.exp(row.log_D_r) == pytest.approx(expected_D2, rel=1e-12)
 
     def test_recurse_matches_ledger(self):
-        p = unit_params()
+        # one induction step, written out from the accessors, reproduces
+        # every row from its predecessor:
+        #   D_r = 2 P_1 P_d^(r b) sqrt(D_{r-1}) + r Q,  d = d_{r-1},
+        #   b = b_{d+d_o}, P_d = (M_d B_{d+d_o}^2 + 2 B_d^2)^(1/(2b))
+        p = AssumptionParams(d_o=1, D_o=2.0, delta_o=0.5, C=3.0, c=0.3,
+                             A=2.0, a=0.8,
+                             growth=PowerLawGrowth(1.5, 1.0, 2.0))
         led = build_ledger(p, 5)
+        c1 = min(p.a / 2.0, p.c / 4.0)
+        P1 = math.sqrt(14.0 * p.C)
+        Q = 2.0 * max(p.A, P1)
         for r in range(2, 6):
-            d_r, D_r, delta_r, eps_r = recurse(p, led, r)
-            row = led.row(r)
-            assert d_r == row.d_r
-            assert delta_r == pytest.approx(row.delta_r, rel=1e-15)
-            assert eps_r == pytest.approx(row.eps_r, rel=1e-15)
-            assert math.log(D_r) == pytest.approx(row.log_D_r, rel=1e-12)
+            prev, row = led.row(r - 1), led.row(r)
+            d = prev.d_r
+            b = p.b(d + p.d_o)
+            P_d = (math.exp(p.log_M(d) + 2.0 * p.log_B(d + p.d_o))
+                   + 2.0 * math.exp(2.0 * p.log_B(d))) ** (1.0 / (2.0 * b))
+            eps_r = prev.delta_r / (2.0 * c1 / r + 2.0 * r * b)
+            D_r = 2.0 * P1 * P_d ** (r * b) * math.sqrt(prev.D_r) + r * Q
+            assert row.d_r == d + p.d_o
+            assert row.eps_r == pytest.approx(eps_r, rel=1e-15)
+            assert row.delta_r == pytest.approx(c1 * eps_r / r, rel=1e-15)
+            assert row.D_r == pytest.approx(D_r, rel=1e-12)
+        # a longer table extends a shorter one row for row
+        assert build_ledger(p, 8).rows[:5] == led.rows
 
     def test_recurse_needs_prior_rows(self):
         led = build_ledger(unit_params(), 2)
+        for mode in ("theorem-A", "theorem-B"):
+            with pytest.raises(ValueError):
+                build_ledger(unit_params(), 0, mode=mode)
         with pytest.raises(ValueError):
-            recurse(unit_params(), led, 1)
+            build_ledger(unit_params(), 2, mode="theorem-C")
         with pytest.raises(ValueError):
             led.row(3)
-
-    def test_csv_shape(self):
-        led = build_ledger(unit_params(), 3)
-        lines = led.to_csv().splitlines()
-        assert lines[0] == "r,d_r,D_r,log10_D_r,delta_r,eps_r,threshold"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "2"
-        assert float(first[4]) == pytest.approx(1.0 / 22.0)
+        with pytest.raises(ValueError):
+            led.row(0)
 
     def test_json_round_trip(self):
         led = build_ledger(unit_params(), 4)
@@ -187,17 +202,17 @@ class TestExplicitLedger:
         p = AssumptionParams(d_o=1, D_o=1.0, delta_o=0.5, C=1.0, c=0.4,
                              A=1.0, a=1.0, growth=ConstantGrowth(1, 1, 1))
         with pytest.raises(ValueError):
-            explicit_ledger(p, 4)
+            build_ledger(p, 4, mode="theorem-B")
 
     def test_linear_growth_certificate(self):
-        led = explicit_ledger(unit_params(), 10)
+        led = build_ledger(unit_params(), 10, mode="theorem-B")
         for row in led.rows:
             assert row.D_r <= led.H1 * row.r * (1.0 + 1e-15)
         assert any(abs(row.D_r - led.H1 * row.r) < 1e-9 * led.H1
                    for row in led.rows)
 
     def test_factorial_certificate(self):
-        led = explicit_ledger(unit_params(), 10)
+        led = build_ledger(unit_params(), 10, mode="theorem-B")
         for row in led.rows:
             r = row.r
             log_bound = -(2.0 * math.lgamma(r + 1) + math.lgamma(r + 2)
@@ -205,7 +220,7 @@ class TestExplicitLedger:
             assert math.log(row.delta_r) >= log_bound - 1e-9
 
     def test_lambda_is_smallest(self):
-        led = explicit_ledger(unit_params(), 10)
+        led = build_ledger(unit_params(), 10, mode="theorem-B")
         shrunk = led.lam * (1.0 - 1e-6)
         ok = all(
             math.log(row.delta_r) + 2.0 * math.lgamma(row.r + 1)
@@ -214,7 +229,7 @@ class TestExplicitLedger:
         assert not ok
 
     def test_thresholds(self):
-        led = explicit_ledger(unit_params(), 6)
+        led = build_ledger(unit_params(), 6, mode="theorem-B")
         assert led.row(1).threshold == 1.0
         assert led.row(2).threshold > 1.0
         assert math.isfinite(led.row(2).threshold)
@@ -226,7 +241,7 @@ class TestExplicitLedger:
         p = AssumptionParams(d_o=1, D_o=2.0, delta_o=0.5, C=3.0, c=0.3,
                              A=2.0, a=0.8,
                              growth=PowerLawGrowth(1.5, 1.0, 2.0))
-        led = explicit_ledger(p, 8)
+        led = build_ledger(p, 8, mode="theorem-B")
         cap = p.growth.L1 * (p.growth.L2 + 2.0)
         for _, P_d, _ in led.P_table:
             assert P_d <= cap + 1e-9
@@ -236,9 +251,12 @@ class TestExplicitLedger:
         exp = build_ledger(unit_params(), 6, mode="theorem-B")
         for r in range(1, 7):
             assert exp.row(r).delta_r == rec.row(r).delta_r
+            assert exp.row(r).d_r == rec.row(r).d_r
+        for r in range(2, 7):
+            assert exp.row(r).eps_r == rec.row(r).eps_r
 
     def test_json_round_trip_keeps_certificates(self):
-        led = explicit_ledger(unit_params(), 5)
+        led = build_ledger(unit_params(), 5, mode="theorem-B")
         back = BoundLedger.from_json(led.to_json())
         assert back.lam == pytest.approx(led.lam)
         assert back.H1 == pytest.approx(led.H1)
@@ -267,7 +285,7 @@ class TestBoundEvaluate:
         assert bv.value == 0.0 and bv.log_value == -math.inf
 
     def test_threshold_flag_in_explicit_mode(self):
-        led = explicit_ledger(unit_params(), 3)
+        led = build_ledger(unit_params(), 3, mode="theorem-B")
         thr = led.row(2).threshold
         below = bound_evaluate(led, 2, thr * 0.5, 1.0, [1.0, 1.0])
         above = bound_evaluate(led, 2, thr * 2.0, 1.0, [1.0, 1.0])

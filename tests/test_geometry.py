@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.geometry import (RootAction, TranslationTuple, floor_expanding,
-                               log_star_norm, rho_floor_exp, select_direction,
-                               star_norm, tuple_stats)
+from equidist.geometry import (RootAction, TranslationTuple, log_star_norm,
+                               select_direction, star_norm, tuple_stats)
 
 
 def u11():
@@ -88,11 +87,16 @@ def test_star_norm_submultiplicative(s, t):
     assert lhs <= rhs + 1e-9
 
 
-def test_floor_expanding():
-    assert floor_expanding([2.0, 5.0, 3.0], 1, 2) == 2.0
-    assert rho_floor_exp([2.0, 5.0, 3.0]) == pytest.approx(math.exp(2.0))
+def test_rho_is_exp_of_min_coordinate():
+    act = RootAction.u_mn(1, 2)
+    tup = TranslationTuple([[5.0, 2.0, 3.0], [9.0, 4.0, 5.0]],
+                           domain_tag=act.cone_tag)
+    stats = tuple_stats(act, tup)
+    assert stats.log_rho_r == 2.0
+    assert stats.rho_r == pytest.approx(math.exp(2.0))
+    # the (m, n) cone fixes the coordinate count
     with pytest.raises(ValueError):
-        floor_expanding([1.0, 2.0], 2, 1)
+        TranslationTuple([[1.0, 2.0]], domain_tag="u_mn:2,1")
 
 
 class TestTupleStats:
@@ -121,14 +125,6 @@ class TestTupleStats:
         tup = TranslationTuple([[-1.0, 2.0]], domain_tag="free")
         with pytest.raises(ValueError):
             tuple_stats(act, tup)
-
-    def test_custom_rho_validated(self):
-        act = u11()
-        tup = TranslationTuple([[1.0, 1.0]], domain_tag="free")
-        with pytest.raises(ValueError):
-            tuple_stats(act, tup, rho=lambda t: 0.5)
-        stats = tuple_stats(act, tup, rho=lambda t: 3.0)
-        assert stats.rho_r == pytest.approx(3.0)
 
     def test_log_fields_consistent(self):
         act = RootAction.u_mn(1, 2)

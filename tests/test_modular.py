@@ -9,27 +9,27 @@ from scipy.integrate import quad
 from equidist.modular import (BumpProfile, ConstantObservable,
                               EisensteinObservable, HorocycleMeasure,
                               UpperHalfPoint, check_integral_estimate,
-                              correlation, delta_statistics, eval_eisenstein,
-                              fit_decay, mu_integral, reduce, reduce_arrays,
-                              s_norm_surrogate, twisted_correlation,
+                              correlation, delta_statistics, fit_decay,
+                              mu_integral, reduce_arrays, s_norm_surrogate,
                               windowed_average, windowed_average_mu_sq)
 from equidist.wiener import TorusMeasure
 
 
 class TestReduce:
     def test_already_reduced(self):
-        z = reduce(UpperHalfPoint(0.0, 2.0))
-        assert (z.x, z.y) == (0.0, 2.0)
+        x, y = reduce_arrays(0.0, 2.0)
+        assert np.shape(x) == np.shape(y) == ()
+        assert (float(x), float(y)) == (0.0, 2.0)
 
     def test_single_inversion(self):
-        z = reduce(UpperHalfPoint(0.0, 0.5))
-        assert z.x == pytest.approx(0.0, abs=1e-15)
-        assert z.y == pytest.approx(2.0)
+        x, y = reduce_arrays(0.0, 0.5)
+        assert float(x) == pytest.approx(0.0, abs=1e-15)
+        assert float(y) == pytest.approx(2.0)
 
     def test_two_step(self):
-        z = reduce(UpperHalfPoint(2.3, 0.8))
-        assert z.x == pytest.approx(-0.4109589041095888, abs=1e-15)
-        assert z.y == pytest.approx(1.0958904109589043, abs=1e-15)
+        x, y = reduce_arrays(2.3, 0.8)
+        assert float(x) == pytest.approx(-0.4109589041095888, abs=1e-15)
+        assert float(y) == pytest.approx(1.0958904109589043, abs=1e-15)
 
     def test_result_in_fundamental_domain(self):
         rng = np.random.default_rng(12)
@@ -61,6 +61,8 @@ class TestReduce:
             UpperHalfPoint(0.0, 0.0)
         with pytest.raises(ValueError):
             UpperHalfPoint(math.nan, 1.0)
+        with pytest.raises(ValueError):
+            reduce_arrays([0.0, 0.1], [1.0, 0.0])
 
 
 class TestBumpProfile:
@@ -91,11 +93,11 @@ class TestBumpProfile:
 class TestEisenstein:
     def test_below_support_is_zero(self):
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 4.0))
-        assert eval_eisenstein(obs, UpperHalfPoint(0.0, 1.0)) == 0.0
+        assert obs.value(UpperHalfPoint(0.0, 1.0)) == 0.0
 
     def test_cusp_term_only(self):
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 4.0))
-        assert eval_eisenstein(obs, UpperHalfPoint(0.0, 3.0)) == 1.0
+        assert obs.value(UpperHalfPoint(0.0, 3.0)) == 1.0
 
     def test_invariance_under_reduction(self):
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
@@ -103,9 +105,9 @@ class TestEisenstein:
         for _ in range(60):
             z = UpperHalfPoint(float(rng.uniform(-4.0, 4.0)),
                                float(np.exp(rng.uniform(-3.0, 2.0))))
-            w = reduce(z)
-            assert eval_eisenstein(obs, z) == pytest.approx(
-                eval_eisenstein(obs, w), abs=1e-10)
+            wx, wy = reduce_arrays(z.x, z.y)
+            assert obs.value(z) == pytest.approx(
+                obs.value((float(wx), float(wy))), abs=1e-10)
 
     def test_value_reduced_matches_enumeration(self):
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
@@ -140,11 +142,20 @@ class TestMuIntegral:
         assert a + b == pytest.approx(c, rel=1e-12)
 
     def test_bump_against_quadrature(self):
-        prof = BumpProfile("bump", 1.5, 3.0)
-        val, err = quad(lambda y: prof.value(y) / (y * y), 1.5, 3.0,
-                        epsabs=1e-13)
-        assert mu_integral(prof) == pytest.approx(3.0 / math.pi * val,
-                                                  rel=1e-10)
+        # the fixed Gauss-Legendre rule against adaptive quadrature run
+        # to its roundoff floor, on narrow and very wide supports
+        for y_lo, y_hi in ((1.5, 3.0), (1.2, 2.5), (2.0, 4.0), (2.0, 3.0),
+                           (1.0, 1e4)):
+            prof = BumpProfile("bump", y_lo, y_hi)
+            val, err = quad(lambda y: prof.value(y) / (y * y), y_lo, y_hi,
+                            epsabs=0.0, epsrel=2e-14, limit=200)
+            assert err < 2e-14 * val
+            assert mu_integral(prof) == pytest.approx(3.0 / math.pi * val,
+                                                      rel=1e-14)
+
+    def test_non_finite_result_raises(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
+            mu_integral(BumpProfile("bump", 1.0, math.inf))
 
     def test_cached_on_observable(self):
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 3.0))
@@ -223,20 +234,25 @@ class TestTwistedCorrelation:
     def test_zero_frequency_collapses(self):
         haar = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-        a = twisted_correlation(haar, 0, [obs], [3.0], nodes=2 ** 10)
+        a = correlation(haar, [obs], [3.0], nodes=2 ** 10, xi=0)
         b = correlation(haar, [obs], [3.0], nodes=2 ** 10)
         assert a == b
+        # no twist left: the plain midpoint mean of the observable
+        x = (np.arange(2 ** 10) + 0.5) / 2 ** 10
+        direct = np.mean(obs.value_at(x, np.full(x.size, math.exp(-3.0))))
+        assert a.imag == 0.0
+        assert a.real == pytest.approx(direct, rel=1e-15)
 
     def test_pure_oscillation_vanishes(self):
         haar = HorocycleMeasure.haar()
         ones = [ConstantObservable()]
-        val = twisted_correlation(haar, 4, ones, [1.0], nodes=2 ** 10)
+        val = correlation(haar, ones, [1.0], nodes=2 ** 10, xi=4)
         assert abs(val) < 1e-13
 
     def test_magnitude_decays_in_t(self):
         haar = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-        mags = [abs(twisted_correlation(haar, 1, [obs], [t], nodes=2 ** 13))
+        mags = [abs(correlation(haar, [obs], [t], nodes=2 ** 13, xi=1))
                 for t in (2.0, 6.0, 10.0)]
         assert mags[2] < mags[0]
 
@@ -251,7 +267,7 @@ class TestTwistedCorrelation:
         times = [2.5]
         lhs = correlation(sigma, obs, times, nodes=2 ** 12)
         rhs = sum(density.coeff(chi)
-                  * twisted_correlation(haar, chi, obs, times, nodes=2 ** 12)
+                  * correlation(haar, obs, times, nodes=2 ** 12, xi=chi)
                   for chi in (-1, 0, 1))
         assert abs(lhs - rhs) < 1e-6
 
