@@ -83,7 +83,11 @@ def _resolve_threads(threads):
     except ValueError:
         _fail(2, "schema", "thread count must be an integer, got %r"
               % threads)
-    return max(1, threads)
+    if threads < 1:
+        _fail(2, "schema", "thread count must be at least 1, got %d; pass "
+              "--threads 1 or set EQUIDIST_THREADS to a positive integer"
+              % threads)
+    return threads
 
 
 def _resolve_seed(manifest, seed):
@@ -117,6 +121,8 @@ def _common(f):
         click.option("--seed", type=int, default=None,
                      help="Override the manifest seed."),
         click.option("--threads", type=int, default=None,
+                     callback=lambda ctx, param, value:
+                     _resolve_threads(value),
                      help="Worker threads (default: EQUIDIST_THREADS or 1)."),
         click.option("--nodes", type=int, default=None,
                      help="Override quadrature node counts."),
@@ -341,7 +347,6 @@ def correlate(manifest_path, out_dir, nodes, threads, seed):
     m = _load_manifest(manifest_path, "correlate")
     blk = m["correlate"]
     seed = _resolve_seed(m, seed)
-    threads = _resolve_threads(threads)
     try:
         sigma = TorusMeasure.from_json(blk["sigma"])
         measure = HorocycleMeasure(sigma)

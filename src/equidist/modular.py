@@ -165,12 +165,20 @@ class EisensteinObservable:
         Evaluates the identity coset plus the three c = 1 candidates
         d in {-1, 0, 1}; every other coset provably lands below y_lo at
         these heights, and out-of-support candidates contribute zero on
-        their own.
+        their own.  A c = 1 candidate height y / ((xc + d)^2 + y^2) never
+        exceeds 1/y <= max(1, 1/min y), so when the whole support sits
+        above that bound the candidates are all exactly +0.0 and only
+        the identity coset is evaluated; the sum is unchanged bit for
+        bit.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(y < _Y_FLOOR - 1e-9):
             raise ValueError("fast path needs y >= sqrt(3)/2; reduce first")
+        if y.size and self.profile.y_lo > (max(1.0, 1.0 / float(y.min()))
+                                           * (1.0 + 1e-12)):
+            return self.profile.value(
+                np.broadcast_to(y, np.broadcast(x, y).shape))
         xc = x - np.round(x)
         total = self.profile.value(y)
         for d in (-1.0, 0.0, 1.0):
@@ -214,8 +222,32 @@ class ConstantObservable:
 
 @functools.cache
 def _legendre_rule():
-    """256-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(256)
+    """256-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence
+    j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2) from the cosine
+    guesses cos(pi (k - 1/4) / (n + 1/2)); the weights are
+    2 / ((1 - x^2) P_n'(x)^2), then symmetrized and normalized to total
+    2.  Needs no eigen-solver, so the first call starts no BLAS threads.
+    """
+    n = 256
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    else:
+        raise ArithmeticError("Gauss-Legendre nodes did not converge")
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = x[::-1], w[::-1]
+    w = (w + w[::-1]) / 2.0
+    x = (x - x[::-1]) / 2.0
+    return x, w * (2.0 / w.sum())
 
 
 def mu_integral(profile):
@@ -254,11 +286,35 @@ class HorocycleMeasure:
             raise ValueError("base_height must be positive")
         self.density = density
         self.base_height = float(base_height)
+        self._grid = None
 
     @classmethod
     def haar(cls, base_height=1.0):
         from .wiener import TorusMeasure
         return cls(TorusMeasure.haar(1), base_height=base_height)
+
+    def _weights(self, nodes, xi):
+        """Midpoint nodes x = (k + 1/2) / nodes and the weight
+        rho(x) e(xi x) at them, or None for the weight when it is
+        identically 1 (Haar density, xi = 0).
+
+        Built once per (nodes, xi) and kept for the next call, so a time
+        family evaluates the density once; the arrays are read-only.
+        Concurrent first calls each build identical arrays.
+        """
+        key = (nodes, xi)
+        cached = self._grid
+        if cached is None or cached[0] != key:
+            x = (np.arange(nodes) + 0.5) / nodes
+            x.flags.writeable = False
+            w = None
+            if xi or self.density.coeffs != {(0,): 1.0}:
+                w = self.density.value(x)
+                if xi:
+                    w = w * np.exp(2j * math.pi * xi * x)
+                w.flags.writeable = False
+            cached = self._grid = (key, x, w)
+        return cached[1], cached[2]
 
 
 def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
@@ -270,7 +326,9 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
 
     over one period x in [0, 1); xi = 0 gives the plain correlation.
     Deterministic for fixed nodes: the node set and the summation order
-    are fixed.
+    are fixed.  The nodes and the weight e(xi x) rho(x) are cached on
+    sigma (HorocycleMeasure._weights), so rows of a time family share
+    them; the observable factors multiply into a fresh array in place.
     """
     observables = list(observables)
     times = [float(t) for t in times]
@@ -284,14 +342,16 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     nodes = int(nodes)
     if nodes < 16:
         raise ValueError("at least 16 quadrature nodes are required")
-    xi = int(xi)
-    x = (np.arange(nodes) + 0.5) / nodes
-    vals = sigma.density.value(x).astype(complex)
-    if xi:
-        vals = vals * np.exp(2j * math.pi * xi * x)
+    x, w = sigma._weights(nodes, int(xi))
+    vals = None
     for obs, t in zip(observables, times):
-        y = sigma.base_height * math.exp(-t)
-        vals = vals * obs.value_at(x, np.full(nodes, y))
+        v = obs.value_at(x, np.full(nodes, sigma.base_height * math.exp(-t)))
+        if vals is not None:
+            vals *= v
+        elif w is None:
+            vals = np.array(v, dtype=complex)
+        else:
+            vals = w * v
     return complex(np.mean(vals))
 
 

@@ -162,6 +162,35 @@ class TestManifestErrors:
         err = json.loads(res.stderr)
         assert "thread count" in err["message"]
 
+    @pytest.mark.parametrize("flag,env", [
+        (["--threads", "0"], {}),
+        (["--threads", "-2"], {}),
+        ([], {"EQUIDIST_THREADS": "-1"}),
+    ])
+    def test_non_positive_threads_rejected(self, tmp_path, runner, flag,
+                                           env):
+        mpath = write_manifest(
+            tmp_path / "m.json",
+            {"mode": "correlate", "correlate": dict(CORRELATE_BLOCK)})
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path)] + flag, env=env)
+        assert res.exit_code == 2
+        err = json.loads(res.stderr)
+        assert "at least 1" in err["message"]
+        assert not (tmp_path / "correlate.csv").exists()
+
+    @pytest.mark.parametrize("command", ["ledger", "schedule", "fit",
+                                         "verify"])
+    def test_every_subcommand_checks_threads(self, tmp_path, runner,
+                                             command):
+        # the thread count is checked before the manifest is read
+        res = runner.invoke(main, [command, "--manifest",
+                                   str(tmp_path / "absent.json"),
+                                   "--out", str(tmp_path),
+                                   "--threads", "0"])
+        assert res.exit_code == 2
+        assert "at least 1" in json.loads(res.stderr)["message"]
+
 
 class TestScheduleCommand:
     def manifest(self, tmp_path, tuples, theta="auto"):

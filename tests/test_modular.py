@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from equidist import modular
 from equidist.modular import (BumpProfile, ConstantObservable,
                               EisensteinObservable, HorocycleMeasure,
                               UpperHalfPoint, check_integral_estimate,
@@ -153,6 +154,42 @@ class TestMuIntegral:
             assert mu_integral(prof) == pytest.approx(3.0 / math.pi * val,
                                                       rel=1e-14)
 
+    def test_newton_rule_against_mpmath(self, monkeypatch):
+        # the recurrence-based rule is at least as accurate as numpy's
+        # eigenvalue-based leggauss(256), and never calls the eigensolver
+        mpmath = pytest.importorskip("mpmath")
+        supports = ((1.5, 3.0), (1.2, 2.5), (2.0, 4.0), (2.0, 3.0),
+                    (1.0, 1e4))
+
+        def rel_error(y_lo, y_hi):
+            val = mu_integral(BumpProfile("bump", y_lo, y_hi))
+            with mpmath.workdps(40):
+                lo, hi = mpmath.mpf(y_lo), mpmath.mpf(y_hi)
+
+                def f(y):
+                    v = (y - lo) / (hi - lo)
+                    if v <= 0 or v >= 1:
+                        return mpmath.mpf(0)
+                    return mpmath.exp(4 - 1 / (v * (1 - v))) / (y * y)
+
+                ref = 3 / mpmath.pi * mpmath.quad(f, [lo, hi])
+                return float(abs(val - ref) / ref)
+
+        with monkeypatch.context() as mp:
+            leggauss = np.polynomial.legendre.leggauss(256)
+            mp.setattr(modular, "_legendre_rule", lambda: leggauss)
+            old = [rel_error(*s) for s in supports]
+
+        def no_eigensolver(*args, **kwargs):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+        modular._legendre_rule.cache_clear()
+        new = [rel_error(*s) for s in supports]
+        for support, e_old, e_new in zip(supports, old, new):
+            assert e_new <= e_old, support
+            assert e_new < 5e-16, support
+
     def test_non_finite_result_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
             mu_integral(BumpProfile("bump", 1.0, math.inf))
@@ -228,6 +265,109 @@ class TestCorrelation:
             correlation(haar, [obs], [2.0, 3.0])
         with pytest.raises(ValueError):
             correlation(haar, [], [])
+
+
+def _reference_value_reduced(obs, x, y):
+    # identity coset plus all three c = 1 candidates, unconditionally
+    xc = x - np.round(x)
+    total = obs.profile.value(y)
+    for d in (-1.0, 0.0, 1.0):
+        total = total + obs.profile.value(y / ((xc + d) ** 2 + y * y))
+    return total
+
+
+def _reference_correlation(sigma, observables, times, nodes, xi=0):
+    # density evaluated on every call, a fresh array for every factor
+    x = (np.arange(nodes) + 0.5) / nodes
+    vals = sigma.density.value(x).astype(complex)
+    if xi:
+        vals = vals * np.exp(2j * math.pi * xi * x)
+    for obs, t in zip(observables, times):
+        y = sigma.base_height * math.exp(-t)
+        rx, ry = reduce_arrays(x, np.full(nodes, y))
+        vals = vals * _reference_value_reduced(obs, rx, ry)
+    return complex(np.mean(vals))
+
+
+def _count_density_calls(sigma):
+    calls = []
+    value = sigma.density.value
+
+    def counted(x):
+        calls.append(np.size(x))
+        return value(x)
+
+    sigma.density.value = counted
+    return calls
+
+
+class TestKernelBytes:
+    """The cached weights and the skipped empty cosets change no bit."""
+
+    @staticmethod
+    def wiener():
+        return HorocycleMeasure(TorusMeasure(
+            1, {(0,): 1.0, (1,): 0.2 + 0.1j, (-1,): 0.2 - 0.1j,
+                (2,): 0.05 - 0.02j, (-2,): 0.05 + 0.02j}))
+
+    def test_haar_pair(self):
+        haar = HorocycleMeasure.haar()
+        calls = _count_density_calls(haar)
+        obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
+               EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
+        for t in (0.5, 1.3, 2.2, 3.0):
+            val = correlation(haar, obs, [t, 2.0 * t], nodes=2 ** 12)
+            ref = _reference_correlation(haar, obs, [t, 2.0 * t], 2 ** 12)
+            assert val == ref
+        assert calls == [2 ** 12] * 4  # all from the reference
+
+    @pytest.mark.parametrize("xi", [0, 3])
+    def test_wiener_single(self, xi):
+        sigma = self.wiener()
+        calls = _count_density_calls(sigma)
+        obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
+        for t in (0.0, 1.0, 2.5, 4.0):
+            assert correlation(sigma, obs, [t], nodes=2 ** 12, xi=xi) \
+                == _reference_correlation(sigma, obs, [t], 2 ** 12, xi=xi)
+        # four rows: four reference evaluations and one cached one
+        assert len(calls) == 5
+
+    def test_cache_follows_node_count(self):
+        sigma = self.wiener()
+        calls = _count_density_calls(sigma)
+        obs = [EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))]
+        for nodes in (2 ** 10, 2 ** 12, 2 ** 10):
+            assert correlation(sigma, obs, [1.5], nodes=nodes) \
+                == _reference_correlation(sigma, obs, [1.5], nodes)
+        assert calls == [2 ** 10, 2 ** 10, 2 ** 12, 2 ** 12,
+                         2 ** 10, 2 ** 10]
+
+    @pytest.mark.parametrize("kind", ["bump", "indicator"])
+    @pytest.mark.parametrize("y_lo", [1.0, 1.1, 1.16, 1.5])
+    def test_value_reduced_equals_four_term_sum(self, kind, y_lo):
+        obs = EisensteinObservable(BumpProfile(kind, y_lo, y_lo + 1.5))
+        rng = np.random.default_rng(16)
+        floor = math.sqrt(3.0) / 2.0
+        # unreduced but accepted: y in [sqrt(3)/2, 1) inside the circle
+        ux = rng.uniform(-0.45, 0.45, size=200)
+        uy = rng.uniform(floor, 1.0, size=200)
+        inside = ux * ux + uy * uy < 1.0
+        assert inside.sum() > 20
+        rx, ry = reduce_arrays(rng.uniform(-3.0, 3.0, size=500),
+                               np.exp(rng.uniform(-4.0, 1.5, size=500)))
+        high = (rng.uniform(-0.5, 0.5, size=100),
+                rng.uniform(0.95, 4.0, size=100))
+        cases = [(ux[inside], uy[inside]), (rx, ry), high,
+                 (np.array([0.5, -0.5]), np.array([floor, floor])),
+                 (np.zeros(0), np.zeros(0)),
+                 (np.linspace(-0.5, 0.5, 7), np.float64(1.2)),
+                 (np.float64(0.1), np.float64(2.0))]
+        for x, y in cases:
+            got = obs.value_reduced(x, y)
+            ref = _reference_value_reduced(obs, np.asarray(x), np.asarray(y))
+            assert type(got) is type(ref)
+            assert np.shape(got) == np.shape(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 class TestTwistedCorrelation:

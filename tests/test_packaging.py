@@ -23,6 +23,16 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_no_quadrature_rule():
+    # the Gauss-Legendre rule is built on first use, not at import
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import equidist.cli, equidist.modular as m; "
+            "print(m._legendre_rule.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
 def test_no_runtime_asserts():
     # python -O strips assert statements, so validation must raise
     found = []
