@@ -20,6 +20,7 @@ lambda.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _LOG10 = math.log(10.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _logaddexp(x, y):
@@ -436,7 +438,9 @@ def build_ledger(params, r_max, mode="theorem-A"):
             log_main = (math.log(2.0 * P1) + r * b_next * log_P
                         + 0.5 * prev.log_D_r)
             log_D_r = _logaddexp(log_main, math.log(r * Q))
-            D_r, Q_r, thr, log_thr = math.exp(log_D_r), math.nan, 1.0, 0.0
+            # past the float range D_r reads inf; log_D_r keeps the value
+            D_r = math.exp(log_D_r) if log_D_r < _LOG_FLOAT_MAX else math.inf
+            Q_r, thr, log_thr = math.nan, 1.0, 0.0
         rows.append(LedgerRow(
             r=r, d_r=prev.d_r + params.d_o, D_r=D_r, log_D_r=log_D_r,
             delta_r=delta_r, eps_r=eps_r, Q_r=Q_r,

@@ -18,17 +18,14 @@ import pytest
 from click.testing import CliRunner
 from scipy.integrate import dblquad, quad
 
-from equidist.cli import _brute_force_pq, _suite_ledger, main
+from equidist.cli import (_sparse_observable, _suite_integral, _suite_ledger,
+                          _suite_modular, _suite_pigeonhole, _suite_wiener,
+                          _suite_window, main)
 from equidist.constants import AssumptionParams, PowerLawGrowth, build_ledger
-from equidist.geometry import DirectionSelection
 from equidist.modular import (BumpProfile, EisensteinObservable,
                               HorocycleMeasure, check_integral_estimate,
-                              correlation, delta_statistics, fit_decay,
-                              reduce_arrays)
-from equidist.selection import choose_window, pigeonhole
-from equidist.wiener import (TorusMeasure, TorusObservable,
-                             character_expansion_check, equivariance_check,
-                             wiener_norm)
+                              correlation, delta_statistics, fit_decay)
+from equidist.wiener import wiener_norm
 
 
 def golden_params():
@@ -75,58 +72,17 @@ def test_criterion_1_constants_ledger():
 
 # ------------------------------------------------------------ criterion 2
 
-def _make_selection(norms):
-    logs = tuple(math.log(v) for v in norms)
-    return DirectionSelection(
-        degenerate=False, chosen_root=1, i=1, j=len(norms), l=len(norms),
-        relabeling=tuple(range(1, len(norms) + 1)), log_norms=logs,
-        norms=tuple(float(v) for v in norms), w_log_norm=0.0, w_norm=1.0,
-        w_label="e[1,1],1")
-
-
-def _random_gap_instance(rng):
-    r = int(rng.integers(2, 9))
-    if rng.random() < 0.4:
-        # exact powers of two, decided in integer arithmetic
-        drops = rng.integers(0, 40, size=r - 1)
-        if drops.sum() == 0:
-            drops[0] = 1
-        exps = np.concatenate([[0], -np.cumsum(drops)])
-        shift = int(rng.integers(-200, 201))
-        betas = [2.0 ** (int(e) + shift) for e in exps]
-        k = int(rng.integers(1, int(drops.sum()) + 1))
-        theta = 2.0 ** (-k)
-    else:
-        gaps = rng.uniform(0.0, 8.0, size=r - 1)
-        gaps[0] = max(gaps[0], 0.3)
-        logs = np.concatenate([[0.0], -np.cumsum(gaps)]) \
-            + rng.uniform(-30.0, 30.0)
-        betas = [math.exp(v) for v in logs]
-        spread = float(logs[0] - logs[-1])
-        theta = math.exp(-spread * rng.uniform(1e-3, 1.0))
-        if rng.random() < 0.1:
-            betas[-1] = 0.0
-    return betas, theta
-
-
 def test_criterion_2_pigeonhole_window():
+    # 10^4 random gap instances through the verify battery's suites: the
+    # selected (p, q) equals the exact brute force, and every
+    # window (real tuple selections at theta = 1/M_r and the instances'
+    # norms scaled to end at 1) passes its checks, matches the brute
+    # force, has L = norm_1^-1 theta^(-(q+1/2)/r) and separates the norms
     start = time.perf_counter()
-    rng = np.random.default_rng(404)
-    for _ in range(10_000):
-        betas, theta = _random_gap_instance(rng)
-        r = len(betas)
-        p, q = pigeonhole(betas, theta)
-        assert 1 <= p <= r - 1 and 0 <= q <= r - 2
-        assert _brute_force_pq(betas, theta) == (p, q)
-        if betas[-1] > 0.0:
-            # rescale so the smallest image norm is 1, matching a real
-            # direction selection, and take the window
-            norms = [b / betas[-1] for b in betas]
-            win = choose_window(_make_selection(norms), theta)
-            assert _brute_force_pq(norms, theta) == (win.p, win.q)
-            assert all(ok for _, _, ok in win.checks.values())
-            assert win.L == pytest.approx(
-                norms[0] ** -1.0 * theta ** (-(win.q + 0.5) / r), rel=1e-9)
+    assert _suite_pigeonhole(np.random.default_rng(404), 10_000) == (
+        10_000, 0.0)
+    assert _suite_window(np.random.default_rng(404), 10_000) == (
+        10_000, 0.0)
     assert time.perf_counter() - start < 10.0
 
 
@@ -146,11 +102,12 @@ def _mean_kernel_oracle(R, c):
 
 
 def test_criterion_3_integral_estimate():
+    # the estimate holds on the grid (the battery's integral suite) ...
+    assert _suite_integral(None, 25) == (25, 0.0)
+    # ... and its closed form matches adaptive quadrature
     for R in (1.0, 10.0, 100.0, 1000.0, 10000.0):
         for c in (0.05, 0.1, 0.25, 0.4, 0.49):
             est = check_integral_estimate(R, c)
-            assert est.passed
-            assert est.lhs <= est.rhs * (1.0 + 1e-12)
             ref = _mean_kernel_oracle(R, c)
             assert est.lhs == pytest.approx(ref, rel=1e-6)
     frozen = check_integral_estimate(100.0, 0.4)
@@ -159,23 +116,14 @@ def test_criterion_3_integral_estimate():
 
 # ------------------------------------------------------------ criterion 4
 
-def _random_torus_observable(rng, dim, degree=6):
-    coeffs = {}
-    for _ in range(int(rng.integers(1, 7))):
-        chi = tuple(int(v) for v in rng.integers(-degree, degree + 1,
-                                                 size=dim))
-        coeffs[chi] = complex(rng.normal(), rng.normal())
-    return TorusObservable(dim, coeffs)
-
-
 def test_criterion_4_wiener_module():
     start = time.perf_counter()
     rng = np.random.default_rng(1912)
 
     for _ in range(200):
         dim = int(rng.integers(1, 3))
-        f = _random_torus_observable(rng, dim)
-        g = _random_torus_observable(rng, dim)
+        f = _sparse_observable(rng, dim)
+        g = _sparse_observable(rng, dim)
         nf, ng = wiener_norm(f), wiener_norm(g)
         assert nf > 0.0
         scale = complex(rng.normal(), rng.normal())
@@ -188,30 +136,16 @@ def test_criterion_4_wiener_module():
     xs = (np.arange(4096) + 0.5) / 4096.0
     grid2 = np.stack(np.meshgrid(xs[:64], xs[:64], indexing="ij"), axis=-1)
     for _ in range(60):
-        f1 = _random_torus_observable(rng, 1)
+        f1 = _sparse_observable(rng, 1)
         assert np.max(np.abs(f1.value(xs))) <= wiener_norm(f1) + 1e-9
-        f2 = _random_torus_observable(rng, 2)
+        f2 = _sparse_observable(rng, 2)
         assert np.max(np.abs(f2.value(grid2))) <= wiener_norm(f2) + 1e-9
 
-    for _ in range(1000):
-        dim = int(rng.integers(1, 3))
-        haar = TorusMeasure.haar(dim)
-        xi = tuple(int(v) for v in rng.integers(-5, 6, size=dim))
-        w = rng.uniform(-2.0, 2.0, size=dim)
-        eta = _random_torus_observable(rng, dim)
-        _, _, defect = equivariance_check(haar, xi, w, eta)
-        assert defect <= 1e-12
-
-    for _ in range(200):
-        coeffs = {(0,): 1.0}
-        for _ in range(int(rng.integers(1, 5))):
-            chi = int(rng.integers(-6, 7))
-            if chi != 0:
-                coeffs[(chi,)] = complex(rng.normal(), rng.normal()) * 0.3
-        sigma = TorusMeasure(1, coeffs)
-        phi = _random_torus_observable(rng, 1)
-        _, _, defect = character_expansion_check(sigma, phi)
-        assert defect <= 1e-12
+    # twist equivariance (1- and 2-tori) and the character expansion,
+    # 1000 trials of the battery's Wiener suite
+    checks, worst = _suite_wiener(rng, 1000)
+    assert checks == 2000
+    assert worst < 1e-12
 
     assert time.perf_counter() - start < 10.0
 
@@ -238,40 +172,12 @@ def test_criterion_5_modular_geometry():
     start = time.perf_counter()
     rng = np.random.default_rng(57721)
 
-    # depth is bounded: at |x| ~ 50, y ~ 1e-4 the long reduction chain
-    # amplifies the rounding of -1/z itself past 1e-10 (measured 3e-8),
-    # a conditioning limit of float arithmetic, not of the algorithm
-    x = rng.uniform(-10.0, 10.0, size=10_000)
-    y = np.exp(rng.uniform(math.log(0.02), math.log(50.0), size=10_000))
-    rx, ry = reduce_arrays(x, y)
-    assert np.all(np.abs(rx) <= 0.5 + 1e-12)
-    assert np.all(rx * rx + ry * ry >= 1.0 - 1e-12)
-
-    r2x, r2y = reduce_arrays(rx, ry)
-    assert np.max(np.abs(r2x - rx)) <= 1e-10
-    assert np.max(np.abs(r2y - ry)) <= 1e-10
-
-    tx, ty = reduce_arrays(x + 1.0, y)
-    assert np.max(np.abs(tx - rx)) <= 1e-10
-    assert np.max(np.abs(ty - ry)) <= 1e-10
-
-    n2 = x * x + y * y
-    ix, iy = reduce_arrays(-x / n2, y / n2)
-    assert np.max(np.abs(ix - rx)) <= 1e-10
-    assert np.max(np.abs(iy - ry)) <= 1e-10
-
-    obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-    for k in range(300):
-        px = float(rng.uniform(-3.0, 3.0))
-        py = float(np.exp(rng.uniform(math.log(0.05), math.log(10.0))))
-        base = obs.value((px, py))
-        assert obs.value((px + 1.0, py)) == pytest.approx(base, abs=1e-10)
-        m2 = px * px + py * py
-        assert obs.value((-px / m2, py / m2)) == pytest.approx(base,
-                                                              abs=1e-10)
-        qx, qy = reduce_arrays(px, py)
-        assert obs.value((float(qx), float(qy))) == pytest.approx(
-            base, abs=1e-10)
+    # reduction lands in the fundamental domain, is idempotent and
+    # invariant under z + 1 and -1/z, and the observable is invariant
+    # under all three, at 10^4 points of the battery's modular suite
+    checks, worst = _suite_modular(rng, 10_000)
+    assert checks == 10_000
+    assert worst < 1e-10
 
     smooth = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
     assert _mu_integral_2d(smooth) == pytest.approx(smooth.mu, rel=1e-6)

@@ -7,6 +7,9 @@ files and exit codes.
 
 import json
 import math
+import re
+import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -124,6 +127,15 @@ class TestManifestErrors:
         err = json.loads(res.stderr)
         assert "not valid JSON" in err["message"]
 
+    def test_non_utf8_manifest(self, tmp_path, runner):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"mode": "ledger"\xff}')
+        res = runner.invoke(main, ["ledger", "--manifest", str(bad)])
+        assert res.exit_code == 2
+        err = json.loads(res.stderr)
+        assert err["error"] == "file-encoding"
+        assert str(bad) in err["message"]
+
     def test_empty_manifest_reports_missing_mode(self, tmp_path, runner):
         mpath = write_manifest(tmp_path / "empty.json", {})
         res = runner.invoke(main, ["ledger", "--manifest", mpath])
@@ -190,6 +202,15 @@ class TestManifestErrors:
                                    "--threads", "0"])
         assert res.exit_code == 2
         assert "at least 1" in json.loads(res.stderr)["message"]
+
+
+@pytest.mark.parametrize("command", ["ledger", "schedule", "fit", "verify"])
+def test_nodes_only_on_correlate(tmp_path, runner, command):
+    res = runner.invoke(main, [command, "--manifest",
+                               str(tmp_path / "absent.json"),
+                               "--nodes", "512"])
+    assert res.exit_code == 2
+    assert "no such option" in res.stderr.lower()
 
 
 class TestScheduleCommand:
@@ -358,6 +379,19 @@ class TestFitCommand:
         err = json.loads(res.stderr)
         assert err["error"] == "file-missing"
 
+    def test_non_utf8_csv(self, tmp_path, runner):
+        (tmp_path / "tbl.csv").write_bytes(
+            b"Delta_mult,abs_error\n1.0,0.5\xff\n2.0,0.25\n4.0,0.125\n")
+        fpath = write_manifest(tmp_path / "f.json",
+                               {"mode": "fit",
+                                "fit": {"input_csv": "tbl.csv"}})
+        res = runner.invoke(main, ["fit", "--manifest", fpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        err = json.loads(res.stderr)
+        assert err["error"] == "file-encoding"
+        assert str(tmp_path / "tbl.csv") in err["message"]
+
     def test_missing_column(self, tmp_path, runner):
         (tmp_path / "tbl.csv").write_text("a,b\n1.0,2.0\n3.0,4.0\n",
                                           encoding="utf-8")
@@ -393,3 +427,36 @@ class TestVerifyCommand:
         betas, theta = [2.0 ** 6, 2.0 ** 5, 2.0 ** -24], 2.0 ** -3
         assert _brute_force_pq(betas, theta) == (2, 1)
         assert pigeonhole(betas, theta) == (2, 1)
+
+
+def test_readme_examples(tmp_path, runner):
+    """The five README manifests run in order, and every output file and
+    the stdout are the same bytes at one and at two threads."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```",
+                                                  readme, re.S)]
+    modes = [b["mode"] for b in blocks]
+    assert modes == ["ledger", "schedule", "correlate", "fit", "verify"]
+    for block in blocks:
+        write_manifest(tmp_path / ("%s.json" % block["mode"]), block)
+    results = tmp_path / "results"
+    runs = []
+    for threads in ("1", "2"):
+        shutil.rmtree(results, ignore_errors=True)
+        stdout = []
+        for mode in modes:
+            res = runner.invoke(main, [mode, "--manifest",
+                                       str(tmp_path / ("%s.json" % mode)),
+                                       "--out", str(results),
+                                       "--threads", threads])
+            assert res.exit_code == 0, res.output
+            stdout.append(res.stdout)
+        files = {f.name: f.read_bytes() for f in sorted(results.iterdir())}
+        runs.append((stdout, files))
+    assert sorted(runs[0][1]) == sorted(
+        ["ledger.csv", "ledger.json", "ledger.gp", "schedule.csv",
+         "schedule.json", "schedule.gp", "correlate.csv",
+         "correlate_manifest.json", "correlate.gp", "fit.json", "fit.gp",
+         "verify_report.json"])
+    assert runs[0] == runs[1]

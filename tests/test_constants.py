@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equidist.cli import _suite_ledger
 from equidist.constants import (AssumptionParams, BoundLedger, ConstantGrowth,
                                 PowerLawGrowth, TabulatedGrowth, base_case,
                                 bound_evaluate, build_ledger)
@@ -177,24 +178,11 @@ class TestRecursiveLedger:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_random_parameters_well_ordered(self, seed):
+        # the verify battery's ledger suite: d_o up to 3 and all three
+        # growth kinds, strictly decreasing delta_r, d_r = (r+1) d_o,
+        # eps_r in (0, 1) and finite log D_r to r = 12
         import numpy as np
-        rng = np.random.default_rng(seed)
-        p = AssumptionParams(
-            d_o=int(rng.integers(1, 4)),
-            D_o=float(rng.uniform(1.0, 10.0)),
-            delta_o=float(rng.uniform(0.05, 1.0)),
-            C=float(rng.uniform(1.0, 20.0)),
-            c=float(rng.uniform(0.02, 0.48)),
-            A=float(rng.uniform(1.0, 5.0)),
-            a=float(rng.uniform(0.1, 2.0)),
-            growth=PowerLawGrowth(float(rng.uniform(1.0, 3.0)),
-                                  float(rng.uniform(1.0, 3.0)),
-                                  float(rng.uniform(1.0, 3.0))))
-        led = build_ledger(p, 8)
-        deltas = [rw.delta_r for rw in led.rows]
-        assert all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))
-        assert all(rw.d_r == (rw.r + 1) * p.d_o for rw in led.rows)
-        assert all(0.0 < rw.eps_r < 1.0 for rw in led.rows[1:])
+        assert _suite_ledger(np.random.default_rng(seed), 5) == (5, 0.0)
 
 
 class TestExplicitLedger:

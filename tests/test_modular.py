@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from equidist import modular
+from equidist.cli import _suite_modular
 from equidist.modular import (BumpProfile, ConstantObservable,
                               EisensteinObservable, HorocycleMeasure,
                               UpperHalfPoint, check_integral_estimate,
@@ -41,21 +42,11 @@ class TestReduce:
         assert np.all(rx * rx + ry * ry >= 1.0 - 1e-9)
 
     def test_idempotent_and_invariant(self):
-        rng = np.random.default_rng(13)
-        x = rng.uniform(-5.0, 5.0, size=500)
-        y = np.exp(rng.uniform(math.log(0.02), math.log(8.0), size=500))
-        rx, ry = reduce_arrays(x, y)
-        r2x, r2y = reduce_arrays(rx, ry)
-        np.testing.assert_allclose(r2x, rx, atol=1e-10)
-        np.testing.assert_allclose(r2y, ry, atol=1e-10)
-        # translation by one and inversion land on the same representative
-        tx, ty = reduce_arrays(x + 1.0, y)
-        np.testing.assert_allclose(tx, rx, atol=1e-10)
-        np.testing.assert_allclose(ty, ry, atol=1e-10)
-        n2 = x * x + y * y
-        ix, iy = reduce_arrays(-x / n2, y / n2)
-        np.testing.assert_allclose(ix, rx, atol=1e-8)
-        np.testing.assert_allclose(iy, ry, atol=1e-8)
+        # the verify battery's modular suite: fundamental-domain
+        # membership, idempotence, and invariance under z + 1 and -1/z
+        checks, worst = _suite_modular(np.random.default_rng(13), 500)
+        assert checks == 500
+        assert worst < 1e-10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -101,14 +92,10 @@ class TestEisenstein:
         assert obs.value(UpperHalfPoint(0.0, 3.0)) == 1.0
 
     def test_invariance_under_reduction(self):
-        obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-        rng = np.random.default_rng(14)
-        for _ in range(60):
-            z = UpperHalfPoint(float(rng.uniform(-4.0, 4.0)),
-                               float(np.exp(rng.uniform(-3.0, 2.0))))
-            wx, wy = reduce_arrays(z.x, z.y)
-            assert obs.value(z) == pytest.approx(
-                obs.value((float(wx), float(wy))), abs=1e-10)
+        # the verify battery's modular suite: coset enumeration gives the
+        # same value at z, z + 1, -1/z and the reduced point
+        _, worst = _suite_modular(np.random.default_rng(14), 60)
+        assert worst < 1e-10
 
     def test_value_reduced_matches_enumeration(self):
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))

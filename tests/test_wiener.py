@@ -1,14 +1,14 @@
 import json
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equidist.cli import _suite_wiener
 from equidist.wiener import (TorusMeasure, TorusObservable,
                              character_expansion_check, character_twist,
-                             equivariance_check, wiener_norm)
+                             wiener_norm)
 
 
 def random_observable(rng, dim=1, degree=4):
@@ -156,34 +156,26 @@ class TestTwist:
         assert character_twist(m, 3)(eta) == 0.5
 
     def test_equivariance_exact_for_haar(self):
-        rng = np.random.default_rng(10)
-        haar = TorusMeasure.haar(1)
-        for _ in range(50):
-            eta = random_observable(rng)
-            xi = int(rng.integers(-6, 7))
-            w = float(rng.uniform(-2.0, 2.0))
-            _, _, defect = equivariance_check(haar, xi, w, eta)
-            assert defect <= 1e-12
+        # the verify battery's Wiener suite, which also runs the
+        # character expansion and 2-D tori
+        checks, worst = _suite_wiener(np.random.default_rng(10), 50)
+        assert checks == 100
+        assert worst < 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(-5, 5), st.floats(-1.0, 1.0),
-           st.integers(0, 10 ** 9))
-    def test_equivariance_property(self, xi, w, seed):
-        rng = np.random.default_rng(seed)
-        eta = random_observable(rng)
-        _, _, defect = equivariance_check(TorusMeasure.haar(1), xi, w, eta)
-        assert defect <= 1e-12
+    @given(st.integers(0, 10 ** 9))
+    def test_equivariance_property(self, seed):
+        _, worst = _suite_wiener(np.random.default_rng(seed), 2)
+        assert worst < 1e-12
 
 
 class TestExpansion:
     def test_finitely_supported_sigma(self):
-        sigma = TorusMeasure(1, {(0,): 1.0, (1,): 0.25 + 0.1j,
-                                 (-1,): 0.25 - 0.1j})
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            phi = random_observable(rng)
-            direct, expanded, defect = character_expansion_check(sigma, phi)
-            assert defect <= 1e-12
+        # the verify battery's Wiener suite: one-harmonic and up to
+        # four-harmonic densities against a direct quadrature
+        checks, worst = _suite_wiener(np.random.default_rng(11), 20)
+        assert checks == 40
+        assert worst < 1e-12
 
     def test_direct_override(self):
         sigma = TorusMeasure.haar(1)
