@@ -50,7 +50,6 @@ from .selection import WindowChoice, choose_window, pigeonhole
 from .wiener import (
     TorusMeasure,
     TorusObservable,
-    TwistFunctional,
     character_expansion_check,
     character_twist,
     equivariance_check,
@@ -71,7 +70,7 @@ __all__ = [
     "fit_decay", "mu_integral", "reduce_arrays", "s_norm_surrogate",
     "windowed_average", "windowed_average_mu_sq",
     "WindowChoice", "choose_window", "pigeonhole",
-    "TorusMeasure", "TorusObservable", "TwistFunctional",
+    "TorusMeasure", "TorusObservable",
     "character_expansion_check", "character_twist", "equivariance_check",
     "wiener_norm",
     "__version__",

@@ -48,6 +48,8 @@ from .wiener import (TorusMeasure, TorusObservable, character_expansion_check,
 
 _LOG10 = math.log(10.0)
 _NUMERIC_ERRORS = (ValueError, ArithmeticError, KeyError)
+# the schema's cap on verify.trials, also the longest time family
+_MAX_FAMILY_ROWS = 100000
 
 
 def _fail(code, kind, message, **extra):
@@ -106,6 +108,17 @@ def _resolve_threads(threads):
               "--threads 1 or set EQUIDIST_THREADS to a positive integer"
               % threads)
     return threads
+
+
+def _at_least(floor):
+    """Click callback: exit 2 naming the flag when its value is below
+    floor, the manifest schema's minimum for the same setting."""
+    def check(ctx, param, value):
+        if value is not None and value < floor:
+            _fail(2, "schema", "%s must be at least %d, got %d"
+                  % (param.opts[0], floor, value))
+        return value
+    return check
 
 
 def _write(path, text):
@@ -173,6 +186,7 @@ def _subcommand(*options):
                              help="Worker threads (default: "
                                   "EQUIDIST_THREADS or 1)."),
                 click.option("--seed", type=int, default=None,
+                             callback=_at_least(0),
                              help="Override the manifest seed."))):
             command = param(command)
         return main.command(name=mode, help=body.__doc__)(command)
@@ -298,15 +312,23 @@ def _expand_times(blk):
     fam = blk["family"]
     rows = []
     t = float(fam["t_start"])
+    step = float(fam["t_step"])
     while t <= float(fam["t_stop"]) + 1e-9:
+        if t + step == t:
+            raise ValueError("time family does not advance: t_step %r is "
+                             "lost in rounding at t = %r" % (step, t))
+        if len(rows) == _MAX_FAMILY_ROWS:
+            raise ValueError("time family has more than %d rows; raise "
+                             "t_step (%r)" % (_MAX_FAMILY_ROWS, step))
         rows.append([t * float(p) for p in fam["pattern"]])
-        t += float(fam["t_step"])
+        t += step
     if not rows:
         raise ValueError("time family is empty")
     return rows
 
 
 @_subcommand(click.option("--nodes", type=int, default=None,
+                          callback=_at_least(16),
                           help="Override the quadrature node count."))
 def correlate(blk, seed, threads, nodes, **_):
     """Run horocycle correlation experiments from a manifest."""
@@ -510,8 +532,7 @@ def _selection(norms):
         degenerate=False, chosen_root=1, i=1, j=len(norms), l=len(norms),
         relabeling=tuple(range(1, len(norms) + 1)),
         log_norms=tuple(math.log(v) for v in norms),
-        norms=tuple(float(v) for v in norms), w_log_norm=0.0, w_norm=1.0,
-        w_label="e[1,1],1")
+        norms=tuple(float(v) for v in norms), w_log_norm=0.0)
 
 
 def _window_fails(sel, theta):
@@ -559,7 +580,7 @@ def _sparse_observable(rng, dim, degree=6):
 
 def _suite_wiener(rng, trials):
     """Twist equivariance under Haar and the character expansion against
-    a 256-point quadrature, per trial on a dense degree 1-8 polynomial
+    a direct quadrature, per trial on a dense degree 1-8 polynomial
     with a one-harmonic density and, from a child stream (so a seed's
     dense cases stay put), on sparse ones: on a 1- or 2-torus with xi in
     [-6, 6]^dim, w in [-2, 2]^dim; under up to six harmonics in [-6, 6]."""
@@ -580,14 +601,14 @@ def _suite_wiener(rng, trials):
                    _sparse_observable(sparse, 1).coeffs.items()}
         density[(0,)] = 1.0
         worst = max(worst, equivariance_check(haar, xi, w, eta)[2],
-                    character_expansion_check(sigma, eta, grid=256)[2],
+                    character_expansion_check(sigma, eta)[2],
                     equivariance_check(TorusMeasure.haar(dim),
                                        sparse.integers(-6, 7, size=dim),
                                        sparse.uniform(-2.0, 2.0, size=dim),
                                        _sparse_observable(sparse, dim))[2],
                     character_expansion_check(
                         TorusMeasure(1, density),
-                        _sparse_observable(sparse, 1), grid=256)[2])
+                        _sparse_observable(sparse, 1))[2])
     return 2 * trials, worst
 
 

@@ -18,7 +18,6 @@ delta_r >= 1/((r!)^2 (r+1)! lambda^r) for an operationally determined
 lambda.
 """
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -200,8 +199,7 @@ class AssumptionParams:
 
     @classmethod
     def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+        """Build from the dict that to_json writes."""
         gd = obj["growth"]
         kind = gd["kind"]
         if kind == "power-law":
@@ -321,31 +319,6 @@ class BoundLedger:
             out["H1"] = self.H1
             out["H2"] = self.H2
         return out
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        params = AssumptionParams.from_json(obj["params"])
-        rows = tuple(LedgerRow(
-            r=int(rw["r"]), d_r=int(rw["d_r"]), D_r=float(rw["D_r"]),
-            log_D_r=float(rw["log10_D_r"]) * _LOG10,
-            delta_r=float(rw["delta_r"]), eps_r=float(rw["eps_r"]),
-            Q_r=float(rw["Q_r"]),
-            threshold=float(rw["threshold"]),
-            log_threshold=float(rw["log10_threshold"]) * _LOG10,
-        ) for rw in obj["rows"])
-        kw = {}
-        if obj["mode"] == "theorem-B":
-            kw = {"lam": float(obj["lambda"]), "gamma": float(obj["gamma"]),
-                  "H1": float(obj["H1"]), "H2": float(obj["H2"])}
-        return cls(mode=obj["mode"], params=params, rows=rows,
-                   c1=float(obj["c1"]), P1=float(obj["P1"]),
-                   Q=float(obj["Q"]), Bprime=float(obj["Bprime"]),
-                   P_table=tuple((int(p["d"]), float(p["P_d"]),
-                                  float(p["log_P_d"]))
-                                 for p in obj["P_table"]),
-                   **kw)
 
 
 def _smallest_lambda(log_deltas, r_max):

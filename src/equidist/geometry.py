@@ -12,7 +12,6 @@ every statistic is returned together with its natural logarithm and all
 internal comparisons happen in log space.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -123,11 +122,9 @@ class RootAction:
     @classmethod
     def from_json(cls, obj):
         """Build from {"dim_t": k, "roots": [[...]], "multiplicities": [...]}
-        (optional keys: "basis_labels", "proper", "cone_tag"); accepts a
-        dict or a JSON string.
+        (optional keys: "basis_labels", "proper", "cone_tag"), the dict
+        that to_json writes.
         """
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(obj["dim_t"], obj["roots"],
                    multiplicities=obj.get("multiplicities"),
                    basis_labels=obj.get("basis_labels"),
@@ -304,8 +301,6 @@ class DirectionSelection:
     log_norms: tuple
     norms: tuple
     w_log_norm: float
-    w_norm: float
-    w_label: str | None
 
     @property
     def r(self):
@@ -342,7 +337,7 @@ def select_direction(action, tup):
         return DirectionSelection(
             degenerate=True, chosen_root=None, i=None, j=None, l=None,
             relabeling=tuple(range(1, r + 1)), log_norms=tuple([0.0] * r),
-            norms=ones, w_log_norm=0.0, w_norm=1.0, w_label=None)
+            norms=ones, w_log_norm=0.0)
     log_M, (a, i, j) = best
     image_logs = [float(vals[k, a] - vals[j, a]) for k in range(r)]
     order = sorted(range(r), key=lambda k: (-image_logs[k], k))
@@ -366,6 +361,4 @@ def select_direction(action, tup):
         log_norms=sorted_logs,
         norms=tuple(math.exp(v) for v in sorted_logs),
         w_log_norm=-float(vals[j, a]),
-        w_norm=math.exp(-float(vals[j, a])),
-        w_label=action.basis_labels[a][0],
     )

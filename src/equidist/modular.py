@@ -270,28 +270,25 @@ def mu_integral(profile):
 
 
 class HorocycleMeasure:
-    """Wiener density on the closed horocycle at the base height.
+    """Wiener density on the closed horocycle at height 1.
 
     density is a circle measure (dim 1) with total mass one; the point
-    of parameter x on the base horocycle is x + i * base_height.
+    of parameter x on the horocycle is x + i.
     """
 
-    def __init__(self, density, base_height=1.0):
+    def __init__(self, density):
         if density.dim != 1:
             raise ValueError("horocycle density must live on the circle")
         if abs(density.coeff(0) - 1.0) > 1e-12:
             raise ValueError("horocycle density must be a probability "
                              "measure (unit zero coefficient)")
-        if not base_height > 0.0:
-            raise ValueError("base_height must be positive")
         self.density = density
-        self.base_height = float(base_height)
         self._grid = None
 
     @classmethod
-    def haar(cls, base_height=1.0):
+    def haar(cls):
         from .wiener import TorusMeasure
-        return cls(TorusMeasure.haar(1), base_height=base_height)
+        return cls(TorusMeasure.haar(1))
 
     def _weights(self, nodes, xi):
         """Midpoint nodes x = (k + 1/2) / nodes and the weight
@@ -322,7 +319,7 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     density, twisted by the character e(xi x) = e^(2 pi i xi x): the
     midpoint quadrature of
 
-        e(xi x) * rho(x) * prod_i obs_i(x + i * base_height * e^(-t_i))
+        e(xi x) * rho(x) * prod_i obs_i(x + i * e^(-t_i))
 
     over one period x in [0, 1); xi = 0 gives the plain correlation.
     Deterministic for fixed nodes: the node set and the summation order
@@ -345,7 +342,7 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     x, w = sigma._weights(nodes, int(xi))
     vals = None
     for obs, t in zip(observables, times):
-        v = obs.value_at(x, np.full(nodes, sigma.base_height * math.exp(-t)))
+        v = obs.value_at(x, np.full(nodes, math.exp(-t)))
         if vals is not None:
             vals *= v
         elif w is None:
@@ -501,10 +498,12 @@ _STENCILS = {
 }
 
 
-def s_norm_surrogate(obs, d, n_x=2048, heights=None):
+def s_norm_surrogate(obs, d, n_x=2048):
     """Heuristic degree-d norm of an observable: the maximum over sample
     heights and derivative orders k <= d of sup_x |(y d/dx)^k obs|,
-    estimated by periodic central differences on a dense x grid.
+    estimated by periodic central differences on a dense x grid.  The
+    heights are 16 geometric steps from sqrt(3)/2 to y_hi + 1 for an
+    Eisenstein observable and y = 1 for a constant.
 
     This stands in for the abstract degree-d norms the bounds consume;
     those are never computed exactly for concrete observables.
@@ -516,11 +515,10 @@ def s_norm_surrogate(obs, d, n_x=2048, heights=None):
     n_x = int(n_x)
     if n_x < 64:
         raise ValueError("need a dense grid (n_x >= 64)")
-    if heights is None:
-        if hasattr(obs, "profile"):
-            heights = np.geomspace(_Y_FLOOR, obs.profile.y_hi + 1.0, 16)
-        else:
-            heights = [1.0]
+    if hasattr(obs, "profile"):
+        heights = np.geomspace(_Y_FLOOR, obs.profile.y_hi + 1.0, 16)
+    else:
+        heights = [1.0]
     x = np.arange(n_x) / n_x
     h = 1.0 / n_x
     best = 0.0

@@ -12,16 +12,13 @@ character psi_xi(x) = e^(2 pi i <xi, x>).  Integration against the
 measure gives sigma(e^(2 pi i <eta, .>)) = c_{-eta}.
 """
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TorusMeasure",
     "TorusObservable",
-    "TwistFunctional",
     "wiener_norm",
     "character_twist",
     "equivariance_check",
@@ -67,10 +64,6 @@ class _FourierData:
     def coeff(self, chi):
         return self.coeffs.get(_norm_key(chi, self.dim), 0j)
 
-    @property
-    def support(self):
-        return tuple(self.coeffs.keys())
-
     def bandwidth(self):
         """Per-axis maximum |chi_i| over the support."""
         bw = [0] * self.dim
@@ -108,15 +101,6 @@ class _FourierData:
                 "coeffs": [{"chi": list(chi), "re": amp.real, "im": amp.imag}
                            for chi, amp in self.coeffs.items()]}
 
-    @classmethod
-    def _coeffs_from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        pairs = [(tuple(e["chi"]), complex(float(e.get("re", 0.0)),
-                                           float(e.get("im", 0.0))))
-                 for e in obj["coeffs"]]
-        return int(obj["dim"]), pairs
-
 
 def wiener_norm(m):
     """Sum of coefficient magnitudes; dominates the sup of the density."""
@@ -124,59 +108,32 @@ def wiener_norm(m):
 
 
 class TorusMeasure(_FourierData):
-    """A measure given by the Fourier coefficients of its density.
-
-    probability=True (default) enforces coefficient 1 at the zero
-    character, i.e. total mass one.
+    """A probability measure given by the Fourier coefficients of its
+    density: the coefficient at the zero character must be 1.
     """
 
-    def __init__(self, dim, coeffs, probability=True):
+    def __init__(self, dim, coeffs):
         super().__init__(dim, coeffs)
-        if probability and abs(self.coeff((0,) * dim) - 1.0) > 1e-12:
+        if abs(self.coeff((0,) * self.dim) - 1.0) > 1e-12:
             raise ValueError("probability measure needs coefficient 1 at "
                              "the zero character")
-        self.probability = bool(probability)
 
     @classmethod
     def haar(cls, dim=1):
         return cls(dim, {(0,) * dim: 1.0})
 
-    def is_real(self, tol=1e-12):
-        """Conjugate symmetry c_{-chi} = conj(c_chi), i.e. real density."""
-        for chi, amp in self.coeffs.items():
-            neg = tuple(-v for v in chi)
-            if abs(self.coeffs.get(neg, 0j) - amp.conjugate()) > tol:
-                return False
-        return True
-
-    def integrate(self, phi):
-        """sigma(phi) by exact coefficient pairing, sum c_chi phi_hat(-chi)."""
-        if not isinstance(phi, TorusObservable):
-            raise TypeError("expected a TorusObservable")
-        if phi.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        total = 0j
-        for chi, amp in self.coeffs.items():
-            total += amp * phi.coeffs.get(tuple(-v for v in chi), 0j)
-        return total
-
     @classmethod
-    def from_json(cls, obj, probability=True):
-        dim, pairs = cls._coeffs_from_json(obj)
-        return cls(dim, pairs, probability=probability)
+    def from_json(cls, obj):
+        """Build from the dict {"dim": k, "coeffs": [{"chi": [...],
+        "re": ..., "im": ...}, ...]} that to_json writes."""
+        return cls(obj["dim"],
+                   [(e["chi"], complex(float(e.get("re", 0.0)),
+                                       float(e.get("im", 0.0))))
+                    for e in obj["coeffs"]])
 
 
 class TorusObservable(_FourierData):
     """A trigonometric polynomial (function semantics)."""
-
-    @property
-    def degree(self):
-        return max(self.bandwidth(), default=0) if self.coeffs else 0
-
-    @classmethod
-    def character(cls, dim, chi):
-        """The single character e^(2 pi i <chi, x>)."""
-        return cls(dim, {_norm_key(chi, dim): 1.0})
 
     @classmethod
     def constant(cls, dim, value=1.0):
@@ -189,11 +146,6 @@ class TorusObservable(_FourierData):
             raise ValueError("translation needs %d coordinates" % self.dim)
         return TorusObservable(self.dim, {
             chi: amp * complex(np.exp(_TWO_PI_I * float(np.dot(chi, w))))
-            for chi, amp in self.coeffs.items()})
-
-    def conjugate(self):
-        return TorusObservable(self.dim, {
-            tuple(-v for v in chi): amp.conjugate()
             for chi, amp in self.coeffs.items()})
 
     def __add__(self, other):
@@ -223,43 +175,28 @@ class TorusObservable(_FourierData):
 
     __rmul__ = __mul__
 
-    @classmethod
-    def from_json(cls, obj):
-        dim, pairs = cls._coeffs_from_json(obj)
-        return cls(dim, pairs)
 
+def character_twist(m, xi, eta):
+    """nu_xi(eta) = m(psi_xi * eta) for the lattice point xi: the shifted
+    pairing sum_chi eta_hat(chi) * sigma_hat(-xi - chi) over the support
+    of eta.
 
-@dataclass(frozen=True)
-class TwistFunctional:
-    """The functional eta -> measure(psi_xi * eta).
-
-    On coefficient maps this is the shifted pairing
-    sum_chi eta_hat(chi) * sigma_hat(-xi - chi).
-    """
-    measure: TorusMeasure
-    xi: tuple
-
-    def __call__(self, eta):
-        if not isinstance(eta, TorusObservable):
-            raise TypeError("expected a TorusObservable")
-        if eta.dim != self.measure.dim:
-            raise ValueError("dimension mismatch")
-        total = 0j
-        for chi, amp in eta.coeffs.items():
-            key = tuple(-x - c for x, c in zip(self.xi, chi))
-            total += amp * self.measure.coeffs.get(key, 0j)
-        return total
-
-
-def character_twist(m, xi):
-    """Functional eta -> m(psi_xi * eta) for the lattice point xi.
-
-    For Haar this is evaluation of eta_hat at -xi; in particular the
-    twist of the constant 1 is 1 for xi = 0 and 0 otherwise.
+    xi = 0 integrates eta against m.  For Haar this reads eta_hat at
+    -xi; in particular the twist of the constant 1 is 1 for xi = 0 and 0
+    otherwise.
     """
     if not isinstance(m, TorusMeasure):
         raise TypeError("expected a TorusMeasure")
-    return TwistFunctional(measure=m, xi=_norm_key(xi, m.dim))
+    xi = _norm_key(xi, m.dim)
+    if not isinstance(eta, TorusObservable):
+        raise TypeError("expected a TorusObservable")
+    if eta.dim != m.dim:
+        raise ValueError("dimension mismatch")
+    total = 0j
+    for chi, amp in eta.coeffs.items():
+        key = tuple(-x - c for x, c in zip(xi, chi))
+        total += amp * m.coeffs.get(key, 0j)
+    return total
 
 
 def equivariance_check(m, xi, w, eta):
@@ -271,53 +208,38 @@ def equivariance_check(m, xi, w, eta):
     Returns (lhs, rhs, |lhs - rhs|).  The two sides agree exactly when
     the underlying measure is translation invariant.
     """
-    twist = character_twist(m, xi)
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    lhs = twist(eta.translate(w))
-    phase = complex(np.exp(-_TWO_PI_I * float(np.dot(twist.xi, w))))
-    rhs = phase * twist(eta)
+    lhs = character_twist(m, xi, eta.translate(w))
+    phase = complex(np.exp(-_TWO_PI_I * float(np.dot(_norm_key(xi, m.dim),
+                                                     w))))
+    rhs = phase * character_twist(m, xi, eta)
     return lhs, rhs, abs(lhs - rhs)
 
 
-def character_expansion_check(sigma, phi, direct=None, grid=4096):
+def character_expansion_check(sigma, phi):
     """Check the expansion sigma(Phi) = sum_chi sigma_hat(chi) nu_chi(Phi)
-    with nu = Haar.
+    with nu = Haar, for a trigonometric polynomial Phi.
 
-    Two call shapes.  If phi is a TorusObservable, the expanded side is
-    the exact coefficient pairing and the direct side (unless supplied)
-    is an independent uniform-grid quadrature of density * phi, exact
-    for trigonometric data once the grid clears the joint bandwidth.
-    If phi is a callable chi -> nu_chi(Phi) for a black-box integrand,
-    a direct value must be supplied by the caller.
+    The expanded side is the exact coefficient pairing.  The direct side
+    is an independent midpoint quadrature of density * phi with
+    max(b, 64) points on each axis, where b exceeds the joint bandwidth
+    by one, which makes it exact for trigonometric data.
 
     Returns (direct, expanded, defect).
     """
     if not isinstance(sigma, TorusMeasure):
         raise TypeError("expected a TorusMeasure")
-    if isinstance(phi, TorusObservable):
-        if phi.dim != sigma.dim:
-            raise ValueError("dimension mismatch")
-        haar = TorusMeasure.haar(sigma.dim)
-        expanded = 0j
-        for chi, amp in sigma.coeffs.items():
-            expanded += amp * character_twist(haar, chi)(phi)
-        if direct is None:
-            bw = [a + b + 1 for a, b in zip(sigma.bandwidth(),
-                                            phi.bandwidth())]
-            if sigma.dim == 1:
-                n_axes = [max(bw[0], int(grid))]
-            else:
-                n_axes = [max(v, 64) for v in bw]
-            axes = [(np.arange(n) + 0.5) / n for n in n_axes]
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            vals = sigma.value(mesh) * phi.value(mesh)
-            direct = complex(np.mean(vals))
-        expanded = complex(expanded)
-        return direct, expanded, abs(direct - expanded)
-    if direct is None:
-        raise ValueError("black-box functionals need an externally computed "
-                         "direct value")
+    if not isinstance(phi, TorusObservable):
+        raise TypeError("expected a TorusObservable")
+    if phi.dim != sigma.dim:
+        raise ValueError("dimension mismatch")
+    haar = TorusMeasure.haar(sigma.dim)
     expanded = 0j
     for chi, amp in sigma.coeffs.items():
-        expanded += amp * complex(phi(chi))
-    return complex(direct), complex(expanded), abs(direct - expanded)
+        expanded += amp * character_twist(haar, chi, phi)
+    n_axes = [max(a + b + 1, 64) for a, b in zip(sigma.bandwidth(),
+                                                 phi.bandwidth())]
+    axes = [(np.arange(n) + 0.5) / n for n in n_axes]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    direct = complex(np.mean(sigma.value(mesh) * phi.value(mesh)))
+    return direct, expanded, abs(direct - expanded)

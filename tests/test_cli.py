@@ -35,6 +35,10 @@ def read_csv_rows(path):
     return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+# the smallest value each flag accepts
+FLAG_FLOORS = {"--threads": 1, "--nodes": 16, "--seed": 0}
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -178,6 +182,9 @@ class TestManifestErrors:
         (["--threads", "0"], {}),
         (["--threads", "-2"], {}),
         ([], {"EQUIDIST_THREADS": "-1"}),
+        # the schema's minimum for the manifest's nodes and seed
+        (["--nodes", "8"], {}),
+        (["--seed", "-1"], {}),
     ])
     def test_non_positive_threads_rejected(self, tmp_path, runner, flag,
                                            env):
@@ -188,20 +195,28 @@ class TestManifestErrors:
                                    "--out", str(tmp_path)] + flag, env=env)
         assert res.exit_code == 2
         err = json.loads(res.stderr)
-        assert "at least 1" in err["message"]
+        assert err["error"] == "schema"
+        name = flag[0] if flag else "--threads"
+        assert name in err["message"]
+        assert "at least %d" % FLAG_FLOORS[name] in err["message"]
         assert not (tmp_path / "correlate.csv").exists()
 
     @pytest.mark.parametrize("command", ["ledger", "schedule", "fit",
                                          "verify"])
     def test_every_subcommand_checks_threads(self, tmp_path, runner,
                                              command):
-        # the thread count is checked before the manifest is read
-        res = runner.invoke(main, [command, "--manifest",
-                                   str(tmp_path / "absent.json"),
-                                   "--out", str(tmp_path),
-                                   "--threads", "0"])
-        assert res.exit_code == 2
-        assert "at least 1" in json.loads(res.stderr)["message"]
+        # the thread count and the seed are checked before the manifest
+        # is read
+        for flag, value in (("--threads", "0"), ("--seed", "-1")):
+            res = runner.invoke(main, [command, "--manifest",
+                                       str(tmp_path / "absent.json"),
+                                       "--out", str(tmp_path), flag, value])
+            assert res.exit_code == 2
+            err = json.loads(res.stderr)
+            assert err["error"] == "schema"
+            assert flag in err["message"]
+            assert "at least %d" % FLAG_FLOORS[flag] in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["ledger", "schedule", "fit", "verify"])
@@ -339,6 +354,22 @@ class TestCorrelateCommand:
         assert res.exit_code == 3
         err = json.loads(res.stderr)
         assert "does not match" in err["message"]
+
+    @pytest.mark.parametrize("family", [
+        # t + t_step == t: the family never reaches t_stop
+        {"t_start": 1.0, "t_stop": 2.0, "t_step": 1e-17, "pattern": [1.0]},
+        # 300001 rows, past the 100000-row cap
+        {"t_start": 0.0, "t_stop": 30.0, "t_step": 1e-4, "pattern": [1.0]},
+    ])
+    def test_endless_time_family_fails(self, tmp_path, runner, family):
+        mpath = self.manifest(tmp_path, family=family)
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "numerical"
+        assert "t_step" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_nodes_flag_overrides_manifest(self, tmp_path, runner):
         mpath = self.manifest(tmp_path)

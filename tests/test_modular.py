@@ -270,7 +270,7 @@ def _reference_correlation(sigma, observables, times, nodes, xi=0):
     if xi:
         vals = vals * np.exp(2j * math.pi * xi * x)
     for obs, t in zip(observables, times):
-        y = sigma.base_height * math.exp(-t)
+        y = math.exp(-t)
         rx, ry = reduce_arrays(x, np.full(nodes, y))
         vals = vals * _reference_value_reduced(obs, rx, ry)
     return complex(np.mean(vals))

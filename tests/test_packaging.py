@@ -1,14 +1,23 @@
 """Properties of the package as shipped rather than of its numbers."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import equidist
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(equidist.__file__)))
 PKG = os.path.join(SRC, "equidist")
+MODULES = ("constants", "geometry", "modular", "selection", "wiener")
+
+
+def _public_names():
+    return {name: list(importlib.import_module("equidist." + name).__all__)
+            for name in MODULES}
 
 
 def test_cli_import_loads_no_scipy():
@@ -44,3 +53,28 @@ def test_no_runtime_asserts():
         found += ["%s:%d" % (name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_root_exports_the_modules_public_names():
+    names = [n for module in _public_names().values() for n in module]
+    assert len(set(names)) == len(names)
+    assert sorted(equidist.__all__) == sorted(names + ["__version__"])
+    assert all(hasattr(equidist, n) for n in equidist.__all__)
+
+
+def test_readme_package_layout_lists_the_public_names():
+    # each module line is followed by indented lines naming its __all__
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Package layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    listed = {}
+    names = None
+    for line in block.splitlines():
+        head = re.match(r"  (\w+)\.py\s", line)
+        if head:
+            names = listed.setdefault(head.group(1), [])
+        elif names is not None and line.strip():
+            names += re.findall(r"\w+", line)
+    assert {m: sorted(v) for m, v in listed.items() if v} == {
+        m: sorted(v) for m, v in _public_names().items()}

@@ -85,7 +85,7 @@ class TestChooseWindow:
         sel = DirectionSelection(
             degenerate=True, chosen_root=None, i=None, j=None, l=None,
             relabeling=(1, 2), log_norms=(0.0, 0.0), norms=(1.0, 1.0),
-            w_log_norm=0.0, w_norm=1.0, w_label=None)
+            w_log_norm=0.0)
         with pytest.raises(ValueError):
             choose_window(sel, 0.5)
 
