@@ -35,7 +35,6 @@ from .modular import (
     EisensteinObservable,
     HorocycleMeasure,
     IntegralEstimate,
-    UpperHalfPoint,
     check_integral_estimate,
     correlation,
     delta_statistics,
@@ -43,8 +42,6 @@ from .modular import (
     mu_integral,
     reduce_arrays,
     s_norm_surrogate,
-    windowed_average,
-    windowed_average_mu_sq,
 )
 from .selection import WindowChoice, choose_window, pigeonhole
 from .wiener import (
@@ -65,10 +62,9 @@ __all__ = [
     "DirectionSelection", "RootAction", "TranslationTuple", "TupleStats",
     "log_star_norm", "select_direction", "star_norm", "tuple_stats",
     "BumpProfile", "ConstantObservable", "DecayFit", "EisensteinObservable",
-    "HorocycleMeasure", "IntegralEstimate", "UpperHalfPoint",
-    "check_integral_estimate", "correlation", "delta_statistics",
-    "fit_decay", "mu_integral", "reduce_arrays", "s_norm_surrogate",
-    "windowed_average", "windowed_average_mu_sq",
+    "HorocycleMeasure", "IntegralEstimate", "check_integral_estimate",
+    "correlation", "delta_statistics", "fit_decay", "mu_integral",
+    "reduce_arrays", "s_norm_surrogate",
     "WindowChoice", "choose_window", "pigeonhole",
     "TorusMeasure", "TorusObservable",
     "character_expansion_check", "character_twist", "equivariance_check",

@@ -262,6 +262,11 @@ def schedule(blk, seed, **_):
         if sel.degenerate:
             raise ValueError("tuple %d is degenerate (all entries "
                              "coincide); no window exists" % idx)
+        if stats.M_r == math.inf:
+            raise ValueError("tuple %d: log M_r = %r is past the float "
+                             "range, so theta = 1/M_r underflows and the "
+                             "image norms overflow; no window is computed"
+                             % (idx, stats.log_M_r))
         theta = (math.exp(-stats.log_M_r) if theta_spec == "auto"
                  else float(theta_spec))
         win = choose_window(sel, theta)
@@ -532,7 +537,7 @@ def _selection(norms):
         degenerate=False, chosen_root=1, i=1, j=len(norms), l=len(norms),
         relabeling=tuple(range(1, len(norms) + 1)),
         log_norms=tuple(math.log(v) for v in norms),
-        norms=tuple(float(v) for v in norms), w_log_norm=0.0)
+        norms=tuple(float(v) for v in norms))
 
 
 def _window_fails(sel, theta):
@@ -648,10 +653,10 @@ def _suite_modular(rng, trials):
         worst = max(worst, np.max(np.abs(px - rx)), np.max(np.abs(py - ry)))
     for x, y, n, u, v, fast in zip(xs, ys, n2, rx, ry,
                                    obs.value_at(xs, ys)):
-        base = obs.value((x, y))
+        base = obs.value(x, y)
         worst = max(worst, *(abs(val - base) for val in (
-            obs.value((x + 1.0, y)), obs.value((-x / n, y / n)),
-            obs.value((u, v)), fast)))
+            obs.value(x + 1.0, y), obs.value(-x / n, y / n),
+            obs.value(u, v), fast)))
     return trials, float(worst)
 
 

@@ -39,6 +39,11 @@ _LOG10 = math.log(10.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _exp(v):
+    # past the float range the value reads inf; its log keeps the value
+    return math.exp(v) if v < _LOG_FLOAT_MAX else math.inf
+
+
 def _logaddexp(x, y):
     if x < y:
         x, y = y, x
@@ -232,7 +237,8 @@ def base_case(params):
     B' = M_{d_o} B_{2 d_o}^2 + 2 B_{d_o},
     D_1 = max(D_o, 5 max(sqrt(C), sqrt(D_o B'))),
     delta_1 = c delta_o / (2 (c + 2 b_{2 d_o})).
-    Returns (d_1, D_1, delta_1, B').
+    Returns (row, B'), row the LedgerRow for r = 1; D_1 and B' read inf
+    past the float range, row.log_D_r keeps the value.
     """
     d1 = 2 * params.d_o
     log_Bprime = _logaddexp(
@@ -246,7 +252,9 @@ def base_case(params):
     if not delta1 < params.delta_o:
         raise ArithmeticError("base exponent delta_1 = %g does not drop "
                               "below delta_o = %g" % (delta1, params.delta_o))
-    return d1, math.exp(log_D1), delta1, math.exp(log_Bprime)
+    return LedgerRow(r=1, d_r=d1, D_r=_exp(log_D1), log_D_r=log_D1,
+                     delta_r=delta1, eps_r=math.nan, Q_r=math.nan,
+                     threshold=1.0, log_threshold=0.0), _exp(log_Bprime)
 
 
 @dataclass(frozen=True)
@@ -385,10 +393,12 @@ def build_ledger(params, r_max, mode="theorem-A"):
     c1 = min(params.a / 2.0, params.c / 4.0)
     P1 = math.sqrt(14.0 * params.C)
     Q = 2.0 * max(params.A, P1)
-    d1, D1, delta1, Bprime = base_case(params)
-    rows = [LedgerRow(r=1, d_r=d1, D_r=D1, log_D_r=math.log(D1),
-                      delta_r=delta1, eps_r=math.nan, Q_r=math.nan,
-                      threshold=1.0, log_threshold=0.0)]
+    first, Bprime = base_case(params)
+    if explicit and first.D_r == math.inf:
+        raise ArithmeticError(
+            "theorem B needs a finite D_1, but log10 D_1 = %.6g is past "
+            "the float range" % (first.log_D_r / _LOG10))
+    rows = [first]
     P_table = {}
     for r in range(2, r_max + 1):
         prev = rows[-1]
@@ -411,8 +421,7 @@ def build_ledger(params, r_max, mode="theorem-A"):
             log_main = (math.log(2.0 * P1) + r * b_next * log_P
                         + 0.5 * prev.log_D_r)
             log_D_r = _logaddexp(log_main, math.log(r * Q))
-            # past the float range D_r reads inf; log_D_r keeps the value
-            D_r = math.exp(log_D_r) if log_D_r < _LOG_FLOAT_MAX else math.inf
+            D_r = _exp(log_D_r)
             Q_r, thr, log_thr = math.nan, 1.0, 0.0
         rows.append(LedgerRow(
             r=r, d_r=prev.d_r + params.d_o, D_r=D_r, log_D_r=log_D_r,
@@ -428,7 +437,7 @@ def build_ledger(params, r_max, mode="theorem-A"):
     return BoundLedger(
         mode=mode, params=params, rows=tuple(rows),
         c1=c1, P1=P1, Q=Q, Bprime=Bprime,
-        P_table=tuple(sorted((d, math.exp(lp), lp)
+        P_table=tuple(sorted((d, _exp(lp), lp)
                              for d, lp in P_table.items())),
         **certificates)
 
@@ -439,15 +448,13 @@ class BoundValue:
     log_value: float
     threshold_ok: object    # bool in explicit mode, None otherwise
 
-    def __float__(self):
-        return self.value
-
 
 def bound_evaluate(ledger, r, Delta, wiener_norm, s_norms):
     """D_r * Delta^(-delta_r) * wiener_norm * prod(s_norms), log-space.
 
-    Delta is multiplicative (>= 1).  In explicit mode threshold_ok
-    reports whether Delta clears the row's validity threshold.
+    Delta is multiplicative (>= 1).  The value reads inf past the float
+    range; log_value keeps it.  In explicit mode threshold_ok reports
+    whether Delta clears the row's validity threshold.
     """
     row = ledger.row(r)
     Delta = float(Delta)
@@ -467,5 +474,5 @@ def bound_evaluate(ledger, r, Delta, wiener_norm, s_norms):
     ok = None
     if ledger.mode == "theorem-B":
         ok = bool(math.log(Delta) > row.log_threshold)
-    return BoundValue(value=math.exp(log_value), log_value=log_value,
+    return BoundValue(value=_exp(log_value), log_value=log_value,
                       threshold_ok=ok)

@@ -9,13 +9,16 @@ translation expands maximally relative to the others.
 
 Multiplicative quantities overflow quickly for large translations, so
 every statistic is returned together with its natural logarithm and all
-internal comparisons happen in log space.
+internal comparisons happen in log space; past the float range the
+statistic itself reads inf while its logarithm stays exact.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .constants import _exp
 
 __all__ = [
     "RootAction",
@@ -202,13 +205,6 @@ class TranslationTuple:
     def r(self):
         return self.entries.shape[0]
 
-    @property
-    def dim_t(self):
-        return self.entries.shape[1]
-
-    def __iter__(self):
-        return iter(self.entries)
-
 
 def log_star_norm(action, t):
     """log of the star norm: max over roots alpha of |alpha(t)|."""
@@ -269,10 +265,10 @@ def tuple_stats(action, tup):
         log_delta = min(log_rho_r, log_m)
     return TupleStats(
         r=r,
-        rho_r=math.exp(log_rho_r),
-        m_r=math.inf if r == 1 else math.exp(log_m),
-        M_r=math.exp(log_M),
-        Delta_r=math.exp(log_delta),
+        rho_r=_exp(log_rho_r),
+        m_r=_exp(log_m),
+        M_r=_exp(log_M),
+        Delta_r=_exp(log_delta),
         log_rho_r=log_rho_r,
         log_m_r=log_m,
         log_M_r=log_M,
@@ -300,7 +296,6 @@ class DirectionSelection:
     relabeling: tuple
     log_norms: tuple
     norms: tuple
-    w_log_norm: float
 
     @property
     def r(self):
@@ -337,7 +332,7 @@ def select_direction(action, tup):
         return DirectionSelection(
             degenerate=True, chosen_root=None, i=None, j=None, l=None,
             relabeling=tuple(range(1, r + 1)), log_norms=tuple([0.0] * r),
-            norms=ones, w_log_norm=0.0)
+            norms=ones)
     log_M, (a, i, j) = best
     image_logs = [float(vals[k, a] - vals[j, a]) for k in range(r)]
     order = sorted(range(r), key=lambda k: (-image_logs[k], k))
@@ -359,6 +354,5 @@ def select_direction(action, tup):
         l=l,
         relabeling=tuple(k + 1 for k in order),
         log_norms=sorted_logs,
-        norms=tuple(math.exp(v) for v in sorted_logs),
-        w_log_norm=-float(vals[j, a]),
+        norms=tuple(_exp(v) for v in sorted_logs),
     )

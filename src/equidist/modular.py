@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "UpperHalfPoint",
     "BumpProfile",
     "EisensteinObservable",
     "ConstantObservable",
@@ -33,8 +32,6 @@ __all__ = [
     "reduce_arrays",
     "mu_integral",
     "correlation",
-    "windowed_average",
-    "windowed_average_mu_sq",
     "check_integral_estimate",
     "fit_decay",
     "delta_statistics",
@@ -43,16 +40,6 @@ __all__ = [
 
 _Y_FLOOR = math.sqrt(3.0) / 2.0
 _TIME_CAP = 30.0
-
-
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and self.y > 0.0):
-            raise ValueError("need finite x and y > 0")
 
 
 def reduce_arrays(x, y):
@@ -134,14 +121,12 @@ class EisensteinObservable:
         self.profile = profile
         self._mu = None
 
-    def value(self, z):
-        """Full coprime-pair enumeration; works at any point, scalar only."""
-        if isinstance(z, UpperHalfPoint):
-            x, y = z.x, z.y
-        else:
-            x, y = float(z[0]), float(z[1])
-        if not y > 0.0:
-            raise ValueError("need y > 0")
+    def value(self, x, y):
+        """Full coprime-pair enumeration at x + iy; works at any point,
+        scalar only."""
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and y > 0.0):
+            raise ValueError("need finite x and y > 0")
         total = self.profile.value(y)
         cmax = int(math.floor(math.sqrt(1.0 / (y * self.profile.y_lo))
                               + 1e-12))
@@ -209,15 +194,11 @@ class ConstantObservable:
     def mu(self):
         return self.value
 
-    def value_reduced(self, x, y):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape,
-                       self.value)
-
     def value_at(self, x, y):
-        out = self.value_reduced(x, y)
-        if np.ndim(out) == 0 or out.shape == ():
+        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+        if shape == ():
             return float(self.value)
-        return out
+        return np.full(shape, self.value)
 
 
 @functools.cache
@@ -350,64 +331,6 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
         else:
             vals = w * v
     return complex(np.mean(vals))
-
-
-def windowed_average(obs, xi, w_scale, t, L, z, nodes=256):
-    """Oscillatory window average of a centered observable:
-
-        (1/L) int_0^L e^(2 pi i xi s w_scale)
-                      (obs(z + s w_scale e^t) - mu(obs)) ds
-
-    by midpoint quadrature.  The translation direction has unit scale
-    w_scale before expansion; time t expands it by e^t.
-    """
-    L = float(L)
-    if not L > 0.0:
-        raise ValueError("window length L must be positive")
-    nodes = int(nodes)
-    if nodes < 16:
-        raise ValueError("at least 16 quadrature nodes are required")
-    s = (np.arange(nodes) + 0.5) / nodes * L
-    xs = z.x + s * w_scale * math.exp(t)
-    ys = np.full(nodes, z.y)
-    phase = np.exp(2j * math.pi * xi * w_scale * s)
-    vals = phase * (obs.value_at(xs, ys) - obs.mu)
-    return complex(np.mean(vals))
-
-
-def _tail_phase_mean(xi, w_scale, L):
-    # (1/L) int_0^L e(xi w s) ds in closed form
-    fw = xi * w_scale
-    if fw == 0.0:
-        return 1.0 + 0.0j
-    arg = 2j * math.pi * fw * L
-    return (np.exp(arg) - 1.0) / arg
-
-
-def windowed_average_mu_sq(obs, xi, w_scale, t, L, grid=64, nodes=256):
-    """Estimate of the mean square of the window average over the whole
-    surface: midpoint cells on the truncated fundamental domain plus the
-    exact cusp tail, where the observable vanishes and the window
-    average reduces to -mu(obs) times a closed-form phase mean.
-    """
-    y_cap = obs.profile.y_hi
-    grid = int(grid)
-    xg = (np.arange(grid) + 0.5) / grid - 0.5
-    yg = _Y_FLOOR + (np.arange(grid) + 0.5) / grid * (y_cap - _Y_FLOOR)
-    dx = 1.0 / grid
-    dy = (y_cap - _Y_FLOOR) / grid
-    total = 0.0
-    for y in yg:
-        row = 0.0
-        for x in xg:
-            if x * x + y * y < 1.0:
-                continue
-            v = windowed_average(obs, xi, w_scale, t, L,
-                                 UpperHalfPoint(x, y), nodes=nodes)
-            row += abs(v) ** 2 / (y * y)
-        total += row * dx * dy
-    tail = (1.0 / y_cap) * abs(obs.mu * _tail_phase_mean(xi, w_scale, L)) ** 2
-    return (3.0 / math.pi) * (total + tail)
 
 
 @dataclass(frozen=True)

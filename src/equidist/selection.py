@@ -15,7 +15,6 @@ tolerance on the non-strict inequality only.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import DirectionSelection
 
@@ -39,14 +38,15 @@ def _pigeonhole_log(logs, log_theta, r, exact):
     """Core search over (p, q) in lexicographic order.
 
     logs[k] = log(beta_{k+1} / beta_1) <= 0, log_theta < 0.  In exact
-    mode both are Fractions and comparisons are exact; in float mode the
-    non-strict inequality gets an absolute tolerance.
+    mode both are integer log2 values and the comparisons, multiplied
+    through by r, are between integers; in float mode the non-strict
+    inequality gets an absolute tolerance.
     """
     for p in range(1, r):
         for q in range(0, r - 1):
             if exact:
-                upper_ok = logs[p] < Fraction((q + 1) * log_theta, r)
-                lower_ok = Fraction(q * log_theta, r) <= logs[p - 1]
+                upper_ok = r * logs[p] < (q + 1) * log_theta
+                lower_ok = q * log_theta <= r * logs[p - 1]
             else:
                 ub = (q + 1) / r * log_theta
                 lb = q / r * log_theta
@@ -86,7 +86,7 @@ def pigeonhole(betas, theta):
 
     if all(_is_pow2(b) for b in betas) and _is_pow2(theta):
         n0 = _log2_exact(betas[0])
-        logs = [Fraction(_log2_exact(b) - n0) for b in betas]
+        logs = [_log2_exact(b) - n0 for b in betas]
         log_theta = _log2_exact(theta)
         hit = _pigeonhole_log(logs, log_theta, r, exact=True)
     else:
@@ -110,10 +110,8 @@ class WindowChoice:
       group_lower      L * norm_p     >= theta^(-1/(2r))
       group_upper      L * norm_{p+1} <  theta^(1/(2r))
     """
-    r: int
     p: int
     q: int
-    theta: float
     L: float
     log_L: float
     checks: dict
@@ -158,5 +156,5 @@ def choose_window(selection, theta):
         "group_upper": (math.exp(lhs_hi), math.exp(rhs_hi),
                         lhs_hi < rhs_hi + tol),
     }
-    return WindowChoice(r=r, p=p, q=q, theta=theta, L=math.exp(log_L),
-                        log_L=log_L, checks=checks)
+    return WindowChoice(p=p, q=q, L=math.exp(log_L), log_L=log_L,
+                        checks=checks)

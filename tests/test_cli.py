@@ -105,6 +105,47 @@ class TestLedgerCommand:
         err = json.loads(res.stderr)
         assert err["error"] == "numerical"
 
+    @pytest.mark.parametrize("growth, D_1, log10_D_1", [
+        # B' = L1^4 + 2 L1 = 1e800, D_1 = 5 sqrt(B'): both past the range
+        ({"kind": "power-law", "L1": 1e200, "ell": 1.0, "L2": 1.0},
+         math.inf, 400.0 + math.log10(5.0)),
+        # B' = B^2 + 2 B = 1e320 is past the range, D_1 = 5e160 is not
+        ({"kind": "constant", "B": 1e160, "b": 1.0, "M": 1.0},
+         5e160, 160.0 + math.log10(5.0))])
+    def test_constants_past_the_float_range_read_inf(self, tmp_path, runner,
+                                                     growth, D_1, log10_D_1):
+        params = dict(GOLDEN_PARAMS, growth=growth)
+        mpath = self.manifest(tmp_path, params=params)
+        res = runner.invoke(main, ["ledger", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((tmp_path / "ledger.json").read_text())
+        assert payload["Bprime"] == math.inf
+        first = payload["rows"][0]
+        assert first["D_r"] == pytest.approx(D_1, rel=1e-12)
+        assert first["log10_D_r"] == pytest.approx(log10_D_1, rel=1e-12)
+        assert all(math.isfinite(row["log10_D_r"])
+                   for row in payload["rows"])
+        ev = payload["evaluations"][0]
+        assert ev["log10_bound"] == pytest.approx(
+            log10_D_1 - first["delta_r"] * 10.0 / math.log(10.0), rel=1e-12)
+        assert (ev["bound"] == math.inf) == (D_1 == math.inf)
+
+    def test_theorem_b_refuses_an_infinite_base_constant(self, tmp_path,
+                                                         runner):
+        params = dict(GOLDEN_PARAMS, growth={"kind": "power-law",
+                                             "L1": 1e200, "ell": 1.0,
+                                             "L2": 1.0})
+        mpath = self.manifest(tmp_path, params=params, theorem="B")
+        res = runner.invoke(main, ["ledger", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "numerical"
+        assert "theorem B needs a finite D_1" in err["message"]
+        assert "log10 D_1 = 400.699" in err["message"]
+        assert not (tmp_path / "ledger.csv").exists()
+
     def test_out_of_range_parameters_exit_schema(self, tmp_path, runner):
         params = dict(GOLDEN_PARAMS, delta_o=2.0)
         mpath = self.manifest(tmp_path, params=params)
@@ -272,6 +313,35 @@ class TestScheduleCommand:
         assert res.exit_code == 3
         err = json.loads(res.stderr)
         assert "degenerate" in err["message"]
+
+    def test_rho_past_the_float_range_reads_inf(self, tmp_path, runner):
+        # rho_r = e^720 overflows; M_r = m_r = Delta_r = e^160 do not
+        mpath = self.manifest(tmp_path, [[[800.0, 800.0], [720.0, 720.0]]])
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        _, rows = read_csv_rows(tmp_path / "schedule.csv")
+        assert rows[0]["rho_r"] == "inf"
+        for key in ("m_r", "M_r", "Delta_mult"):
+            assert float(rows[0][key]) == pytest.approx(math.exp(160.0),
+                                                        rel=1e-12)
+        assert (rows[0]["ok_scale_cap"], rows[0]["ok_group_lower"],
+                rows[0]["ok_group_upper"]) == ("1", "1", "1")
+        detail = json.loads((tmp_path / "schedule.json").read_text())
+        assert detail["tuples"][0]["stats"]["rho_r"] == math.inf
+
+    def test_M_past_the_float_range_fails(self, tmp_path, runner):
+        # M_r = e^800: theta = 1/M_r underflows to 0
+        mpath = self.manifest(tmp_path, [[[2.0, 2.0], [5.0, 5.0]],
+                                         [[400.0, 400.0], [0.0, 0.0]]])
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "numerical"
+        assert err["message"].startswith("tuple 1: log M_r = 800.0 ")
+        assert "theta = 1/M_r underflows" in err["message"]
+        assert not (tmp_path / "schedule.csv").exists()
 
 
 CORRELATE_BLOCK = {

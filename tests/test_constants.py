@@ -82,10 +82,11 @@ class TestAssumptionParams:
 
 class TestBaseCase:
     def test_unit_parameters(self):
-        d1, D1, delta1, Bprime = base_case(unit_params())
-        assert d1 == 2
-        assert D1 == pytest.approx(5.0 * math.sqrt(3.0), rel=1e-15)
-        assert delta1 == pytest.approx(1.0 / 22.0, rel=1e-15)
+        row, Bprime = base_case(unit_params())
+        assert (row.r, row.d_r) == (1, 2)
+        assert row.D_r == pytest.approx(5.0 * math.sqrt(3.0), rel=1e-15)
+        assert row.log_D_r == pytest.approx(math.log(row.D_r), rel=1e-15)
+        assert row.delta_r == pytest.approx(1.0 / 22.0, rel=1e-15)
         # B' = M_1 B_2^2 + 2 B_1 = 3 for unit growth; the ledger reports it
         assert Bprime == pytest.approx(3.0, rel=1e-15)
         assert build_ledger(unit_params(), 1).Bprime == Bprime
@@ -93,18 +94,18 @@ class TestBaseCase:
     def test_d_o_two(self):
         p = AssumptionParams(d_o=2, D_o=1.0, delta_o=1.0, C=1.0, c=0.4,
                              A=1.0, a=1.0, growth=PowerLawGrowth(1, 1, 1))
-        d1, D1, delta1, Bprime = base_case(p)
-        assert d1 == 4
+        row, Bprime = base_case(p)
+        assert row.d_r == 4
         assert Bprime == pytest.approx(3.0)
         # B' = M_2 B_4^2 + 2 B_2 = 3 again for unit growth
-        assert D1 == pytest.approx(5.0 * math.sqrt(3.0))
-        assert delta1 == pytest.approx(0.4 / (2 * (0.4 + 8.0)))
+        assert row.D_r == pytest.approx(5.0 * math.sqrt(3.0))
+        assert row.delta_r == pytest.approx(0.4 / (2 * (0.4 + 8.0)))
 
     def test_large_D_o_dominates(self):
         p = AssumptionParams(d_o=1, D_o=1e6, delta_o=1.0, C=1.0, c=0.4,
                              A=1.0, a=1.0, growth=PowerLawGrowth(1, 1, 1))
-        _, D1, _, _ = base_case(p)
-        assert D1 == pytest.approx(1e6, rel=1e-12)
+        row, _ = base_case(p)
+        assert row.D_r == pytest.approx(1e6, rel=1e-12)
 
 
 class TestRecursiveLedger:
@@ -263,7 +264,6 @@ class TestBoundEvaluate:
         expected = 5.0 * math.sqrt(3.0) * math.exp(-10.0 / 22.0)
         assert bv.value == pytest.approx(expected, rel=1e-12)
         assert bv.threshold_ok is None
-        assert float(bv) == bv.value
 
     def test_norm_factors_multiply(self):
         led = build_ledger(unit_params(), 2)

@@ -10,10 +10,9 @@ from equidist import modular
 from equidist.cli import _suite_modular
 from equidist.modular import (BumpProfile, ConstantObservable,
                               EisensteinObservable, HorocycleMeasure,
-                              UpperHalfPoint, check_integral_estimate,
-                              correlation, delta_statistics, fit_decay,
-                              mu_integral, reduce_arrays, s_norm_surrogate,
-                              windowed_average, windowed_average_mu_sq)
+                              check_integral_estimate, correlation,
+                              delta_statistics, fit_decay, mu_integral,
+                              reduce_arrays, s_norm_surrogate)
 from equidist.wiener import TorusMeasure
 
 
@@ -50,10 +49,6 @@ class TestReduce:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            UpperHalfPoint(0.0, 0.0)
-        with pytest.raises(ValueError):
-            UpperHalfPoint(math.nan, 1.0)
-        with pytest.raises(ValueError):
             reduce_arrays([0.0, 0.1], [1.0, 0.0])
 
 
@@ -85,11 +80,19 @@ class TestBumpProfile:
 class TestEisenstein:
     def test_below_support_is_zero(self):
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 4.0))
-        assert obs.value(UpperHalfPoint(0.0, 1.0)) == 0.0
+        assert obs.value(0.0, 1.0) == 0.0
 
     def test_cusp_term_only(self):
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 4.0))
-        assert obs.value(UpperHalfPoint(0.0, 3.0)) == 1.0
+        assert obs.value(0.0, 3.0) == 1.0
+
+    @pytest.mark.parametrize("x, y", [
+        (0.0, 0.0), (0.0, -1.0), (math.nan, 1.0), (math.inf, 3.0),
+        (-math.inf, 3.0), (math.nan, 0.01), (0.0, math.nan)])
+    def test_value_rejects_points_off_the_half_plane(self, x, y):
+        obs = EisensteinObservable(BumpProfile("indicator", 2.0, 4.0))
+        with pytest.raises(ValueError, match="finite x and y > 0"):
+            obs.value(x, y)
 
     def test_invariance_under_reduction(self):
         # the verify battery's modular suite: coset enumeration gives the
@@ -103,8 +106,7 @@ class TestEisenstein:
         x = rng.uniform(-0.5, 0.5, size=50)
         y = rng.uniform(1.0, 4.0, size=50)
         fast = obs.value_reduced(x, y)
-        slow = [obs.value(UpperHalfPoint(float(a), float(b)))
-                for a, b in zip(x, y)]
+        slow = [obs.value(a, b) for a, b in zip(x, y)]
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_value_reduced_rejects_low_points(self):
@@ -397,29 +399,6 @@ class TestTwistedCorrelation:
                   * correlation(haar, obs, times, nodes=2 ** 12, xi=chi)
                   for chi in (-1, 0, 1))
         assert abs(lhs - rhs) < 1e-6
-
-
-class TestWindowedAverage:
-    def test_constant_observable_is_centered(self):
-        z = UpperHalfPoint(0.1, 1.4)
-        val = windowed_average(ConstantObservable(), 3, 1.0, 2.0, 0.7, z)
-        assert abs(val) < 1e-14
-
-    def test_zero_frequency_small_window(self):
-        obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-        z = UpperHalfPoint(0.2, 1.3)
-        val = windowed_average(obs, 0, 1.0, 4.0, 1e-4, z, nodes=64)
-        centered = float(obs.value_at(z.x, z.y)) - obs.mu
-        assert val.real == pytest.approx(centered, abs=1e-4)
-
-    def test_mean_square_decreases_with_window_size(self):
-        obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-        t, w_scale = 4.0, 1.0
-        vals = []
-        for R in (1.0, 10.0, 100.0):
-            L = R / (w_scale * math.exp(t))
-            vals.append(windowed_average_mu_sq(obs, 1, w_scale, t, L))
-        assert vals[0] > vals[1] > vals[2]
 
 
 class TestIntegralEstimate:
