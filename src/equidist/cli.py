@@ -126,8 +126,22 @@ def _write(path, text):
         fh.write(text)
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Strict JSON (RFC 8259): a NaN or infinite float is written as null;
+    where a value can read inf, a log10 twin next to it keeps the value."""
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _csv_text(header, rows):
@@ -219,7 +233,8 @@ def ledger(blk, seed, **_):
             "r": int(ev["r"]), "Delta": float(ev["Delta"]),
             "bound": bv.value, "log10_bound": bv.log_value / _LOG10,
             "threshold_ok": bv.threshold_ok})
-    payload = dict(led.to_json(), seed=seed, evaluations=evaluations)
+    payload = dict(led.to_json(), seed=seed, evaluations=evaluations,
+                   log10_Bprime=led.log_Bprime / _LOG10)
     lines = ["ledger: mode=%s r_max=%d" % (led.mode, led.r_max)]
     lines += ["  r=%d d_r=%d delta_r=%.6g log10(D_r)=%.6g"
               % (row.r, row.d_r, row.delta_r, row.log_D_r / _LOG10)
@@ -246,6 +261,16 @@ def ledger(blk, seed, **_):
     }, lines, None
 
 
+# schedule.csv columns; a record holds these and the fields below
+_SCHEDULE_COLUMNS = (
+    "tuple_index", "r", "rho_r", "m_r", "M_r", "Delta_mult", "chosen_root",
+    "i", "j", "l", "theta", "p", "q", "L", "log_L", "ok_scale_cap",
+    "ok_group_lower", "ok_group_upper")
+# the per-tuple fields of schedule.json: the join key and what the CSV lacks
+_SCHEDULE_JSON_FIELDS = ("tuple_index", "entries", "log_Delta_r",
+                         "relabeling", "log_norms", "checks")
+
+
 @_subcommand()
 def schedule(blk, seed, **_):
     """Direction selection and window choice for translation tuples."""
@@ -253,8 +278,7 @@ def schedule(blk, seed, **_):
     spec = blk["action"]
     action = (RootAction.u_mn(spec["m"], spec["n"]) if "builtin" in spec
               else RootAction.from_json(spec))
-    rows = []
-    detail = []
+    records = []
     for idx, entries in enumerate(blk["tuples"]):
         tup = TranslationTuple(entries, domain_tag=action.cone_tag)
         stats = tuple_stats(action, tup)
@@ -270,39 +294,31 @@ def schedule(blk, seed, **_):
         theta = (math.exp(-stats.log_M_r) if theta_spec == "auto"
                  else float(theta_spec))
         win = choose_window(sel, theta)
-        rows.append((idx, tup.r, stats.rho_r, stats.m_r, stats.M_r,
-                     stats.Delta_r, sel.chosen_root, sel.i, sel.j, sel.l,
-                     theta, win.p, win.q, win.L, win.log_L,
-                     *(ok for _, _, ok in win.checks.values())))
-        detail.append({
-            "tuple_index": idx, "r": tup.r,
-            "entries": [list(map(float, e)) for e in tup.entries],
-            "stats": {"rho_r": stats.rho_r, "m_r": stats.m_r,
-                      "M_r": stats.M_r, "Delta_r": stats.Delta_r,
-                      "log_Delta_r": stats.log_Delta_r},
-            "selection": {"chosen_root": sel.chosen_root, "i": sel.i,
-                          "j": sel.j, "l": sel.l,
-                          "relabeling": list(sel.relabeling),
-                          "norms": list(sel.norms),
-                          "log_norms": list(sel.log_norms)},
-            "window": {"theta": theta, "p": win.p, "q": win.q,
-                       "L": win.L, "log_L": win.log_L,
-                       "checks": {k: {"lhs": v[0], "rhs": v[1],
-                                      "ok": v[2]}
-                                  for k, v in win.checks.items()}}})
-    ok_all = all(all(rw[-3:]) for rw in rows)
+        records.append(dict(
+            tuple_index=idx, r=tup.r, rho_r=stats.rho_r, m_r=stats.m_r,
+            M_r=stats.M_r, Delta_mult=stats.Delta_r,
+            chosen_root=sel.chosen_root, i=sel.i, j=sel.j, l=sel.l,
+            theta=theta, p=win.p, q=win.q, L=win.L, log_L=win.log_L,
+            **{"ok_" + name: ok for name, (_, _, ok) in win.checks.items()},
+            entries=tup.entries.tolist(), log_Delta_r=stats.log_Delta_r,
+            relabeling=sel.relabeling, log_norms=sel.log_norms,
+            checks={name: {"lhs": lhs, "rhs": rhs}
+                    for name, (lhs, rhs, _) in win.checks.items()}))
+    ok_all = all(rec["ok_scale_cap"] and rec["ok_group_lower"]
+                 and rec["ok_group_upper"] for rec in records)
     lines = ["schedule: %d tuples, window checks %s"
-             % (len(rows), "all passed" if ok_all else "FAILED")]
-    lines += ["  tuple=%d r=%d (p,q)=(%d,%d) L=%.6g"
-              % (rw[0], rw[1], rw[11], rw[12], rw[13]) for rw in rows]
+             % (len(records), "all passed" if ok_all else "FAILED")]
+    lines += ["  tuple=%(tuple_index)d r=%(r)d (p,q)=(%(p)d,%(q)d) L=%(L).6g"
+              % rec for rec in records]
     return {
         "schedule.csv": _csv_text(
-            ("tuple_index", "r", "rho_r", "m_r", "M_r", "Delta_mult",
-             "chosen_root", "i", "j", "l", "theta", "p", "q", "L", "log_L",
-             "ok_scale_cap", "ok_group_lower", "ok_group_upper"), rows),
+            _SCHEDULE_COLUMNS,
+            [[rec[c] for c in _SCHEDULE_COLUMNS] for rec in records]),
         "schedule.json": _json_text(
             {"mode": "schedule", "seed": seed, "action": action.to_json(),
-             "tuples": detail, "version": __version__}),
+             "tuples": [{k: rec[k] for k in _SCHEDULE_JSON_FIELDS}
+                        for rec in records],
+             "version": __version__}),
         "schedule.gp": _gnuplot(
             "window length against tuple index",
             ["logscale y", "xlabel 'tuple index'",
@@ -386,6 +402,8 @@ def correlate(blk, seed, threads, nodes, **_):
                          "surrogate_order": surrogate_order,
                          "wiener_norm": w_norm, "s_norms": s_norms,
                          "values": [b.value for b in bounds],
+                         "log10_values": [b.log_value / _LOG10
+                                          for b in bounds],
                          "threshold_ok": [b.threshold_ok for b in bounds]}
 
     lines = ["correlate: r=%d rows=%d nodes=%d mu_product=%.8g"

@@ -237,7 +237,7 @@ def base_case(params):
     B' = M_{d_o} B_{2 d_o}^2 + 2 B_{d_o},
     D_1 = max(D_o, 5 max(sqrt(C), sqrt(D_o B'))),
     delta_1 = c delta_o / (2 (c + 2 b_{2 d_o})).
-    Returns (row, B'), row the LedgerRow for r = 1; D_1 and B' read inf
+    Returns (row, log B'), row the LedgerRow for r = 1; D_1 reads inf
     past the float range, row.log_D_r keeps the value.
     """
     d1 = 2 * params.d_o
@@ -254,7 +254,7 @@ def base_case(params):
                               "below delta_o = %g" % (delta1, params.delta_o))
     return LedgerRow(r=1, d_r=d1, D_r=_exp(log_D1), log_D_r=log_D1,
                      delta_r=delta1, eps_r=math.nan, Q_r=math.nan,
-                     threshold=1.0, log_threshold=0.0), _exp(log_Bprime)
+                     threshold=1.0, log_threshold=0.0), log_Bprime
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ class BoundLedger:
     c1: float
     P1: float
     Q: float
-    Bprime: float
+    log_Bprime: float
     P_table: tuple      # ((d, P_d, log_P_d), ...) for the degrees used
     lam: float = math.nan
     gamma: float = math.nan
@@ -304,6 +304,11 @@ class BoundLedger:
     @property
     def r_max(self):
         return len(self.rows)
+
+    @property
+    def Bprime(self):
+        """B'; inf past the float range, where log_Bprime keeps it."""
+        return _exp(self.log_Bprime)
 
     def to_json(self):
         out = {
@@ -379,6 +384,9 @@ def build_ledger(params, r_max, mode="theorem-A"):
     Delta > P_{d_{r-1}}^(1/eps_r), and reports the factorial certificate
     lambda, the linear-growth constant H1 with D_r <= H1 r,
     gamma = 2 max(c_1, 2 ell)/lambda and H2 = (L1 (L2+2))^gamma.
+
+    P_1 and Q are plain floats: a C or an A so large that P_1 or r_max Q
+    overflows is refused with ArithmeticError.
     """
     if mode not in ("theorem-A", "theorem-B"):
         raise ValueError("mode must be 'theorem-A' or 'theorem-B'")
@@ -393,7 +401,13 @@ def build_ledger(params, r_max, mode="theorem-A"):
     c1 = min(params.a / 2.0, params.c / 4.0)
     P1 = math.sqrt(14.0 * params.C)
     Q = 2.0 * max(params.A, P1)
-    first, Bprime = base_case(params)
+    if not r_max * Q < math.inf:
+        raise ArithmeticError(
+            ("C = %g is too large: P_1 = sqrt(14 C)" % params.C
+             if P1 == math.inf else
+             "A = %g is too large: r_max Q = %d * 2 max(A, P_1)"
+             % (params.A, r_max)) + " overflows the float range")
+    first, log_Bprime = base_case(params)
     if explicit and first.D_r == math.inf:
         raise ArithmeticError(
             "theorem B needs a finite D_1, but log10 D_1 = %.6g is past "
@@ -416,7 +430,7 @@ def build_ledger(params, r_max, mode="theorem-A"):
             D_r = 2.0 * P1 * math.sqrt(prev.D_r) + r * Q_r
             log_D_r = math.log(D_r)
             log_thr = log_P / eps_r
-            thr = math.exp(log_thr) if log_thr < 709.0 else math.inf
+            thr = _exp(log_thr)
         else:
             log_main = (math.log(2.0 * P1) + r * b_next * log_P
                         + 0.5 * prev.log_D_r)
@@ -436,7 +450,7 @@ def build_ledger(params, r_max, mode="theorem-A"):
                         "H2": (g.L1 * (g.L2 + 2.0)) ** gamma}
     return BoundLedger(
         mode=mode, params=params, rows=tuple(rows),
-        c1=c1, P1=P1, Q=Q, Bprime=Bprime,
+        c1=c1, P1=P1, Q=Q, log_Bprime=log_Bprime,
         P_table=tuple(sorted((d, _exp(lp), lp)
                              for d, lp in P_table.items())),
         **certificates)

@@ -317,24 +317,20 @@ def select_direction(action, tup):
     if r < 2:
         raise ValueError("direction selection needs at least two entries")
     vals = np.array([action.root_values(t) for t in tup.entries])  # (r, n_roots)
-    best = (0.0, None)
-    for a in range(action.n_roots):
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                v = float(vals[i, a] - vals[j, a])
-                # only orientations where the chosen root expands
-                if v > best[0]:
-                    best = (v, (a, i, j))
-    if best[1] is None:
-        ones = tuple([1.0] * r)
+    # diffs[a, i, j] = alpha_a(t_i) - alpha_a(t_j); only orientations
+    # where the chosen root expands count, and NaN from overflowing root
+    # values never wins.  A C-order argmax returns the first maximum,
+    # the smallest (root, i, j).
+    diffs = vals.T[:, :, None] - vals.T[:, None, :]
+    gains = np.where(diffs > 0.0, diffs, 0.0)
+    a, i, j = map(int, np.unravel_index(np.argmax(gains), gains.shape))
+    log_M = float(gains[a, i, j])
+    if log_M == 0.0:
         return DirectionSelection(
             degenerate=True, chosen_root=None, i=None, j=None, l=None,
             relabeling=tuple(range(1, r + 1)), log_norms=tuple([0.0] * r),
-            norms=ones)
-    log_M, (a, i, j) = best
-    image_logs = [float(vals[k, a] - vals[j, a]) for k in range(r)]
+            norms=tuple([1.0] * r))
+    image_logs = diffs[a, :, j].tolist()
     order = sorted(range(r), key=lambda k: (-image_logs[k], k))
     sorted_logs = tuple(image_logs[k] for k in order)
     l = order.index(j) + 1

@@ -135,10 +135,6 @@ class TorusMeasure(_FourierData):
 class TorusObservable(_FourierData):
     """A trigonometric polynomial (function semantics)."""
 
-    @classmethod
-    def constant(cls, dim, value=1.0):
-        return cls(dim, {(0,) * dim: value})
-
     def translate(self, w):
         """x -> self(x + w); coefficients pick up e^(2 pi i <chi, w>)."""
         w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -147,33 +143,6 @@ class TorusObservable(_FourierData):
         return TorusObservable(self.dim, {
             chi: amp * complex(np.exp(_TWO_PI_I * float(np.dot(chi, w))))
             for chi, amp in self.coeffs.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = TorusObservable.constant(self.dim, other)
-        if not isinstance(other, TorusObservable) or other.dim != self.dim:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for chi, amp in other.coeffs.items():
-            out[chi] = out.get(chi, 0j) + amp
-        return TorusObservable(self.dim, out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return TorusObservable(self.dim, {
-                chi: amp * other for chi, amp in self.coeffs.items()})
-        if not isinstance(other, TorusObservable) or other.dim != self.dim:
-            return NotImplemented
-        out = {}
-        for chi1, a1 in self.coeffs.items():
-            for chi2, a2 in other.coeffs.items():
-                key = tuple(u + v for u, v in zip(chi1, chi2))
-                out[key] = out.get(key, 0j) + a1 * a2
-        return TorusObservable(self.dim, out)
-
-    __rmul__ = __mul__
 
 
 def character_twist(m, xi, eta):

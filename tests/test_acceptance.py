@@ -27,6 +27,8 @@ from equidist.modular import (BumpProfile, EisensteinObservable,
                               correlation, delta_statistics, fit_decay)
 from equidist.wiener import wiener_norm
 
+from test_wiener import product_of, scaled, sum_of
+
 
 def golden_params():
     return AssumptionParams(d_o=1, D_o=1.0, delta_o=1.0, C=1.0, c=0.4,
@@ -127,10 +129,10 @@ def test_criterion_4_wiener_module():
         nf, ng = wiener_norm(f), wiener_norm(g)
         assert nf > 0.0
         scale = complex(rng.normal(), rng.normal())
-        assert wiener_norm(f * scale) == pytest.approx(abs(scale) * nf,
-                                                       rel=1e-12)
-        assert wiener_norm(f + g) <= nf + ng + 1e-12 * (nf + ng)
-        assert wiener_norm(f * g) <= nf * ng * (1.0 + 1e-12)
+        assert wiener_norm(scaled(f, scale)) == pytest.approx(
+            abs(scale) * nf, rel=1e-12)
+        assert wiener_norm(sum_of(f, g)) <= nf + ng + 1e-12 * (nf + ng)
+        assert wiener_norm(product_of(f, g)) <= nf * ng * (1.0 + 1e-12)
 
     # absolutely convergent coefficients dominate the sup norm
     xs = (np.arange(4096) + 0.5) / 4096.0

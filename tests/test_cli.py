@@ -11,11 +11,14 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from equidist.cli import _brute_force_pq, main
-from equidist.selection import pigeonhole
+from equidist.cli import _brute_force_pq, _csv_text, main
+from equidist.geometry import (RootAction, TranslationTuple,
+                               select_direction, tuple_stats)
+from equidist.selection import choose_window, pigeonhole
 
 GOLDEN_PARAMS = {
     "d_o": 1, "D_o": 1.0, "delta_o": 1.0, "C": 1.0, "c": 0.4,
@@ -29,10 +32,57 @@ def write_manifest(path, payload):
     return str(path)
 
 
+def _refuse_constant(token):
+    raise ValueError("%s is not strict JSON" % token)
+
+
+def read_json(path):
+    """An output JSON file, parsed as strict JSON (RFC 8259): a NaN or
+    Infinity token fails the test."""
+    return json.loads(path.read_text(encoding="utf-8"),
+                      parse_constant=_refuse_constant)
+
+
 def read_csv_rows(path):
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     header = lines[0].split(",")
     return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def readme_manifests():
+    """The README's JSON manifests by mode, in the order it gives them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return {b["mode"]: b for b in map(json.loads, re.findall(
+        r"```json\n(.*?)```", readme, re.S))}
+
+
+def balanced_entry(rng, m, n):
+    # nonnegative coordinates whose first m and last n share one total
+    total = rng.uniform(0.5, 12.0)
+    return np.concatenate([rng.dirichlet(np.ones(m)) * total,
+                           rng.dirichlet(np.ones(n)) * total]).tolist()
+
+
+def rebuilt_schedule_csv(block):
+    """schedule.csv for a theta "auto" block with a builtin action, from
+    the library calls in the CLI's 18-column order."""
+    action = RootAction.u_mn(block["action"]["m"], block["action"]["n"])
+    rows = []
+    for idx, entries in enumerate(block["tuples"]):
+        tup = TranslationTuple(entries, domain_tag=action.cone_tag)
+        stats = tuple_stats(action, tup)
+        sel = select_direction(action, tup)
+        theta = math.exp(-stats.log_M_r)
+        win = choose_window(sel, theta)
+        rows.append((idx, tup.r, stats.rho_r, stats.m_r, stats.M_r,
+                     stats.Delta_r, sel.chosen_root, sel.i, sel.j, sel.l,
+                     theta, win.p, win.q, win.L, win.log_L,
+                     *(ok for _, _, ok in win.checks.values())))
+    return _csv_text(
+        ("tuple_index", "r", "rho_r", "m_r", "M_r", "Delta_mult",
+         "chosen_root", "i", "j", "l", "theta", "p", "q", "L", "log_L",
+         "ok_scale_cap", "ok_group_lower", "ok_group_upper"), rows)
 
 
 # the smallest value each flag accepts
@@ -69,8 +119,14 @@ class TestLedgerCommand:
                                                         rel=1e-12)
         assert float(first["D_r"]) == pytest.approx(5.0 * math.sqrt(3.0),
                                                     rel=1e-12)
-        payload = json.loads((tmp_path / "ledger.json").read_text())
+        payload = read_json(tmp_path / "ledger.json")
         assert payload["seed"] == 7
+        # NaN (no eps_r in the base row, no Q_r under theorem A) is null
+        assert payload["rows"][0]["eps_r"] is None
+        assert all(row["Q_r"] is None for row in payload["rows"])
+        assert payload["Bprime"] == pytest.approx(3.0, rel=1e-15)
+        assert payload["log10_Bprime"] == pytest.approx(math.log10(3.0),
+                                                        rel=1e-15)
         ev = payload["evaluations"][0]
         assert ev["bound"] == pytest.approx(5.496978635094461, rel=1e-12)
         assert (tmp_path / "ledger.gp").read_text().startswith("#")
@@ -81,7 +137,7 @@ class TestLedgerCommand:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         assert "lambda=" in res.output
-        payload = json.loads((tmp_path / "ledger.json").read_text())
+        payload = read_json(tmp_path / "ledger.json")
         for key in ("lambda", "H1", "gamma", "H2"):
             assert key in payload
 
@@ -90,7 +146,7 @@ class TestLedgerCommand:
         res = runner.invoke(main, ["ledger", "--manifest", mpath,
                                    "--out", str(tmp_path), "--seed", "99"])
         assert res.exit_code == 0
-        payload = json.loads((tmp_path / "ledger.json").read_text())
+        payload = read_json(tmp_path / "ledger.json")
         assert payload["seed"] == 99
 
     def test_bad_parameters_exit_numerical(self, tmp_path, runner):
@@ -119,17 +175,23 @@ class TestLedgerCommand:
         res = runner.invoke(main, ["ledger", "--manifest", mpath,
                                    "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        payload = json.loads((tmp_path / "ledger.json").read_text())
-        assert payload["Bprime"] == math.inf
+        payload = read_json(tmp_path / "ledger.json")
+        # inf is written as null; the log10 twin keeps the value
+        assert payload["Bprime"] is None
+        assert payload["log10_Bprime"] == pytest.approx(
+            2.0 * (log10_D_1 - math.log10(5.0)), rel=1e-12)
         first = payload["rows"][0]
-        assert first["D_r"] == pytest.approx(D_1, rel=1e-12)
+        if D_1 == math.inf:
+            assert first["D_r"] is None
+        else:
+            assert first["D_r"] == pytest.approx(D_1, rel=1e-12)
         assert first["log10_D_r"] == pytest.approx(log10_D_1, rel=1e-12)
         assert all(math.isfinite(row["log10_D_r"])
                    for row in payload["rows"])
         ev = payload["evaluations"][0]
         assert ev["log10_bound"] == pytest.approx(
             log10_D_1 - first["delta_r"] * 10.0 / math.log(10.0), rel=1e-12)
-        assert (ev["bound"] == math.inf) == (D_1 == math.inf)
+        assert (ev["bound"] is None) == (D_1 == math.inf)
 
     def test_theorem_b_refuses_an_infinite_base_constant(self, tmp_path,
                                                          runner):
@@ -144,6 +206,28 @@ class TestLedgerCommand:
         assert err["error"] == "numerical"
         assert "theorem B needs a finite D_1" in err["message"]
         assert "log10 D_1 = 400.699" in err["message"]
+        assert not (tmp_path / "ledger.csv").exists()
+
+    @pytest.mark.parametrize("theorem", ["A", "B"])
+    @pytest.mark.parametrize("name, value, message", [
+        # 14 C is past the float range
+        ("C", 1e308, "C = 1e+308 is too large: P_1 = sqrt(14 C) "),
+        # Q = 2 A is past it
+        ("A", 1e308, "A = 1e+308 is too large: r_max Q = 4 * 2 max(A, P_1) "),
+        # Q = 1e308 is not, 4 Q is
+        ("A", 5e307, "A = 5e+307 is too large: r_max Q = 4 * 2 max(A, P_1) "),
+    ])
+    def test_overflowing_P1_or_Q_is_refused(self, tmp_path, runner, theorem,
+                                            name, value, message):
+        params = dict(GOLDEN_PARAMS, **{name: value})
+        mpath = self.manifest(tmp_path, params=params, theorem=theorem,
+                              r_max=4)
+        res = runner.invoke(main, ["ledger", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "numerical"
+        assert err["message"] == message + "overflows the float range"
         assert not (tmp_path / "ledger.csv").exists()
 
     def test_out_of_range_parameters_exit_schema(self, tmp_path, runner):
@@ -292,9 +376,56 @@ class TestScheduleCommand:
         assert float(row["log_L"]) == pytest.approx(-4.5, abs=1e-12)
         assert (int(row["ok_scale_cap"]), int(row["ok_group_lower"]),
                 int(row["ok_group_upper"])) == (1, 1, 1)
-        detail = json.loads((tmp_path / "schedule.json").read_text())
-        win = detail["tuples"][0]["window"]
-        assert all(ch["ok"] for ch in win["checks"].values())
+
+    def test_json_keeps_what_the_csv_lacks(self, tmp_path, runner):
+        mpath = self.manifest(tmp_path, [[[2.0, 2.0], [5.0, 5.0]]])
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        detail = read_json(tmp_path / "schedule.json")
+        assert sorted(detail) == ["action", "mode", "seed", "tuples",
+                                  "version"]
+        (entry,) = detail["tuples"]
+        assert entry == {
+            "tuple_index": 0, "entries": [[2.0, 2.0], [5.0, 5.0]],
+            # Delta_r = min(rho_r, m_r) = min(e^2, e^6)
+            "log_Delta_r": 2.0,
+            # root values 4 and 10, i = 2, j = 1: images e^6 and e^0
+            "relabeling": [2, 1], "log_norms": [6.0, 0.0],
+            "checks": entry["checks"]}
+        # theta = e^-6, r = 2, (p, q) = (1, 0), log L = -4.5
+        expected = {"scale_cap": (1.5, 6.0), "group_lower": (1.5, 1.5),
+                    "group_upper": (-4.5, -1.5)}
+        assert sorted(entry["checks"]) == sorted(expected)
+        for name, (lhs, rhs) in expected.items():
+            assert entry["checks"][name] == {
+                "lhs": pytest.approx(math.exp(lhs), rel=1e-12),
+                "rhs": pytest.approx(math.exp(rhs), rel=1e-12)}
+
+    @pytest.mark.parametrize("source", ["readme", "random"])
+    def test_csv_matches_the_library_calls(self, tmp_path, runner, source):
+        if source == "readme":
+            block = readme_manifests()["schedule"]["schedule"]
+        else:
+            rng = np.random.default_rng(2023)
+            block = {"action": {"builtin": "u_mn", "m": 2, "n": 3},
+                     "theta": "auto",
+                     "tuples": [[balanced_entry(rng, 2, 3) for _ in
+                                 range(int(rng.integers(2, 9)))]
+                                for _ in range(200)]}
+        mpath = write_manifest(tmp_path / "s.json",
+                               {"mode": "schedule", "schedule": block})
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "schedule.csv").read_text(encoding="utf-8")
+        assert text == rebuilt_schedule_csv(block)
+        # schedule.json repeats no CSV column but the join key
+        header = text.split("\n", 1)[0].split(",")
+        detail = read_json(tmp_path / "schedule.json")
+        assert len(detail["tuples"]) == len(block["tuples"])
+        for entry in detail["tuples"]:
+            assert set(entry) & set(header) == {"tuple_index"}
 
     def test_triple_gets_own_window(self, tmp_path, runner):
         mpath = self.manifest(
@@ -327,8 +458,7 @@ class TestScheduleCommand:
                                                         rel=1e-12)
         assert (rows[0]["ok_scale_cap"], rows[0]["ok_group_lower"],
                 rows[0]["ok_group_upper"]) == ("1", "1", "1")
-        detail = json.loads((tmp_path / "schedule.json").read_text())
-        assert detail["tuples"][0]["stats"]["rho_r"] == math.inf
+        read_json(tmp_path / "schedule.json")
 
     def test_M_past_the_float_range_fails(self, tmp_path, runner):
         # M_r = e^800: theta = 1/M_r underflows to 0
@@ -383,7 +513,7 @@ class TestCorrelateCommand:
             assert int(row["r"]) == 1
             assert int(row["N_nodes"]) == 1024
             assert float(row["abs_error"]) >= 0.0
-        echo = json.loads((out1 / "correlate_manifest.json").read_text())
+        echo = read_json(out1 / "correlate_manifest.json")
         assert echo["nodes"] == 1024
         assert len(echo["times"]) == 4
         assert "threads" not in echo
@@ -411,6 +541,10 @@ class TestCorrelateCommand:
         assert res.exit_code == 0, res.output
         assert "bound" in res.output
         assert (tmp_path / "correlate.gp").exists()
+        bound = read_json(tmp_path / "correlate_manifest.json")["bound"]
+        assert len(bound["values"]) == 4
+        assert bound["log10_values"] == [
+            pytest.approx(math.log10(v), rel=1e-12) for v in bound["values"]]
 
     def test_row_length_mismatch_fails(self, tmp_path, runner):
         blk = dict(CORRELATE_BLOCK)
@@ -465,7 +599,7 @@ class TestFitCommand:
         res = runner.invoke(main, ["fit", "--manifest", fpath,
                                    "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        payload = json.loads((tmp_path / "fit.json").read_text())
+        payload = read_json(tmp_path / "fit.json")
         assert payload["n_points"] >= 3
         assert payload["exponent"] > 0.0
         assert "x**(-B)" in (tmp_path / "fit.gp").read_text()
@@ -515,7 +649,7 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--manifest", mpath,
                                    "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        report = json.loads((tmp_path / "verify_report.json").read_text())
+        report = read_json(tmp_path / "verify_report.json")
         assert report["passed"] is True
         assert len(report["suites"]) == 7
         for suite in report["suites"]:
@@ -533,14 +667,11 @@ class TestVerifyCommand:
 def test_readme_examples(tmp_path, runner):
     """The five README manifests run in order, and every output file and
     the stdout are the same bytes at one and at two threads."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8")
-    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```",
-                                                  readme, re.S)]
-    modes = [b["mode"] for b in blocks]
+    blocks = readme_manifests()
+    modes = list(blocks)
     assert modes == ["ledger", "schedule", "correlate", "fit", "verify"]
-    for block in blocks:
-        write_manifest(tmp_path / ("%s.json" % block["mode"]), block)
+    for mode, block in blocks.items():
+        write_manifest(tmp_path / ("%s.json" % mode), block)
     results = tmp_path / "results"
     runs = []
     for threads in ("1", "2"):
@@ -561,3 +692,6 @@ def test_readme_examples(tmp_path, runner):
          "correlate_manifest.json", "correlate.gp", "fit.json", "fit.gp",
          "verify_report.json"])
     assert runs[0] == runs[1]
+    for name in runs[0][1]:
+        if name.endswith(".json"):
+            read_json(results / name)

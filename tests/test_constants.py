@@ -82,21 +82,23 @@ class TestAssumptionParams:
 
 class TestBaseCase:
     def test_unit_parameters(self):
-        row, Bprime = base_case(unit_params())
+        row, log_Bprime = base_case(unit_params())
         assert (row.r, row.d_r) == (1, 2)
         assert row.D_r == pytest.approx(5.0 * math.sqrt(3.0), rel=1e-15)
         assert row.log_D_r == pytest.approx(math.log(row.D_r), rel=1e-15)
         assert row.delta_r == pytest.approx(1.0 / 22.0, rel=1e-15)
         # B' = M_1 B_2^2 + 2 B_1 = 3 for unit growth; the ledger reports it
-        assert Bprime == pytest.approx(3.0, rel=1e-15)
-        assert build_ledger(unit_params(), 1).Bprime == Bprime
+        assert log_Bprime == pytest.approx(math.log(3.0), rel=1e-15)
+        led = build_ledger(unit_params(), 1)
+        assert led.log_Bprime == log_Bprime
+        assert led.Bprime == math.exp(log_Bprime)
 
     def test_d_o_two(self):
         p = AssumptionParams(d_o=2, D_o=1.0, delta_o=1.0, C=1.0, c=0.4,
                              A=1.0, a=1.0, growth=PowerLawGrowth(1, 1, 1))
-        row, Bprime = base_case(p)
+        row, log_Bprime = base_case(p)
         assert row.d_r == 4
-        assert Bprime == pytest.approx(3.0)
+        assert log_Bprime == pytest.approx(math.log(3.0))
         # B' = M_2 B_4^2 + 2 B_2 = 3 again for unit growth
         assert row.D_r == pytest.approx(5.0 * math.sqrt(3.0))
         assert row.delta_r == pytest.approx(0.4 / (2 * (0.4 + 8.0)))

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equidist.cli import _suite_geometry
-from equidist.geometry import (RootAction, TranslationTuple, select_direction,
-                               star_norm, tuple_stats)
+from equidist.constants import _exp
+from equidist.geometry import (DirectionSelection, RootAction,
+                               TranslationTuple, select_direction, star_norm,
+                               tuple_stats)
 
 
 def u11():
@@ -188,3 +190,68 @@ class TestSelectDirection:
             assert stats.M_r == pytest.approx(1.0)
         else:
             assert sel.norms[0] == pytest.approx(stats.M_r, rel=1e-12)
+
+
+def loop_selection(action, tup):
+    """Reference for select_direction: a loop over (root, i, j) in which
+    only a strictly larger positive gain replaces the best so far."""
+    r = tup.r
+    vals = np.array([action.root_values(t) for t in tup.entries])
+    best = (0.0, None)
+    for a in range(action.n_roots):
+        for i in range(r):
+            for j in range(r):
+                if i != j and float(vals[i, a] - vals[j, a]) > best[0]:
+                    best = (float(vals[i, a] - vals[j, a]), (a, i, j))
+    if best[1] is None:
+        return DirectionSelection(
+            degenerate=True, chosen_root=None, i=None, j=None, l=None,
+            relabeling=tuple(range(1, r + 1)), log_norms=(0.0,) * r,
+            norms=(1.0,) * r)
+    a, i, j = best[1]
+    image_logs = [float(vals[k, a] - vals[j, a]) for k in range(r)]
+    order = sorted(range(r), key=lambda k: (-image_logs[k], k))
+    return DirectionSelection(
+        degenerate=False, chosen_root=a + 1, i=i + 1, j=j + 1,
+        l=order.index(j) + 1, relabeling=tuple(k + 1 for k in order),
+        log_norms=tuple(image_logs[k] for k in order),
+        norms=tuple(_exp(image_logs[k]) for k in order))
+
+
+def random_case(rng):
+    """A custom action and a free tuple, or u_mn(2, 3) and a cone tuple;
+    small integers (ties) or reals, and one time in ten all entries equal
+    (degenerate)."""
+    r = int(rng.integers(2, 9))
+    if rng.random() < 0.5:
+        act = RootAction.u_mn(2, 3)
+        total = rng.uniform(0.0, 12.0, size=(r, 1))
+        entries = np.concatenate([rng.dirichlet(np.ones(2), size=r),
+                                  rng.dirichlet(np.ones(3), size=r)],
+                                 axis=1) * total
+        if rng.random() < 0.3:
+            entries[rng.integers(0, r)] = entries[0]
+    else:
+        dim = int(rng.integers(1, 5))
+        n_roots = int(rng.integers(1, 7))
+        integral = rng.random() < 0.5
+        roots = (rng.integers(-2, 3, size=(n_roots, dim)) if integral
+                 else rng.normal(size=(n_roots, dim))).astype(float)
+        roots[np.all(roots == 0.0, axis=1), 0] = 1.0
+        act = RootAction(dim, roots)
+        entries = (rng.integers(-3, 4, size=(r, dim)).astype(float)
+                   if integral else rng.normal(scale=5.0, size=(r, dim)))
+    if rng.random() < 0.1:
+        entries[:] = entries[0]
+    return act, TranslationTuple(entries.tolist(), domain_tag=act.cone_tag)
+
+
+def test_select_direction_matches_the_loop():
+    rng = np.random.default_rng(20231)
+    degenerate = 0
+    for _ in range(2000):
+        act, tup = random_case(rng)
+        sel = select_direction(act, tup)
+        assert sel == loop_selection(act, tup)
+        degenerate += sel.degenerate
+    assert degenerate > 100
