@@ -428,6 +428,13 @@ def build_ledger(params, r_max, mode="theorem-A"):
                 raise ArithmeticError("P_%d exceeds L1(L2+2)" % prev.d_r)
             Q_r = Q * math.exp(c1 / r * log_P)
             D_r = 2.0 * P1 * math.sqrt(prev.D_r) + r * Q_r
+            if D_r == math.inf:
+                log_D_r = _logaddexp(
+                    math.log(2.0 * P1) + 0.5 * prev.log_D_r,
+                    math.log(r * Q) + c1 / r * log_P)
+                raise ArithmeticError(
+                    "theorem B needs a finite D_%d, but log10 D_%d = %.6g "
+                    "is past the float range" % (r, r, log_D_r / _LOG10))
             log_D_r = math.log(D_r)
             log_thr = log_P / eps_r
             thr = _exp(log_thr)

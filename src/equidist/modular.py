@@ -14,10 +14,21 @@ Quadrature is composite midpoint on uniform nodes (the integrands are
 1-periodic and, for the smooth profile, analytic in x, so midpoint
 converges spectrally).  The independent cross-check oracle used in the
 tests is adaptive quadrature.
+
+On the translated horocycle x + i e^(-t) each observable is evaluated
+by a walk over Farey arcs: a coset (c, d) reaches the support only on
+an arc around -d/c inside its Ford circle, so only the nodes on those
+arcs are touched and each value is computed exactly as the scalar
+coset enumeration `EisensteinObservable.value` computes it.  Rows where
+the Farey set would outgrow the grid (1/(e^-t y_lo) > nodes, the
+under-resolved rows) or where the cusp term f(e^-t) is nonzero reduce
+every node to the fundamental domain instead (`reduce_arrays`, then
+`EisensteinObservable.value_reduced`).
 """
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +134,8 @@ class EisensteinObservable:
 
     def value(self, x, y):
         """Full coprime-pair enumeration at x + iy; works at any point,
-        scalar only."""
+        scalar only.  Squares are products, which round correctly (libm
+        pow(u, 2) is off by an ulp on some inputs)."""
         x, y = float(x), float(y)
         if not (math.isfinite(x) and y > 0.0):
             raise ValueError("need finite x and y > 0")
@@ -131,7 +143,8 @@ class EisensteinObservable:
         cmax = int(math.floor(math.sqrt(1.0 / (y * self.profile.y_lo))
                               + 1e-12))
         for c in range(1, cmax + 1):
-            S = y / self.profile.y_lo - (c * y) ** 2
+            cy = c * y
+            S = y / self.profile.y_lo - cy * cy
             if S < 0.0:
                 continue
             half = math.sqrt(S)
@@ -140,8 +153,8 @@ class EisensteinObservable:
             for d in range(dlo, dhi + 1):
                 if math.gcd(c, d) != 1:
                     continue
-                total += self.profile.value(y / ((c * x + d) ** 2
-                                                 + (c * y) ** 2))
+                u = c * x + d
+                total += self.profile.value(y / (u * u + cy * cy))
         return float(total)
 
     def value_reduced(self, x, y):
@@ -177,6 +190,90 @@ class EisensteinObservable:
         if np.ndim(out) == 0:
             return float(out)
         return out
+
+    def values_on_grid(self, nodes, y, idx=None):
+        """The nonzero values at the midpoint nodes x_k = (k + 1/2)/nodes
+        at height y, as (indices, values); only the sorted node indices
+        idx are looked at when given.
+
+        Arc side: at height y the coset (c, d), c >= 1, is nonzero only
+        on the arc |x + d/c| <= sqrt(y/y_lo - c^2 y^2)/c, and for
+        y_lo >= 1 these arcs lie in disjoint Ford circles.  The coprime
+        (c, d) with c <= 1/sqrt(y y_lo) and -d/c within reach of [0, 1]
+        are enumerated (np.gcd on the (c, d) grid).  On the inner arc,
+        whose half-width comes from y_hi in place of y_lo, the coset
+        lies above y_hi and f vanishes too, so each arc gives the node
+        ranges between the two half-widths, padded by one node on
+        either side.  The term f(y / ((c x + d)^2 + c^2 y^2)) is
+        evaluated once on the gathered nodes, with the same operations
+        as `value`, so the values equal it bit for bit.  A node that two terms reach (a tangency of Ford
+        circles at height y_lo = 1) sums them in `value`'s order.
+
+        Reduction side: when f(y) != 0 (every node is in the support) or
+        1/(y y_lo) > nodes (the Farey set would outgrow the grid, the
+        under-resolved rows), the nodes go through `value_at`.
+        """
+        f = self.profile
+        y = float(y)
+        if f.value(y) != 0.0 or 1.0 / (y * f.y_lo) > nodes:
+            ks = np.arange(nodes) if idx is None else idx
+            v = self.value_at((ks + 0.5) / nodes, np.full(ks.size, y))
+            keep = v != 0.0
+            return ks[keep], v[keep]
+        # the coprime (c, d) in c-major, d-ascending order; an arc is at
+        # most sqrt(y / y_lo) / c <= 1 / c wide on either side of -d/c,
+        # so d in [-c - 1, 1] reaches every arc that meets [0, 1]
+        cmax = int(math.floor(math.sqrt(1.0 / (y * f.y_lo)) + 1e-12))
+        cs = np.arange(1, cmax + 1)
+        cy = cs * y
+        cy2 = cy * cy
+        S = y / f.y_lo - cy2
+        ds = np.arange(-cmax - 1, 2)
+        pair = ((S >= 0.0)[:, None] & (ds >= -cs[:, None] - 1)
+                & (np.gcd(cs[:, None], ds) == 1))
+        row, col = np.nonzero(pair)
+        c, d = cs[row], ds[col]
+        centre = -d / c
+        # the term is nonzero only between the outer half-width (height
+        # y_lo) and the inner one (height y_hi): a left and a right node
+        # range per arc, merged when no node lies strictly between them
+        outer = np.sqrt(S[row]) / c
+        inner = np.sqrt(np.maximum(y / f.y_hi - cy2[row], 0.0)) / c
+        lo = np.maximum(np.ceil((centre - outer) * nodes - 0.5) - 1, 0)
+        hi = np.minimum(np.floor((centre + outer) * nodes - 0.5) + 1,
+                        nodes - 1)
+        a = np.floor((centre - inner) * nodes - 0.5) + 1
+        b = np.ceil((centre + inner) * nodes - 0.5) - 1
+        merged = b <= a + 1
+        a = np.where(merged, hi, np.minimum(a, hi))
+        b = np.where(merged, hi + 1, np.maximum(b, lo))
+        # walk the arcs from left to right, so the gathered nodes ascend
+        order = np.argsort(centre)
+        first = np.stack([lo, b], axis=1)[order].ravel().astype(np.int64)
+        last = np.stack([a, hi], axis=1)[order].ravel().astype(np.int64)
+        if idx is None:
+            start, count = first, np.maximum(last - first + 1, 0)
+        else:
+            start = np.searchsorted(idx, first)
+            count = np.maximum(np.searchsorted(idx, last, side="right")
+                               - start, 0)
+        arc = np.repeat(np.repeat(order, 2), count)
+        pos = (np.arange(arc.size)
+               - np.repeat(np.cumsum(count) - count - start, count))
+        ks = pos if idx is None else idx[pos]
+        u = c[arc] * ((ks + 0.5) / nodes) + d[arc]
+        v = f.value(y / (u * u + cy2[row][arc]))
+        keep = v != 0.0
+        ks, v = ks[keep], v[keep]
+        if np.all(ks[1:] > ks[:-1]):
+            return ks, v
+        # shared nodes: sort by node, then by the enumeration order
+        by = np.lexsort((arc[keep], ks))
+        ks, v = ks[by], v[by]
+        out, slot = np.unique(ks, return_inverse=True)
+        total = np.zeros(out.size)
+        np.add.at(total, slot, v)
+        return out, total
 
     @property
     def mu(self):
@@ -264,7 +361,7 @@ class HorocycleMeasure:
             raise ValueError("horocycle density must be a probability "
                              "measure (unit zero coefficient)")
         self.density = density
-        self._grid = None
+        self._cached_weights = None
 
     @classmethod
     def haar(cls):
@@ -272,27 +369,26 @@ class HorocycleMeasure:
         return cls(TorusMeasure.haar(1))
 
     def _weights(self, nodes, xi):
-        """Midpoint nodes x = (k + 1/2) / nodes and the weight
-        rho(x) e(xi x) at them, or None for the weight when it is
-        identically 1 (Haar density, xi = 0).
+        """The weight rho(x) e(xi x) at the midpoint nodes
+        x = (k + 1/2) / nodes, or None when it is identically 1 (Haar
+        density, xi = 0).
 
         Built once per (nodes, xi) and kept for the next call, so a time
-        family evaluates the density once; the arrays are read-only.
+        family evaluates the density once; the array is read-only.
         Concurrent first calls each build identical arrays.
         """
         key = (nodes, xi)
-        cached = self._grid
+        cached = self._cached_weights
         if cached is None or cached[0] != key:
-            x = (np.arange(nodes) + 0.5) / nodes
-            x.flags.writeable = False
             w = None
             if xi or self.density.coeffs != {(0,): 1.0}:
+                x = (np.arange(nodes) + 0.5) / nodes
                 w = self.density.value(x)
                 if xi:
                     w = w * np.exp(2j * math.pi * xi * x)
                 w.flags.writeable = False
-            cached = self._grid = (key, x, w)
-        return cached[1], cached[2]
+            cached = self._cached_weights = (key, w)
+        return cached[1]
 
 
 def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
@@ -302,11 +398,19 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
 
         e(xi x) * rho(x) * prod_i obs_i(x + i * e^(-t_i))
 
-    over one period x in [0, 1); xi = 0 gives the plain correlation.
-    Deterministic for fixed nodes: the node set and the summation order
-    are fixed.  The nodes and the weight e(xi x) rho(x) are cached on
-    sigma (HorocycleMeasure._weights), so rows of a time family share
-    them; the observable factors multiply into a fresh array in place.
+    over one period x in [0, 1); xi = 0 gives the plain correlation and
+    a non-integer xi is refused.  Deterministic for fixed nodes: the node
+    set and the summation order are fixed.
+
+    The product lives on a sparse support.  Each Eisenstein factor comes
+    from `EisensteinObservable.values_on_grid` (a walk over Farey arcs,
+    or fundamental-domain reduction on under-resolved rows and where
+    f(e^-t) != 0), evaluated only on the nodes where the product so far
+    is nonzero; constant factors multiply in place.  The weight
+    e(xi x) rho(x), cached on sigma per (nodes, xi), is gathered on the
+    support and multiplies the first factor, as (w v_1) v_2 ... v_r.  The
+    mean is taken over the product scattered back into the full grid, so
+    the summation order is that of the dense array.
     """
     observables = list(observables)
     times = [float(t) for t in times]
@@ -320,16 +424,29 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     nodes = int(nodes)
     if nodes < 16:
         raise ValueError("at least 16 quadrature nodes are required")
-    x, w = sigma._weights(nodes, int(xi))
-    vals = None
+    if not (isinstance(xi, numbers.Integral) or float(xi).is_integer()):
+        raise ValueError("xi must be an integer frequency, got %r" % (xi,))
+    w = sigma._weights(nodes, int(xi))
+    idx = vals = None    # support (None: every node) and product on it
     for obs, t in zip(observables, times):
-        v = obs.value_at(x, np.full(nodes, math.exp(-t)))
-        if vals is not None:
-            vals *= v
-        elif w is None:
-            vals = np.array(v, dtype=complex)
+        if isinstance(obs, ConstantObservable):
+            if vals is None:
+                vals = (np.full(nodes, obs.value, dtype=complex)
+                        if w is None else w * obs.value)
+            else:
+                vals *= obs.value
+            continue
+        ks, v = obs.values_on_grid(nodes, math.exp(-t), idx)
+        if vals is None:
+            vals = v.astype(complex) if w is None else w[ks] * v
         else:
-            vals = w * v
+            vals = vals[ks if idx is None else np.searchsorted(idx, ks)]
+            vals *= v
+        idx = ks
+    if idx is not None:
+        full = np.zeros(nodes, dtype=complex)
+        full[idx] = vals
+        vals = full
     return complex(np.mean(vals))
 
 

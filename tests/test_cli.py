@@ -208,6 +208,29 @@ class TestLedgerCommand:
         assert "log10 D_1 = 400.699" in err["message"]
         assert not (tmp_path / "ledger.csv").exists()
 
+    def test_theorem_b_refuses_an_overflowing_D_r(self, tmp_path, runner):
+        # r_max Q is finite, but Q_4 = Q P_1^(c1/4) > Q pushes D_4 past it
+        params = dict(GOLDEN_PARAMS, A=2.245e307)
+        mpath = self.manifest(tmp_path, params=params, theorem="B",
+                              r_max=4)
+        res = runner.invoke(main, ["ledger", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "numerical"
+        assert err["message"] == ("theorem B needs a finite D_4, but "
+                                  "log10 D_4 = 308.255 is past the float "
+                                  "range")
+        assert not (tmp_path / "ledger.csv").exists()
+        # just below, every D_r is finite and the run succeeds
+        mpath = self.manifest(tmp_path, theorem="B", r_max=4,
+                              params=dict(GOLDEN_PARAMS, A=2.2e307))
+        res = runner.invoke(main, ["ledger", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        report = json.loads((tmp_path / "ledger.json").read_text())
+        assert all(row["D_r"] is not None for row in report["rows"])
+
     @pytest.mark.parametrize("theorem", ["A", "B"])
     @pytest.mark.parametrize("name, value, message", [
         # 14 C is past the float range

@@ -265,16 +265,33 @@ def _reference_value_reduced(obs, x, y):
     return total
 
 
+def _reduction_side(obs, nodes, y):
+    # the kernel reduces when the cusp term is nonzero everywhere or the
+    # Farey set would outgrow the grid
+    return (obs.profile.value(y) != 0.0
+            or 1.0 / (y * obs.profile.y_lo) > nodes)
+
+
+def _factor(obs, x, y):
+    # one factor at every node: the constant, the reduce path on the
+    # reduction side, else the scalar definition EisensteinObservable.value
+    if isinstance(obs, ConstantObservable):
+        return np.full(x.size, obs.value)
+    if _reduction_side(obs, x.size, y):
+        rx, ry = reduce_arrays(x, np.full(x.size, y))
+        return _reference_value_reduced(obs, rx, ry)
+    return np.array([obs.value(a, y) for a in x])
+
+
 def _reference_correlation(sigma, observables, times, nodes, xi=0):
-    # density evaluated on every call, a fresh array for every factor
+    # dense: density evaluated on every call, a fresh array for every
+    # factor, products associated as (w v_1) v_2 ...
     x = (np.arange(nodes) + 0.5) / nodes
     vals = sigma.density.value(x).astype(complex)
     if xi:
         vals = vals * np.exp(2j * math.pi * xi * x)
     for obs, t in zip(observables, times):
-        y = math.exp(-t)
-        rx, ry = reduce_arrays(x, np.full(nodes, y))
-        vals = vals * _reference_value_reduced(obs, rx, ry)
+        vals = vals * _factor(obs, x, math.exp(-t))
     return complex(np.mean(vals))
 
 
@@ -290,8 +307,14 @@ def _count_density_calls(sigma):
     return calls
 
 
+_HAAR_PAIR = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
+              EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
+
+
 class TestKernelBytes:
-    """The cached weights and the skipped empty cosets change no bit."""
+    """The sparse Farey-arc kernel equals a dense reference with `==`:
+    the scalar definition `value` at every node on the arc side, the
+    reduce path on the reduction side."""
 
     @staticmethod
     def wiener():
@@ -302,11 +325,12 @@ class TestKernelBytes:
     def test_haar_pair(self):
         haar = HorocycleMeasure.haar()
         calls = _count_density_calls(haar)
-        obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
-               EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
         for t in (0.5, 1.3, 2.2, 3.0):
-            val = correlation(haar, obs, [t, 2.0 * t], nodes=2 ** 12)
-            ref = _reference_correlation(haar, obs, [t, 2.0 * t], 2 ** 12)
+            assert not _reduction_side(_HAAR_PAIR[1], 2 ** 12,
+                                       math.exp(-2.0 * t))
+            val = correlation(haar, _HAAR_PAIR, [t, 2.0 * t], nodes=2 ** 12)
+            ref = _reference_correlation(haar, _HAAR_PAIR, [t, 2.0 * t],
+                                         2 ** 12)
             assert val == ref
         assert calls == [2 ** 12] * 4  # all from the reference
 
@@ -330,6 +354,59 @@ class TestKernelBytes:
                 == _reference_correlation(sigma, obs, [1.5], nodes)
         assert calls == [2 ** 10, 2 ** 10, 2 ** 12, 2 ** 12,
                          2 ** 10, 2 ** 10]
+
+    @pytest.mark.parametrize("xi", [0, 2])
+    def test_mixed_pair(self, xi):
+        # t on the arc side, 2t under-resolved (e^(2t)/1.2 > 256 nodes)
+        sigma = self.wiener()
+        for t in (3.0, 3.5, 4.0):
+            assert not _reduction_side(_HAAR_PAIR[0], 256, math.exp(-t))
+            assert _reduction_side(_HAAR_PAIR[1], 256, math.exp(-2.0 * t))
+            assert correlation(sigma, _HAAR_PAIR, [t, 2.0 * t], nodes=256,
+                               xi=xi) \
+                == _reference_correlation(sigma, _HAAR_PAIR, [t, 2.0 * t],
+                                          256, xi=xi)
+
+    def test_reduction_side_rows(self):
+        # f(y) != 0 at t = 0 for the indicator on [1, 2], and rows past
+        # 1/(y y_lo) > nodes: both keep the reduce path byte for byte
+        sigma = self.wiener()
+        ind = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
+        assert correlation(sigma, [ind], [0.0], nodes=64) \
+            == _reference_correlation(sigma, [ind], [0.0], 64)
+        for t in (6.0, 7.5):
+            assert correlation(sigma, _HAAR_PAIR, [t, 2.0 * t], nodes=256) \
+                == _reference_correlation(sigma, _HAAR_PAIR, [t, 2.0 * t],
+                                          256)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_constant_factor(self, first):
+        obs = [ConstantObservable(2.5), _HAAR_PAIR[0]]
+        if not first:
+            obs.reverse()
+        for sigma in (HorocycleMeasure.haar(), self.wiener()):
+            for xi in (0, 1):
+                assert correlation(sigma, obs, [2.0, 2.0], nodes=512,
+                                   xi=xi) \
+                    == _reference_correlation(sigma, obs, [2.0, 2.0], 512,
+                                              xi=xi)
+
+    def test_empty_support(self):
+        # at t = 0 no coset reaches [1.5, 3]; the second factor is then
+        # evaluated on no node at all, on either side
+        obs = _HAAR_PAIR[0]
+        ks, v = obs.values_on_grid(64, 1.0)
+        assert ks.size == v.size == 0
+        for t in (2.0, 30.0):     # arc side, reduction side
+            ks, v = obs.values_on_grid(64, math.exp(-t),
+                                       np.zeros(0, dtype=np.int64))
+            assert ks.size == v.size == 0
+        for times in ([0.0], [0.0, 2.0], [0.0, 30.0]):
+            pair = [obs] * len(times)
+            val = correlation(self.wiener(), pair, times, nodes=64, xi=1)
+            assert val == 0j
+            assert val == _reference_correlation(self.wiener(), pair,
+                                                 times, 64, xi=1)
 
     @pytest.mark.parametrize("kind", ["bump", "indicator"])
     @pytest.mark.parametrize("y_lo", [1.0, 1.1, 1.16, 1.5])
@@ -359,6 +436,86 @@ class TestKernelBytes:
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
+_Y_LOS = (1.0, 1.1, 1.5, 2.5)
+
+
+@st.composite
+def _arc_side_grid(draw):
+    kind = draw(st.sampled_from(["bump", "indicator"]))
+    y_lo = draw(st.sampled_from(_Y_LOS))
+    width = draw(st.floats(0.05, 4.0))
+    nodes = draw(st.integers(16, 700))
+    # heights from just under the cusp term down to 1/(y_lo nodes)
+    y = draw(st.floats((1.0 + 1e-9) / (y_lo * nodes), 0.999 * y_lo))
+    subset = draw(st.lists(st.integers(0, nodes - 1), max_size=nodes,
+                           unique=True))
+    return (EisensteinObservable(BumpProfile(kind, y_lo, y_lo + width)),
+            nodes, y, np.array(sorted(subset), dtype=np.int64))
+
+
+class TestValuesOnGrid:
+    @settings(max_examples=80, deadline=None)
+    @given(_arc_side_grid())
+    def test_arc_side_is_the_scalar_definition(self, case):
+        obs, nodes, y, subset = case
+        assert not _reduction_side(obs, nodes, y)
+        ks, v = obs.values_on_grid(nodes, y)
+        assert np.all(ks[1:] > ks[:-1])
+        assert np.all(v != 0.0)
+        x = (np.arange(nodes) + 0.5) / nodes
+        dense = np.zeros(nodes)
+        dense[ks] = v
+        oracle = np.array([obs.value(a, y) for a in x])
+        assert dense.tobytes() == oracle.tobytes()
+        # restricted to a sorted index set: the same values there
+        sk, sv = obs.values_on_grid(nodes, y, subset)
+        keep = oracle[subset] != 0.0
+        assert sk.tobytes() == subset[keep].tobytes()
+        assert sv.tobytes() == oracle[subset][keep].tobytes()
+
+    @pytest.mark.parametrize("kind", ["bump", "indicator"])
+    @pytest.mark.parametrize("y_lo", _Y_LOS)
+    @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    def test_straddling_the_under_resolved_bound(self, kind, y_lo, side):
+        # y = side / (y_lo nodes): 1/(y y_lo) = nodes / side
+        obs = EisensteinObservable(BumpProfile(kind, y_lo, y_lo + 1.5))
+        nodes = 256
+        y = side / (y_lo * nodes)
+        x = (np.arange(nodes) + 0.5) / nodes
+        ks, v = obs.values_on_grid(nodes, y)
+        dense = np.zeros(nodes)
+        dense[ks] = v
+        if 1.0 / (y * y_lo) > nodes:
+            ref = obs.value_at(x, np.full(nodes, y))
+        else:
+            ref = np.array([obs.value(a, y) for a in x])
+        assert dense.tobytes() == ref.tobytes()
+        assert ks.tobytes() == np.flatnonzero(ref).tobytes()
+        # the two sides agree to rounding on either side of the bound
+        np.testing.assert_allclose(
+            dense, [obs.value(a, y) for a in x], rtol=0.0, atol=1e-9)
+
+    def test_cusp_term_takes_the_reduction_side(self):
+        obs = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
+        x = (np.arange(64) + 0.5) / 64
+        ks, v = obs.values_on_grid(64, 1.0)
+        ref = obs.value_at(x, np.ones(64))
+        assert ks.tobytes() == np.arange(64).tobytes()
+        assert v.tobytes() == ref.tobytes()
+
+    def test_tangent_ford_circles_sum_both_terms(self):
+        # at 1/2 + i/2 the Ford circles at 0 and 1 touch, and both cosets
+        # reach height 1 = y_lo; node 8 of 17 sits exactly there
+        obs = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
+        ks, v = obs.values_on_grid(17, 0.5)
+        assert np.all(ks[1:] > ks[:-1])
+        assert v[list(ks).index(8)] == 2.0 == obs.value(0.5, 0.5)
+        dense = np.zeros(17)
+        dense[ks] = v
+        x = (np.arange(17) + 0.5) / 17
+        assert dense.tolist() == [obs.value(a, 0.5) for a in x]
+
+
 class TestTwistedCorrelation:
     def test_zero_frequency_collapses(self):
         haar = HorocycleMeasure.haar()
@@ -371,6 +528,20 @@ class TestTwistedCorrelation:
         direct = np.mean(obs.value_at(x, np.full(x.size, math.exp(-3.0))))
         assert a.imag == 0.0
         assert a.real == pytest.approx(direct, rel=1e-15)
+
+    @pytest.mark.parametrize("xi", [0.5, -2.25, math.nan, math.inf])
+    def test_non_integer_frequency_refused(self, xi):
+        haar = HorocycleMeasure.haar()
+        obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
+        with pytest.raises(ValueError, match="integer frequency"):
+            correlation(haar, obs, [3.0], nodes=2 ** 10, xi=xi)
+
+    def test_integral_float_frequency_accepted(self):
+        haar = HorocycleMeasure.haar()
+        obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
+        assert correlation(haar, obs, [3.0], nodes=2 ** 10, xi=3.0) \
+            == correlation(haar, obs, [3.0], nodes=2 ** 10, xi=3) \
+            == correlation(haar, obs, [3.0], nodes=2 ** 10, xi=np.int64(3))
 
     def test_pure_oscillation_vanishes(self):
         haar = HorocycleMeasure.haar()
