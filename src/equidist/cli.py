@@ -271,6 +271,41 @@ _SCHEDULE_JSON_FIELDS = ("tuple_index", "entries", "log_Delta_r",
                          "relabeling", "log_norms", "checks")
 
 
+def _schedule_records(action, tuples, theta_spec):
+    """One schedule record per tuple, in input order, from one
+    tuple_stats and one select_direction call.  A refusal does not name
+    its tuple."""
+    tuples = [TranslationTuple(entries, domain_tag=action.cone_tag)
+              for entries in tuples]
+    stats = tuple_stats(action, tuples)
+    for st in stats:
+        if st.M_r == math.inf:
+            raise ValueError("log M_r = %r is past the float range, so "
+                             "theta = 1/M_r underflows and the image "
+                             "norms overflow; no window is computed"
+                             % st.log_M_r)
+    records = []
+    for idx, (tup, st, sel) in enumerate(
+            zip(tuples, stats, select_direction(action, tuples))):
+        if sel.degenerate:
+            raise ValueError("degenerate (all entries coincide); no "
+                             "window exists")
+        theta = (math.exp(-st.log_M_r) if theta_spec == "auto"
+                 else float(theta_spec))
+        win = choose_window(sel, theta)
+        records.append(dict(
+            tuple_index=idx, r=tup.r, rho_r=st.rho_r, m_r=st.m_r,
+            M_r=st.M_r, Delta_mult=st.Delta_r,
+            chosen_root=sel.chosen_root, i=sel.i, j=sel.j, l=sel.l,
+            theta=theta, p=win.p, q=win.q, L=win.L, log_L=win.log_L,
+            **{"ok_" + name: ok for name, (_, _, ok) in win.checks.items()},
+            entries=tup.entries.tolist(), log_Delta_r=st.log_Delta_r,
+            relabeling=sel.relabeling, log_norms=sel.log_norms,
+            checks={name: {"lhs": lhs, "rhs": rhs}
+                    for name, (lhs, rhs, _) in win.checks.items()}))
+    return records
+
+
 @_subcommand()
 def schedule(blk, seed, **_):
     """Direction selection and window choice for translation tuples."""
@@ -278,32 +313,16 @@ def schedule(blk, seed, **_):
     spec = blk["action"]
     action = (RootAction.u_mn(spec["m"], spec["n"]) if "builtin" in spec
               else RootAction.from_json(spec))
-    records = []
-    for idx, entries in enumerate(blk["tuples"]):
-        tup = TranslationTuple(entries, domain_tag=action.cone_tag)
-        stats = tuple_stats(action, tup)
-        sel = select_direction(action, tup)
-        if sel.degenerate:
-            raise ValueError("tuple %d is degenerate (all entries "
-                             "coincide); no window exists" % idx)
-        if stats.M_r == math.inf:
-            raise ValueError("tuple %d: log M_r = %r is past the float "
-                             "range, so theta = 1/M_r underflows and the "
-                             "image norms overflow; no window is computed"
-                             % (idx, stats.log_M_r))
-        theta = (math.exp(-stats.log_M_r) if theta_spec == "auto"
-                 else float(theta_spec))
-        win = choose_window(sel, theta)
-        records.append(dict(
-            tuple_index=idx, r=tup.r, rho_r=stats.rho_r, m_r=stats.m_r,
-            M_r=stats.M_r, Delta_mult=stats.Delta_r,
-            chosen_root=sel.chosen_root, i=sel.i, j=sel.j, l=sel.l,
-            theta=theta, p=win.p, q=win.q, L=win.L, log_L=win.log_L,
-            **{"ok_" + name: ok for name, (_, _, ok) in win.checks.items()},
-            entries=tup.entries.tolist(), log_Delta_r=stats.log_Delta_r,
-            relabeling=sel.relabeling, log_norms=sel.log_norms,
-            checks={name: {"lhs": lhs, "rhs": rhs}
-                    for name, (lhs, rhs, _) in win.checks.items()}))
+    try:
+        records = _schedule_records(action, blk["tuples"], theta_spec)
+    except _NUMERIC_ERRORS:
+        # refuse for the first failing tuple in manifest order, by index
+        for idx, entries in enumerate(blk["tuples"]):
+            try:
+                _schedule_records(action, [entries], theta_spec)
+            except _NUMERIC_ERRORS as exc:
+                raise ValueError("tuple %d: %s" % (idx, exc)) from None
+        raise
     ok_all = all(rec["ok_scale_cap"] and rec["ok_group_lower"]
                  and rec["ok_group_upper"] for rec in records)
     lines = ["schedule: %d tuples, window checks %s"
@@ -576,19 +595,25 @@ def _window_fails(sel, theta):
 
 def _suite_window(rng, trials):
     """Windows for a random u_mn(1, 2) tuple of 2 to 6 entries at theta =
-    1/M_r, and for a pigeonhole instance's betas scaled to end at 1."""
-    failures = 0
+    1/M_r, and for a pigeonhole instance's betas scaled to end at 1.  The
+    tuples of all trials share one tuple_stats and one select_direction
+    call."""
     action = RootAction.u_mn(1, 2)
+    tuples, gap_cases = [], []
     for _ in range(trials):
         a = rng.uniform(0.0, 6.0, size=int(rng.integers(2, 7)))
         b = rng.uniform(0.0, a)
-        tup = TranslationTuple(np.stack([a, b, a - b], axis=1).tolist(),
-                               domain_tag=action.cone_tag)
-        cases = [(select_direction(action, tup),
-                  math.exp(-tuple_stats(action, tup).log_M_r))]
+        tuples.append(TranslationTuple(
+            np.stack([a, b, a - b], axis=1).tolist(),
+            domain_tag=action.cone_tag))
         betas, theta = _gap_instance(rng)
-        if betas[-1] > 0.0:
-            cases.append((_selection([v / betas[-1] for v in betas]), theta))
+        gap_cases.append(
+            [(_selection([v / betas[-1] for v in betas]), theta)]
+            if betas[-1] > 0.0 else [])
+    failures = 0
+    for sel, stats, gap in zip(select_direction(action, tuples),
+                               tuple_stats(action, tuples), gap_cases):
+        cases = [(sel, math.exp(-stats.log_M_r))] + gap
         failures += any(_window_fails(s, th) for s, th in cases)
     return trials, float(failures)
 

@@ -15,6 +15,7 @@ statistic itself reads inf while its logarithm stays exact.
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -59,7 +60,8 @@ class RootAction:
         dim_t = int(dim_t)
         if dim_t < 1:
             raise ValueError("dim_t must be a positive integer")
-        mat = np.asarray(roots, dtype=float)
+        mat = _matrix(roots, dim_t,
+                      "root %d has %d coefficients, expected %d")
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] != dim_t:
             raise ValueError("roots must be a nonempty sequence of length-%d "
                              "coefficient vectors" % dim_t)
@@ -145,19 +147,34 @@ class RootAction:
         }
 
     def root_values(self, t):
-        """alpha(t) for every root, as a 1-D array."""
-        t = _as_point(t, self.dim_t)
-        return self.roots @ t
+        """alpha(t) for every root: (..., n_roots) from points (..., dim_t).
+
+        The stacked matmul on a C-contiguous operand runs the same gemv
+        per point as roots @ t, so a point's values are bitwise the same
+        alone or in a stack; the 2-D t @ roots.T would round otherwise.
+        """
+        t = np.asarray(t, dtype=float)
+        if t.ndim < 1 or t.shape[-1] != self.dim_t:
+            raise ValueError("expected length-%d coordinate vectors, got "
+                             "shape %s" % (self.dim_t, t.shape))
+        if not np.all(np.isfinite(t)):
+            raise ValueError("coordinates must be finite")
+        return (self.roots @ np.ascontiguousarray(t)[..., None])[..., 0]
 
 
-def _as_point(t, dim_t):
-    t = np.asarray(t, dtype=float)
-    if t.shape != (dim_t,):
-        raise ValueError("expected a length-%d coordinate vector, got shape %s"
-                         % (dim_t, t.shape))
-    if not np.all(np.isfinite(t)):
-        raise ValueError("coordinates must be finite")
-    return t
+def _matrix(rows, width, message):
+    """rows as a float array; a ragged sequence is refused with message
+    % (row index, length, width) for its first row whose length is not
+    width (default: the first row's)."""
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError:
+        if width is None:
+            width = len(rows[0])
+        for k, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(message % (k, len(row), width)) from None
+        raise
 
 
 def _cone_check(entries, tag):
@@ -190,7 +207,8 @@ class TranslationTuple:
     """
 
     def __init__(self, entries, domain_tag="free"):
-        mat = np.asarray(entries, dtype=float)
+        mat = _matrix(entries, None,
+                      "entry %d has %d coordinates, expected %d")
         if mat.ndim != 2 or mat.shape[0] < 1:
             raise ValueError("entries must be a nonempty sequence of "
                              "coordinate vectors")
@@ -240,40 +258,82 @@ class TupleStats:
     log_Delta_r: float
 
 
-def tuple_stats(action, tup):
-    """Statistics (rho_r, m_r, M_r, Delta_r) of a translation tuple.
+# tuples per stacked pass: the passes hold a few (N, n_roots, r, r) and
+# (N, pairs, n_roots) arrays, so N is capped to keep their memory from
+# growing with the number of tuples
+_CHUNK = 1024
 
-    The growth value of one entry is rho(t) = exp(min coordinate),
-    evaluated in log space so large translations cannot overflow.
+
+def _by_length(action, tuples, stacked):
+    """stacked(action, E) for each group of equal-length tuples, E the
+    C-contiguous (N, r, dim_t) stack of at most _CHUNK of their entries;
+    the per-tuple results come back in input order."""
+    tuples = list(tuples)
+    groups = {}
+    for pos, tup in enumerate(tuples):
+        r, dim_t = tup.entries.shape
+        if dim_t != action.dim_t:
+            raise ValueError("expected length-%d coordinate vectors, got %d"
+                             % (action.dim_t, dim_t))
+        groups.setdefault(r, []).append(pos)
+    out = [None] * len(tuples)
+    chunks = [group[k:k + _CHUNK] for group in groups.values()
+              for k in range(0, len(group), _CHUNK)]
+    for positions in chunks:
+        entries = np.stack([tuples[p].entries for p in positions])
+        # values past the float range read +-inf or NaN, and the stacked
+        # passes handle both, so numpy need not warn about them
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = stacked(action, entries)
+        for p, res in zip(positions, results):
+            out[p] = res
+    return out
+
+
+def tuple_stats(action, tuples):
+    """Statistics (rho_r, m_r, M_r, Delta_r) of each translation tuple.
+
+    Takes a sequence of TranslationTuple and returns one TupleStats per
+    tuple, in input order; tuples of one length are computed together,
+    in stacked passes of up to _CHUNK tuples.  The growth value of one
+    entry is rho(t) = exp(min coordinate), evaluated in log space so
+    large translations cannot overflow.  A root value that is NaN (an
+    overflowing inf - inf) never sets m_r or M_r.
     """
-    log_rhos = [float(np.min(t)) for t in tup.entries]
-    log_rho_r = min(log_rhos)
-    if log_rho_r < -1e-12:
+    return _by_length(action, tuples, _stats_stack)
+
+
+def _stats_stack(action, entries):
+    r = entries.shape[1]
+    mins = np.min(entries, axis=2)
+    if np.any(mins < -1e-12):
         raise ValueError("rho = exp(min coordinate) requires min "
                          "coordinate >= 0 on every entry")
-    r = tup.r
-    log_m = math.inf
-    log_M = 0.0  # the pair (i, i) always contributes star norm 1
-    for i in range(r):
-        for j in range(i + 1, r):
-            v = log_star_norm(action, tup.entries[i] - tup.entries[j])
-            log_m = min(log_m, v)
-            log_M = max(log_M, v)
-    if r == 1:
-        log_delta = log_rhos[0]
-    else:
-        log_delta = min(log_rho_r, log_m)
-    return TupleStats(
-        r=r,
-        rho_r=_exp(log_rho_r),
-        m_r=_exp(log_m),
-        M_r=_exp(log_M),
-        Delta_r=_exp(log_delta),
-        log_rho_r=log_rho_r,
-        log_m_r=log_m,
-        log_M_r=log_M,
-        log_Delta_r=log_delta,
-    )
+    i, j = np.array(list(combinations(range(r), 2)),
+                    dtype=np.intp).reshape(-1, 2).T
+    # log star norm of every pair t_i - t_j, i < j
+    pair = np.max(np.abs(action.root_values(entries[:, i] - entries[:, j])),
+                  axis=2)
+    out = []
+    for log_rhos, norms in zip(mins.tolist(), pair.tolist()):
+        log_rho_r = min(log_rhos)
+        # fold from log m_r = inf and log M_r = 0 (the pair (i, i) has
+        # star norm 1); a NaN never replaces either
+        log_m = min([math.inf] + norms)
+        log_M = max([0.0] + norms)
+        log_delta = log_rhos[0] if r == 1 else min(log_rho_r, log_m)
+        out.append(TupleStats(
+            r=r,
+            rho_r=_exp(log_rho_r),
+            m_r=_exp(log_m),
+            M_r=_exp(log_M),
+            Delta_r=_exp(log_delta),
+            log_rho_r=log_rho_r,
+            log_m_r=log_m,
+            log_M_r=log_M,
+            log_Delta_r=log_delta,
+        ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -306,49 +366,65 @@ class DirectionSelection:
         return self.log_norms[0]
 
 
-def select_direction(action, tup):
+def select_direction(action, tuples):
     """Pick (i, j, root) attaining M_r and return the sorted image data.
 
-    Requires r >= 2.  Ties in the argmax are broken by smallest
-    (root index, i, j).  A tuple with all entries equal yields a
-    degenerate selection instead of an arbitrary direction.
+    Takes a sequence of TranslationTuple, each with r >= 2, and returns
+    one DirectionSelection per tuple, in input order; tuples of one
+    length are computed together, in stacked passes of up to _CHUNK
+    tuples.  Ties in the argmax are
+    broken by smallest (root index, i, j).  A tuple with all entries
+    equal yields a degenerate selection instead of an arbitrary
+    direction.
     """
-    r = tup.r
+    return _by_length(action, tuples, _selection_stack)
+
+
+def _selection_stack(action, entries):
+    n_tup, r, _ = entries.shape
     if r < 2:
         raise ValueError("direction selection needs at least two entries")
-    vals = np.array([action.root_values(t) for t in tup.entries])  # (r, n_roots)
-    # diffs[a, i, j] = alpha_a(t_i) - alpha_a(t_j); only orientations
+    vals = action.root_values(entries).transpose(0, 2, 1)  # (N, roots, r)
+    # diffs[t, a, i, j] = alpha_a(t_i) - alpha_a(t_j); only orientations
     # where the chosen root expands count, and NaN from overflowing root
     # values never wins.  A C-order argmax returns the first maximum,
     # the smallest (root, i, j).
-    diffs = vals.T[:, :, None] - vals.T[:, None, :]
-    gains = np.where(diffs > 0.0, diffs, 0.0)
-    a, i, j = map(int, np.unravel_index(np.argmax(gains), gains.shape))
-    log_M = float(gains[a, i, j])
-    if log_M == 0.0:
-        return DirectionSelection(
-            degenerate=True, chosen_root=None, i=None, j=None, l=None,
-            relabeling=tuple(range(1, r + 1)), log_norms=tuple([0.0] * r),
-            norms=tuple([1.0] * r))
-    image_logs = diffs[a, :, j].tolist()
-    order = sorted(range(r), key=lambda k: (-image_logs[k], k))
-    sorted_logs = tuple(image_logs[k] for k in order)
-    l = order.index(j) + 1
-    # sanity: decreasing, top equals M_r, the j-image sits at exactly 1,
-    # and the bottom image is at most M_r^{-1} times the top
-    if not (all(sorted_logs[k] >= sorted_logs[k + 1] for k in range(r - 1))
-            and abs(sorted_logs[0] - log_M) <= 1e-9 * max(1.0, abs(log_M))
-            and image_logs[j] == 0.0
-            and sorted_logs[-1] <= sorted_logs[0] - log_M + 1e-9):
-        raise ArithmeticError("direction selection failed its image-norm "
-                              "checks (log M_r = %r)" % log_M)
-    return DirectionSelection(
-        degenerate=False,
-        chosen_root=a + 1,
-        i=i + 1,
-        j=j + 1,
-        l=l,
-        relabeling=tuple(k + 1 for k in order),
-        log_norms=sorted_logs,
-        norms=tuple(_exp(v) for v in sorted_logs),
-    )
+    diffs = vals[:, :, :, None] - vals[:, :, None, :]
+    gains = np.where(diffs > 0.0, diffs, 0.0).reshape(n_tup, -1)
+    best = np.argmax(gains, axis=1)
+    rows = np.arange(n_tup)
+    a, i, j = np.unravel_index(best, diffs.shape[1:])
+    out = []
+    for ra, ri, rj, log_M, image_logs in zip(
+            a.tolist(), i.tolist(), j.tolist(), gains[rows, best].tolist(),
+            diffs[rows, a, :, j].tolist()):
+        if log_M == 0.0:
+            out.append(DirectionSelection(
+                degenerate=True, chosen_root=None, i=None, j=None, l=None,
+                relabeling=tuple(range(1, r + 1)),
+                log_norms=tuple([0.0] * r), norms=tuple([1.0] * r)))
+            continue
+        # decreasing; the sort is stable, so ties keep entry order
+        order = sorted(range(r), key=image_logs.__getitem__, reverse=True)
+        sorted_logs = tuple(map(image_logs.__getitem__, order))
+        # sanity: decreasing, top equals M_r, the j-image sits at exactly
+        # 1, and the bottom image is at most M_r^{-1} times the top
+        if not (all(x >= y for x, y in zip(sorted_logs, sorted_logs[1:]))
+                and abs(sorted_logs[0] - log_M)
+                <= 1e-9 * max(1.0, abs(log_M))
+                and image_logs[rj] == 0.0
+                and sorted_logs[-1] <= sorted_logs[0] - log_M + 1e-9):
+            raise ArithmeticError("direction selection failed its "
+                                  "image-norm checks (log M_r = %r)"
+                                  % log_M)
+        out.append(DirectionSelection(
+            degenerate=False,
+            chosen_root=ra + 1,
+            i=ri + 1,
+            j=rj + 1,
+            l=order.index(rj) + 1,
+            relabeling=tuple(k + 1 for k in order),
+            log_norms=sorted_logs,
+            norms=tuple(map(_exp, sorted_logs)),
+        ))
+    return out

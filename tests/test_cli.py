@@ -71,8 +71,8 @@ def rebuilt_schedule_csv(block):
     rows = []
     for idx, entries in enumerate(block["tuples"]):
         tup = TranslationTuple(entries, domain_tag=action.cone_tag)
-        stats = tuple_stats(action, tup)
-        sel = select_direction(action, tup)
+        (stats,) = tuple_stats(action, [tup])
+        (sel,) = select_direction(action, [tup])
         theta = math.exp(-stats.log_M_r)
         win = choose_window(sel, theta)
         rows.append((idx, tup.r, stats.rho_r, stats.m_r, stats.M_r,
@@ -495,6 +495,75 @@ class TestScheduleCommand:
         assert err["message"].startswith("tuple 1: log M_r = 800.0 ")
         assert "theta = 1/M_r underflows" in err["message"]
         assert not (tmp_path / "schedule.csv").exists()
+
+
+    # (action, a bad three-entry tuple, what its refusal says)
+    BAD_TRIPLES = {
+        "cone": (None, [[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]],
+                 "requires nonnegative coordinates"),
+        "finite": (None, [[1.0, 1.0], [2.0, 2.0], [math.inf, math.inf]],
+                   "entries must be finite"),
+        "ragged": (None, [[1.0, 1.0], [2.0], [3.0, 3.0]],
+                   "entry 1 has 1 coordinates, expected 2"),
+        "rho": ({"dim_t": 2, "roots": [[1.0, 1.0], [1.0, -1.0]]},
+                [[1.0, 2.0], [3.0, -1.0], [0.0, 0.0]],
+                "requires min coordinate >= 0"),
+        "degenerate": (None, [[2.0, 2.0]] * 3, "degenerate"),
+        "M_r": (None, [[1.0, 1.0], [2.0, 2.0], [400.0, 400.0]],
+                "log M_r = 798.0 is past the float range"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_TRIPLES))
+    def test_first_failing_tuple_in_manifest_order(self, tmp_path, runner,
+                                                   kind):
+        # tuple 2 (two entries) also fails, and its length group comes
+        # first, but the refusal names tuple 1
+        action, bad, phrase = self.BAD_TRIPLES[kind]
+        mpath = write_manifest(
+            tmp_path / "s.json",
+            {"mode": "schedule",
+             "schedule": {"action": action or {"builtin": "u_mn", "m": 1,
+                                               "n": 1},
+                          "tuples": [[[2.0, 2.0], [5.0, 5.0]], bad,
+                                     [[3.0, 3.0], [3.0, 3.0]]]}})
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "numerical"
+        assert err["message"].startswith("tuple 1: "), err["message"]
+        assert phrase in err["message"]
+        assert not (tmp_path / "schedule.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_root_values_fail_on_M_r(self, tmp_path, runner):
+        # alpha_1 = t_1 + t_2 overflows on the difference (1e308, 1e308);
+        # numpy's overflow warning would break the one-line JSON stderr
+        mpath = write_manifest(
+            tmp_path / "s.json",
+            {"mode": "schedule",
+             "schedule": {"action": {"dim_t": 2,
+                                     "roots": [[1.0, 1.0], [0.0, 1.0]]},
+                          "tuples": [[[1e308, 1e308], [0.0, 0.0]]]}})
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["message"].startswith(
+            "tuple 0: log M_r = inf is past the float range")
+
+    def test_ragged_roots_are_named(self, tmp_path, runner):
+        mpath = write_manifest(
+            tmp_path / "s.json",
+            {"mode": "schedule",
+             "schedule": {"action": {"dim_t": 2,
+                                     "roots": [[1.0, 1.0], [1.0]]},
+                          "tuples": [[[1.0, 2.0], [3.0, 4.0]]]}})
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert json.loads(res.stderr)["message"] == (
+            "root 1 has 1 coefficients, expected 2")
 
 
 CORRELATE_BLOCK = {
