@@ -19,7 +19,9 @@ failures, failed window checks and failed verify suites.  Errors are
 emitted as one-line JSON on stderr so wrappers can parse them.  All CSV
 output uses 17-significant-digit scientific notation and fixed row
 order, so re-running a manifest reproduces the bytes exactly,
-regardless of the thread count.
+regardless of the thread count.  Every JSON output file is one line of
+strict JSON (RFC 8259) with sorted keys; a NaN or infinite float is
+written as null, next to a log10 twin where the value can read inf.
 """
 
 import json
@@ -127,20 +129,33 @@ def _write(path, text):
 
 
 def _finite_or_null(obj):
-    """obj with every non-finite float replaced by None."""
+    """obj with every non-finite float replaced by None.  Only the dicts,
+    lists and tuples on a path to such a float are copied (a copied tuple
+    becomes a list); obj itself comes back when it holds none."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return obj
+    copy = None
+    for key, value in items:
+        new = _finite_or_null(value)
+        if new is not value:
+            if copy is None:
+                copy = dict(obj) if isinstance(obj, dict) else list(obj)
+            copy[key] = new
+    return obj if copy is None else copy
 
 
 def _json_text(payload):
-    """Strict JSON (RFC 8259): a NaN or infinite float is written as null;
-    where a value can read inf, a log10 twin next to it keeps the value."""
-    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+    """One line of strict JSON (RFC 8259) with sorted keys and a trailing
+    newline: a NaN or infinite float is written as null; where a value can
+    read inf, a log10 twin next to it keeps the value.  Without an indent
+    the json module encodes in C."""
+    return json.dumps(_finite_or_null(payload), sort_keys=True,
                       allow_nan=False) + "\n"
 
 
@@ -164,8 +179,9 @@ def main():
 def _subcommand(*options):
     """Register body(block, seed=, threads=, manifest_path=, **options) as
     the subcommand of its name.  It gets its mode's manifest block and
-    returns ({file name: text}, stdout lines, failure message or None);
-    numerical errors exit 3 before any output, a failure exits 3 after."""
+    returns ({file name: text}, stdout lines (at least one), failure
+    message or None); numerical errors exit 3 before any output, a
+    failure exits 3 after."""
     def register(body):
         mode = body.__name__
 
@@ -182,8 +198,7 @@ def _subcommand(*options):
             os.makedirs(out_dir, exist_ok=True)
             for name, text in files.items():
                 _write(os.path.join(out_dir, name), text)
-            for line in lines:
-                click.echo(line)
+            click.echo("\n".join(lines))
             if failure is not None:
                 _fail(3, "numerical", failure)
 

@@ -14,8 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
-from equidist.cli import _brute_force_pq, _csv_text, main
+from equidist.cli import (_brute_force_pq, _csv_text, _finite_or_null,
+                          _json_text, main)
 from equidist.geometry import (RootAction, TranslationTuple,
                                select_direction, tuple_stats)
 from equidist.selection import choose_window, pigeonhole
@@ -754,6 +757,99 @@ class TestVerifyCommand:
         betas, theta = [2.0 ** 6, 2.0 ** 5, 2.0 ** -24], 2.0 ** -3
         assert _brute_force_pq(betas, theta) == (2, 1)
         assert pigeonhole(betas, theta) == (2, 1)
+
+
+def _old_json_text(payload):
+    """The writer _json_text replaced, as the reference for its parsed
+    value: a deep-copying null pass, then an indented dump."""
+    def null(obj):
+        if isinstance(obj, float):
+            return obj if math.isfinite(obj) else None
+        if isinstance(obj, dict):
+            return {k: null(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [null(v) for v in obj]
+        return obj
+    return json.dumps(null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _holds_nonfinite(obj):
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        return any(map(_holds_nonfinite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_holds_nonfinite, obj))
+    return False
+
+
+def _shares_finite_parts(src, out):
+    """Every part of src that holds no non-finite float is out's part at
+    the same place, and every non-finite float became None."""
+    if not _holds_nonfinite(src):
+        return out is src
+    if isinstance(src, float):
+        return out is None
+    keys = src.keys() if isinstance(src, dict) else range(len(src))
+    return (len(out) == len(src)
+            and all(_shares_finite_parts(src[k], out[k]) for k in keys))
+
+
+_JSON_LEAVES = st.one_of(
+    st.integers(), st.booleans(), st.none(),
+    st.text(max_size=6), st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats().map(np.float64))
+_JSON_PAYLOADS = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=25)
+
+
+@given(_JSON_PAYLOADS)
+def test_json_text_is_strict_and_copies_only_nonfinite_paths(payload):
+    before = repr(payload)
+    text = _json_text(payload)
+    assert text.endswith("\n") and text.count("\n") == 1
+    parsed = json.loads(text, parse_constant=_refuse_constant)
+    assert parsed == json.loads(_old_json_text(payload))
+    # a payload with no non-finite float comes back as the same object
+    assert _shares_finite_parts(payload, _finite_or_null(payload))
+    assert repr(payload) == before
+
+
+# one small manifest per JSON echo; the ledger's base row has a null eps_r
+_ECHO_MANIFESTS = {
+    "ledger.json": {"mode": "ledger", "seed": 7,
+                    "ledger": {"params": GOLDEN_PARAMS, "theorem": "A",
+                               "r_max": 6}},
+    "schedule.json": {"mode": "schedule", "seed": 3, "schedule": {
+        "action": {"builtin": "u_mn", "m": 1, "n": 1},
+        "tuples": [[[2.0, 2.0], [5.0, 5.0]],
+                   [[1.0, 1.0], [3.0, 3.0], [6.0, 6.0]]]}},
+    "correlate_manifest.json": {"mode": "correlate", "seed": 11,
+                                "correlate": CORRELATE_BLOCK},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ECHO_MANIFESTS))
+def test_json_echo_is_one_deterministic_line(tmp_path, runner, name):
+    """The echo is one line ending in a newline, with the same bytes over
+    two runs and at one and at four threads."""
+    manifest = _ECHO_MANIFESTS[name]
+    mpath = write_manifest(tmp_path / "m.json", manifest)
+    texts = []
+    for k, threads in enumerate(("1", "1", "4")):
+        out = tmp_path / str(k)
+        res = runner.invoke(main, [manifest["mode"], "--manifest", mpath,
+                                   "--out", str(out), "--threads", threads])
+        assert res.exit_code == 0, res.output
+        texts.append((out / name).read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0].endswith(b"\n") and texts[0].count(b"\n") == 1
+    read_json(tmp_path / "0" / name)
 
 
 def test_readme_examples(tmp_path, runner):
