@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from importlib import resources
 
 import click
@@ -525,19 +526,15 @@ def fit(blk, seed, manifest_path, **_):
 
 def _brute_force_pq(betas, theta):
     """First (p, q) in lexicographic order satisfying the gap sandwich,
-    decided without logarithms: beta_{p+1} < beta_1 theta^((q+1)/r) is
-    equivalent to beta_{p+1}^r < beta_1^r theta^(q+1).  Every float is a
-    dyadic rational, so scaling the betas by their largest denominator
-    and clearing theta's makes each comparison one of exact integers."""
+    decided in exact rationals: beta_{p+1} < beta_1 theta^((q+1)/r) is
+    equivalent to beta_{p+1}^r < beta_1^r theta^(q+1)."""
     r = len(betas)
-    ratios = [float(b).as_integer_ratio() for b in betas]
-    scale = max(d for _, d in ratios)   # powers of two: every d divides it
-    pows = [(n * (scale // d)) ** r for n, d in ratios]
-    num, den = float(theta).as_integer_ratio()
+    pows = [Fraction(float(b)) ** r for b in betas]
+    thetas = [Fraction(float(theta)) ** k for k in range(r)]
     for p in range(1, r):
         for q in range(0, r - 1):
-            if (pows[p] * den ** (q + 1) < pows[0] * num ** (q + 1)
-                    and pows[0] * num ** q <= pows[p - 1] * den ** q):
+            if (pows[p] < pows[0] * thetas[q + 1]
+                    and pows[0] * thetas[q] <= pows[p - 1]):
                 return p, q
     return None
 

@@ -163,20 +163,12 @@ class EisensteinObservable:
         Evaluates the identity coset plus the three c = 1 candidates
         d in {-1, 0, 1}; every other coset provably lands below y_lo at
         these heights, and out-of-support candidates contribute zero on
-        their own.  A c = 1 candidate height y / ((xc + d)^2 + y^2) never
-        exceeds 1/y <= max(1, 1/min y), so when the whole support sits
-        above that bound the candidates are all exactly +0.0 and only
-        the identity coset is evaluated; the sum is unchanged bit for
-        bit.
+        their own.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(y < _Y_FLOOR - 1e-9):
             raise ValueError("fast path needs y >= sqrt(3)/2; reduce first")
-        if y.size and self.profile.y_lo > (max(1.0, 1.0 / float(y.min()))
-                                           * (1.0 + 1e-12)):
-            return self.profile.value(
-                np.broadcast_to(y, np.broadcast(x, y).shape))
         xc = x - np.round(x)
         total = self.profile.value(y)
         for d in (-1.0, 0.0, 1.0):

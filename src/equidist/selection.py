@@ -7,10 +7,9 @@ that gap into a unit length L whose products L * norm_k separate into a
 group bounded below by theta^(-1/(2r)) and a group bounded above by
 theta^(1/(2r)).
 
-When every input is an exact power of two the gap conditions are decided
-in integer arithmetic over log2, so the selected pair (p, q) carries no
-floating point uncertainty; otherwise float logs are used with a small
-tolerance on the non-strict inequality only.
+The gap conditions are decided exactly on the given floats: raised to
+the r-th power they become comparisons of integers, so the selected pair
+(p, q) carries no rounding uncertainty.
 """
 
 import math
@@ -23,41 +22,6 @@ __all__ = ["pigeonhole", "choose_window", "WindowChoice"]
 _TOL = 1e-12
 
 
-def _is_pow2(x):
-    if x <= 0.0 or not math.isfinite(x):
-        return False
-    return math.frexp(x)[0] == 0.5
-
-
-def _log2_exact(x):
-    # valid only for exact powers of two
-    return math.frexp(x)[1] - 1
-
-
-def _pigeonhole_log(logs, log_theta, r, exact):
-    """Core search over (p, q) in lexicographic order.
-
-    logs[k] = log(beta_{k+1} / beta_1) <= 0, log_theta < 0.  In exact
-    mode both are integer log2 values and the comparisons, multiplied
-    through by r, are between integers; in float mode the non-strict
-    inequality gets an absolute tolerance.
-    """
-    for p in range(1, r):
-        for q in range(0, r - 1):
-            if exact:
-                upper_ok = r * logs[p] < (q + 1) * log_theta
-                lower_ok = q * log_theta <= r * logs[p - 1]
-            else:
-                ub = (q + 1) / r * log_theta
-                lb = q / r * log_theta
-                upper_ok = logs[p] < ub
-                lower_ok = lb <= logs[p - 1] + _TOL * max(
-                    1.0, abs(lb), abs(logs[p - 1]))
-            if upper_ok and lower_ok:
-                return p, q
-    return None
-
-
 def pigeonhole(betas, theta):
     """Smallest lexicographic (p, q), 1-based p, 0-based q, with
 
@@ -67,6 +31,14 @@ def pigeonhole(betas, theta):
     for a decreasing sequence of nonnegative betas (beta_1 > 0) with
     beta_r <= beta_1 * theta and theta in (0, 1).  Such a pair always
     exists, with p in [1, r-1] and q in [0, r-2].
+
+    Raised to the r-th power the conditions read beta_{p+1}^r <
+    beta_1^r theta^(q+1) and beta_1^r theta^q <= beta_p^r.  Every float
+    is a dyadic rational, so scaling the betas by their largest
+    denominator and clearing theta's makes each one a comparison of
+    exact integers.  The preconditions allow a relative slack of _TOL,
+    since callers compute theta and the betas from separately rounded
+    logs.
     """
     betas = [float(b) for b in betas]
     r = len(betas)
@@ -75,6 +47,8 @@ def pigeonhole(betas, theta):
         raise ValueError("need at least two betas")
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly between 0 and 1")
+    if not all(math.isfinite(b) for b in betas):
+        raise ValueError("betas must be finite")
     if betas[0] <= 0.0 or any(b < 0.0 for b in betas):
         raise ValueError("betas must be nonnegative with beta_1 > 0")
     for k in range(r - 1):
@@ -84,19 +58,17 @@ def pigeonhole(betas, theta):
         raise ValueError("beta_r <= beta_1 * theta is required for the "
                          "gap to exist")
 
-    if all(_is_pow2(b) for b in betas) and _is_pow2(theta):
-        n0 = _log2_exact(betas[0])
-        logs = [_log2_exact(b) - n0 for b in betas]
-        log_theta = _log2_exact(theta)
-        hit = _pigeonhole_log(logs, log_theta, r, exact=True)
-    else:
-        l0 = math.log(betas[0])
-        logs = [math.log(b) - l0 if b > 0.0 else -math.inf for b in betas]
-        hit = _pigeonhole_log(logs, math.log(theta), r, exact=False)
-    if hit is None:
-        raise ArithmeticError("no admissible (p, q); inputs violate the "
-                              "gap hypothesis beyond tolerance")
-    return hit
+    ratios = [b.as_integer_ratio() for b in betas]
+    scale = max(d for _, d in ratios)   # powers of two: every d divides it
+    pows = [(n * (scale // d)) ** r for n, d in ratios]
+    num, den = theta.as_integer_ratio()
+    for p in range(1, r):
+        for q in range(r - 1):
+            if (pows[p] * den ** (q + 1) < pows[0] * num ** (q + 1)
+                    and pows[0] * num ** q <= pows[p - 1] * den ** q):
+                return p, q
+    raise ArithmeticError("no admissible (p, q); inputs violate the gap "
+                          "hypothesis beyond tolerance")
 
 
 @dataclass(frozen=True)

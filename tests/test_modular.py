@@ -231,6 +231,19 @@ class TestCorrelation:
         assert val1.real == pytest.approx(oracle1, abs=1e-8)
         assert abs(val1.imag) < 1e-12
 
+    def test_haar_r1_matches_constant_term_oracle(self):
+        # the r = 1 Haar correlation is the Eisenstein constant term
+        # a_0(y), which needs no quadrature grid; on rows resolved to
+        # nodes e^-t >= 100 the midpoint rule agrees with it to rounding
+        haar = HorocycleMeasure.haar()
+        profile = BumpProfile("bump", 1.5, 3.0)
+        obs = EisensteinObservable(profile)
+        for t, nodes in [(1.0, 2 ** 14), (2.0, 2 ** 14), (3.0, 2 ** 14),
+                         (4.0, 2 ** 14), (5.0, 2 ** 14), (6.0, 2 ** 16)]:
+            assert nodes * math.exp(-t) >= 100
+            val = correlation(haar, [obs], [t], nodes=nodes)
+            assert abs(val - _constant_term(profile, math.exp(-t))) <= 1e-12
+
     def test_doubling_nodes_is_stable(self):
         # holds while the spike structure at height e^-t is resolved,
         # which needs e^t well below the node count; at 2^13 nodes that
@@ -254,6 +267,24 @@ class TestCorrelation:
             correlation(haar, [obs], [2.0, 3.0])
         with pytest.raises(ValueError):
             correlation(haar, [], [])
+
+
+def _constant_term(profile, y):
+    """Independent oracle for the r = 1 Haar row at height y: the constant
+    term a_0(y) = f(y) + 2y sum_{c <= (y y_lo)^(-1/2)} phi(c)
+    int_0^inf f(1/(c^2 y (1 + u^2))) du of the Eisenstein series, each
+    integral by adaptive quadrature over the u with u^2 in
+    [1/(c^2 y y_hi) - 1, 1/(c^2 y y_lo) - 1], the support of f."""
+    total = profile.value(y)
+    for c in range(1, int((y * profile.y_lo) ** -0.5) + 1):
+        phi = sum(math.gcd(c, d) == 1 for d in range(1, c + 1))
+        s = c * c * y
+        u_lo = math.sqrt(max(0.0, 1.0 / (s * profile.y_hi) - 1.0))
+        u_hi = math.sqrt(1.0 / (s * profile.y_lo) - 1.0)
+        val, _ = quad(lambda u: profile.value(1.0 / (s * (1.0 + u * u))),
+                      u_lo, u_hi, epsabs=0.0, epsrel=1e-13, limit=200)
+        total += 2.0 * y * phi * val
+    return total
 
 
 def _reference_value_reduced(obs, x, y):

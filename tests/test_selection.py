@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,9 +42,25 @@ class TestPigeonhole:
         # beta_2 sits exactly on the theta^(1/3) boundary, so (1, 0) is
         # inadmissible (strict inequality); float logs round the bound
         # to one ulp below log(beta_2) and would wrongly accept it, the
-        # integer log2 path keeps the equality and moves on to (2, 1)
+        # exact integer comparison keeps the equality and moves on to
+        # (2, 1)
         p, q = pigeonhole([8.0, 4.0, 1.0], 1.0 / 8.0)
         assert (p, q) == (2, 1)
+
+    def test_non_dyadic_ties_decided_exactly(self):
+        # the float 1/27 lies below 1/27, so beta_2 = 27 lies strictly
+        # above 81 theta^(1/3) and (1, 0) fails the strict upper bound;
+        # the float 0.001 lies above 0.001, so beta_2 = 100 lies strictly
+        # below 1000 theta^(1/3) and (1, 0) holds.  Float logs round
+        # both ties the other way.
+        assert pigeonhole([81.0, 27.0, 3.0], 1.0 / 27.0) == (2, 1)
+        assert pigeonhole([1000.0, 100.0, 1.0], 0.001) == (1, 0)
+
+    @pytest.mark.parametrize("betas", [[math.inf, 1.0], [4.0, math.inf],
+                                       [math.nan, 1.0], [4.0, math.nan]])
+    def test_non_finite_betas_rejected(self, betas):
+        with pytest.raises(ValueError, match="betas"):
+            pigeonhole(betas, 0.25)
 
     def test_wide_dyadic_spread(self):
         p, q = pigeonhole([1.0, 2.0 ** -10, 2.0 ** -60], 2.0 ** -60)
@@ -51,7 +69,7 @@ class TestPigeonhole:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_sandwich_holds(self, seed):
-        # the verify battery's suite: pigeonhole picks the exact integer
+        # the verify battery's suite: pigeonhole picks the exact Fraction
         # brute force's pair, so the sandwich holds with no tolerance
         assert _suite_pigeonhole(np.random.default_rng(seed), 4) == (4, 0.0)
 
