@@ -6,10 +6,16 @@ correlation experiments), fit (decay-exponent fits on existing CSVs),
 and verify (a seeded self-check battery).  Each takes --manifest, --out,
 --seed and --threads; correlate also takes --nodes.
 
-One driver runs every subcommand: it validates the manifest against the
-packaged JSON schema, resolves the seed, calls the subcommand's body,
-writes the files the body returns into --out and echoes its summary
-lines.  A body only computes; it returns its files as text.
+One driver runs every subcommand: it checks the manifest, resolves the
+seed, calls the subcommand's body, writes the files the body returns
+into --out and echoes its summary lines.  A body only computes; it
+returns its files as text.
+
+A manifest is parsed as strict JSON (NaN and Infinity are refused) and
+checked against the packaged draft-7 JSON schema by the compiled check,
+a predicate built from the schema at import.  It decides acceptance.
+jsonschema is imported only when it refuses, to word the refusal's
+message and path; a manifest jsonschema accepts still runs.
 
 The verify suites are the only implementation of their randomized
 checks; the test suite calls them with its own seeds and trial counts.
@@ -26,6 +32,7 @@ written as null, next to a log10 twin where the value can read inf.
 
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +40,6 @@ from fractions import Fraction
 from importlib import resources
 
 import click
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -81,21 +87,210 @@ def _read_text(path, what):
               % (what, path, exc))
 
 
+# ------------------------------------------------------ the compiled check
+#
+# A draft-7 schema compiles to one predicate over parsed JSON.  Each
+# keyword becomes a test that passes every instance its keyword does not
+# apply to, as in draft 7; a schema passes an instance that passes all of
+# its tests.
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# draft-7 types: a bool is never a number, an integral float is an integer
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: _is_number(x) and (isinstance(x, int)
+                                            or x.is_integer()),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+
+
+def _equal(a, b):
+    """Draft-7 equality, as enum and const use it: True and 1 differ,
+    1 and 1.0 do not."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k])
+                                            for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _all(tests):
+    if len(tests) == 1:
+        return tests[0]
+
+    def test(x):
+        for t in tests:
+            if not t(x):
+                return False
+        return True
+    return test
+
+
+def _enum_test(values, schema, sub):
+    return lambda x: any(_equal(x, v) for v in values)
+
+
+def _const_test(value, schema, sub):
+    return lambda x: _equal(x, value)
+
+
+def _required_test(names, schema, sub):
+    return lambda x: not isinstance(x, dict) or all(n in x for n in names)
+
+
+def _properties_test(props, schema, sub):
+    tests = [(name, sub(s)) for name, s in props.items()]
+
+    def test(x):
+        if isinstance(x, dict):
+            for name, t in tests:
+                if name in x and not t(x[name]):
+                    return False
+        return True
+    return test
+
+
+def _additional_test(extra, schema, sub):
+    if extra is not False:
+        raise ValueError("additionalProperties %r has no compiled check"
+                         % (extra,))
+    known = frozenset(schema.get("properties", ()))
+    return lambda x: not isinstance(x, dict) or known.issuperset(x)
+
+
+def _items_test(items, schema, sub):
+    if isinstance(items, list):
+        raise ValueError("positional items have no compiled check")
+    each = sub(items)
+    return lambda x: not isinstance(x, list) or all(map(each, x))
+
+
+def _length_test(within):
+    return lambda n, schema, sub: (
+        lambda x: not isinstance(x, list) or within(len(x), n))
+
+
+def _bound_test(fails):
+    """A numeric bound; fails is the comparison that refuses, as in
+    jsonschema."""
+    return lambda bound, schema, sub: (
+        lambda x: not _is_number(x) or not fails(x, bound))
+
+
+def _one_of_test(schemas, schema, sub):
+    tests = [sub(s) for s in schemas]
+    return lambda x: sum(t(x) for t in tests) == 1
+
+
+def _not_test(negated, schema, sub):
+    test = sub(negated)
+    return lambda x: not test(x)
+
+
+def _if_test(cond, schema, sub):
+    test, then = sub(cond), sub(schema.get("then", True))
+    return lambda x: not test(x) or then(x)
+
+
+_KEYWORDS = {
+    "type": lambda name, schema, sub: _TYPES[name],
+    "enum": _enum_test,
+    "const": _const_test,
+    "required": _required_test,
+    "properties": _properties_test,
+    "additionalProperties": _additional_test,
+    "items": _items_test,
+    "minItems": _length_test(operator.ge),
+    "maxItems": _length_test(operator.le),
+    "minimum": _bound_test(operator.lt),
+    "maximum": _bound_test(operator.gt),
+    "exclusiveMinimum": _bound_test(operator.le),
+    "exclusiveMaximum": _bound_test(operator.ge),
+    "allOf": lambda schemas, schema, sub: _all([sub(s) for s in schemas]),
+    "oneOf": _one_of_test,
+    "not": _not_test,
+    "if": _if_test,
+    "then": None,  # read by if
+    "$schema": None, "title": None, "definitions": None,
+}
+
+
+def _compile(schema, root):
+    """The predicate of schema, a subschema of root.  $ref takes a local
+    JSON pointer, such as #/definitions/params; a keyword outside
+    _KEYWORDS raises ValueError, so no check is skipped unseen."""
+    if isinstance(schema, bool):
+        return lambda x: schema
+    if "$ref" in schema:
+        # draft 7 ignores the siblings of $ref
+        ref = schema["$ref"]
+        if not ref.startswith("#/"):
+            raise ValueError("$ref %r has no compiled check; only local "
+                             "ones do" % ref)
+        target = root
+        for part in ref[2:].split("/"):
+            target = target[part]
+        return _compile(target, root)
+    unknown = sorted(set(schema) - set(_KEYWORDS))
+    if unknown:
+        raise ValueError("schema keywords %s have no compiled check"
+                         % ", ".join(unknown))
+    return _all([_KEYWORDS[key](value, schema,
+                                lambda s: _compile(s, root))
+                 for key, value in schema.items()
+                 if _KEYWORDS[key] is not None])
+
+
+def _compiled_schema():
+    schema = _schema()
+    return _compile(schema, schema)
+
+
+_MANIFEST_CHECK = _compiled_schema()
+
+
+def _refuse_constant(token):
+    raise ValueError("%s is not a JSON number" % token)
+
+
 def _load_manifest(path, expect_mode):
+    """The manifest, parsed as strict JSON and checked against the
+    packaged schema.  The compiled check decides; jsonschema, imported
+    only then, words a refusal, and a manifest it accepts runs."""
     text = _read_text(path, "manifest")
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_refuse_constant)
     except ValueError as exc:
         _fail(2, "schema", "manifest is not valid JSON: %s" % exc)
-    try:
-        jsonschema.validate(obj, _schema())
-    except jsonschema.ValidationError as exc:
-        _fail(2, "schema", exc.message,
-              path=[str(p) for p in exc.absolute_path])
+    if not _MANIFEST_CHECK(obj):
+        import jsonschema
+        try:
+            jsonschema.validate(obj, _schema())
+        except jsonschema.ValidationError as exc:
+            _fail(2, "schema", exc.message,
+                  path=[str(p) for p in exc.absolute_path])
     if obj["mode"] != expect_mode:
         _fail(2, "schema", "manifest mode %r does not match subcommand %r"
               % (obj["mode"], expect_mode))
     return obj
+
+
+def __getattr__(name):
+    # cli.jsonschema stays reachable without importing it with the module
+    if name == "jsonschema":
+        import jsonschema
+        return jsonschema
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _resolve_threads(threads):

