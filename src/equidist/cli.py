@@ -9,13 +9,15 @@ and verify (a seeded self-check battery).  Each takes --manifest, --out,
 One driver runs every subcommand: it checks the manifest, resolves the
 seed, calls the subcommand's body, writes the files the body returns
 into --out and echoes its summary lines.  A body only computes; it
-returns its files as text.
+returns its files as text, or, as schedule does, as chunks that format
+its columns one tuple at a time.
 
-A manifest is parsed as strict JSON (NaN and Infinity are refused) and
-checked against the packaged draft-7 JSON schema by the compiled check,
-a predicate built from the schema at import.  It decides acceptance.
-jsonschema is imported only when it refuses, to word the refusal's
-message and path; a manifest jsonschema accepts still runs.
+A manifest is parsed as strict JSON (NaN, Infinity and number literals
+past the float range, such as 1e400, are refused) and checked against
+the packaged draft-7 JSON schema by the compiled check, a predicate
+built from the schema at import.  It decides acceptance.  jsonschema is
+imported only when it refuses, to word the refusal's message and path;
+a manifest jsonschema accepts still runs.
 
 The verify suites are the only implementation of their randomized
 checks; the test suite calls them with its own seeds and trial counts.
@@ -38,20 +40,21 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 
 import click
 import numpy as np
 
 from . import __version__
 from .constants import (AssumptionParams, ConstantGrowth, PowerLawGrowth,
-                        TabulatedGrowth, bound_evaluate, build_ledger)
+                        TabulatedGrowth, _exp, bound_evaluate, build_ledger)
 from .geometry import (DirectionSelection, RootAction, TranslationTuple,
-                       select_direction, star_norm, tuple_stats)
+                       TupleStack, select_direction, star_norm, tuple_stats)
 from .modular import (BumpProfile, ConstantObservable, EisensteinObservable,
                       HorocycleMeasure, check_integral_estimate, correlation,
                       delta_statistics, fit_decay, reduce_arrays,
                       s_norm_surrogate)
-from .selection import choose_window, pigeonhole
+from .selection import _CHECKS, _window_row, choose_window, pigeonhole
 from .wiener import (TorusMeasure, TorusObservable, character_expansion_check,
                      equivariance_check, wiener_norm)
 
@@ -59,6 +62,8 @@ _LOG10 = math.log(10.0)
 _NUMERIC_ERRORS = (ValueError, ArithmeticError, KeyError)
 # the schema's cap on verify.trials, also the longest time family
 _MAX_FAMILY_ROWS = 100000
+# stdout lines per write
+_ECHO_LINES = 1024
 
 
 def _fail(code, kind, message, **extra):
@@ -263,13 +268,22 @@ def _refuse_constant(token):
     raise ValueError("%s is not a JSON number" % token)
 
 
+def _finite_float(token):
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError("%s is past the float range" % token)
+    return value
+
+
 def _load_manifest(path, expect_mode):
-    """The manifest, parsed as strict JSON and checked against the
-    packaged schema.  The compiled check decides; jsonschema, imported
-    only then, words a refusal, and a manifest it accepts runs."""
+    """The manifest, parsed as strict JSON with every number finite, and
+    checked against the packaged schema.  The compiled check decides;
+    jsonschema, imported only then, words a refusal, and a manifest it
+    accepts runs."""
     text = _read_text(path, "manifest")
     try:
-        obj = json.loads(text, parse_constant=_refuse_constant)
+        obj = json.loads(text, parse_constant=_refuse_constant,
+                         parse_float=_finite_float)
     except ValueError as exc:
         _fail(2, "schema", "manifest is not valid JSON: %s" % exc)
     if not _MANIFEST_CHECK(obj):
@@ -320,8 +334,12 @@ def _at_least(floor):
 
 
 def _write(path, text):
+    """Write text, or an iterable of text chunks, to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
 
 
 def _finite_or_null(obj):
@@ -346,24 +364,36 @@ def _finite_or_null(obj):
     return obj if copy is None else copy
 
 
+def _json_value(obj):
+    """obj as strict JSON (RFC 8259) on one line, with sorted keys: a NaN
+    or infinite float is written as null.  Without an indent the json
+    module encodes in C; only a refused float makes it walk obj."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite_or_null(obj), sort_keys=True,
+                          allow_nan=False)
+
+
 def _json_text(payload):
-    """One line of strict JSON (RFC 8259) with sorted keys and a trailing
-    newline: a NaN or infinite float is written as null; where a value can
-    read inf, a log10 twin next to it keeps the value.  Without an indent
-    the json module encodes in C."""
-    return json.dumps(_finite_or_null(payload), sort_keys=True,
-                      allow_nan=False) + "\n"
+    """payload as one line of strict JSON with a trailing newline; where
+    a value can read inf, a log10 twin next to it keeps the value."""
+    return _json_value(payload) + "\n"
+
+
+def _csv_lines(header, rows):
+    """Comma-separated table, one line at a time: %d for int and bool
+    cells, %.16e for the rest, so the same rows always give the same
+    bytes."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(("%d" if isinstance(v, int) else "%.16e") % v
+                       for v in row) + "\n"
 
 
 def _csv_text(header, rows):
-    """Comma-separated table: %d for int and bool cells, %.16e for the
-    rest, so the same rows always give the same bytes."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            ("%d" if isinstance(v, int) else "%.16e") % v
-            for v in row))
-    return "\n".join(lines) + "\n"
+    """The comma-separated table of _csv_lines as one text."""
+    return "".join(_csv_lines(header, rows))
 
 
 @click.group()
@@ -375,9 +405,12 @@ def main():
 def _subcommand(*options):
     """Register body(block, seed=, threads=, manifest_path=, **options) as
     the subcommand of its name.  It gets its mode's manifest block and
-    returns ({file name: text}, stdout lines (at least one), failure
-    message or None); numerical errors exit 3 before any output, a
-    failure exits 3 after."""
+    returns ({file name: text or an iterable of text chunks}, an iterable
+    of stdout lines (at least one), failure message or None).  Numerical
+    errors exit 3 before any output, so a body computes everything
+    before it returns and its iterables only format; each file is
+    written one chunk at a time and stdout in blocks of _ECHO_LINES
+    lines.  A failure exits 3 after the output."""
     def register(body):
         mode = body.__name__
 
@@ -394,7 +427,9 @@ def _subcommand(*options):
             os.makedirs(out_dir, exist_ok=True)
             for name, text in files.items():
                 _write(os.path.join(out_dir, name), text)
-            click.echo("\n".join(lines))
+            lines = iter(lines)
+            while block := list(islice(lines, _ECHO_LINES)):
+                click.echo("\n".join(block))
             if failure is not None:
                 _fail(3, "numerical", failure)
 
@@ -472,49 +507,49 @@ def ledger(blk, seed, **_):
     }, lines, None
 
 
-# schedule.csv columns; a record holds these and the fields below
+# schedule.csv columns
 _SCHEDULE_COLUMNS = (
     "tuple_index", "r", "rho_r", "m_r", "M_r", "Delta_mult", "chosen_root",
     "i", "j", "l", "theta", "p", "q", "L", "log_L", "ok_scale_cap",
     "ok_group_lower", "ok_group_upper")
-# the per-tuple fields of schedule.json: the join key and what the CSV lacks
-_SCHEDULE_JSON_FIELDS = ("tuple_index", "entries", "log_Delta_r",
-                         "relabeling", "log_norms", "checks")
+# the window columns of a schedule: theta, one _window_row and L
+_WINDOW_COLUMNS = ("theta", "p", "q", "log_L") + tuple(
+    "%s_%s" % (part, name) for name in _CHECKS
+    for part in ("lhs", "rhs", "ok")) + ("L",)
 
 
-def _schedule_records(action, tuples, theta_spec):
-    """One schedule record per tuple, in input order, from one
-    tuple_stats and one select_direction call.  A refusal does not name
+def _schedule_columns(action, tuples, theta_spec):
+    """The schedule of tuples (entry lists) as columns in input order:
+    the checked TupleStack, its tuple_stats and select_direction results,
+    M_r, and {name: list} for _WINDOW_COLUMNS.  A refusal does not name
     its tuple."""
-    tuples = [TranslationTuple(entries, domain_tag=action.cone_tag)
-              for entries in tuples]
-    stats = tuple_stats(action, tuples)
-    for st in stats:
-        if st.M_r == math.inf:
-            raise ValueError("log M_r = %r is past the float range, so "
-                             "theta = 1/M_r underflows and the image "
-                             "norms overflow; no window is computed"
-                             % st.log_M_r)
-    records = []
-    for idx, (tup, st, sel) in enumerate(
-            zip(tuples, stats, select_direction(action, tuples))):
-        if sel.degenerate:
-            raise ValueError("degenerate (all entries coincide); no "
-                             "window exists")
-        theta = (math.exp(-st.log_M_r) if theta_spec == "auto"
+    stack = TupleStack(tuples, domain_tag=action.cone_tag)
+    stats = tuple_stats(action, stack)
+    log_M = stats.log_M_r.tolist()
+    M = [_exp(v) for v in log_M]
+    if math.inf in M:
+        raise ValueError("log M_r = %r is past the float range, so theta = "
+                         "1/M_r underflows and the image norms overflow; "
+                         "no window is computed"
+                         % log_M[M.index(math.inf)])
+    sel = select_direction(action, stack)
+    if sel.degenerate.any():
+        raise ValueError("degenerate (all entries coincide); no window "
+                         "exists")
+    log_norms, offsets = sel.log_norms.tolist(), sel.offsets.tolist()
+    window = {name: [] for name in _WINDOW_COLUMNS}
+    appends = [window[name].append for name in _WINDOW_COLUMNS]
+    for k, log_M_r in enumerate(log_M):
+        theta = (math.exp(-log_M_r) if theta_spec == "auto"
                  else float(theta_spec))
-        win = choose_window(sel, theta)
-        records.append(dict(
-            tuple_index=idx, r=tup.r, rho_r=st.rho_r, m_r=st.m_r,
-            M_r=st.M_r, Delta_mult=st.Delta_r,
-            chosen_root=sel.chosen_root, i=sel.i, j=sel.j, l=sel.l,
-            theta=theta, p=win.p, q=win.q, L=win.L, log_L=win.log_L,
-            **{"ok_" + name: ok for name, (_, _, ok) in win.checks.items()},
-            entries=tup.entries.tolist(), log_Delta_r=st.log_Delta_r,
-            relabeling=sel.relabeling, log_norms=sel.log_norms,
-            checks={name: {"lhs": lhs, "rhs": rhs}
-                    for name, (lhs, rhs, _) in win.checks.items()}))
-    return records
+        logs = log_norms[offsets[k]:offsets[k + 1]]
+        p, q, log_L, *checks = _window_row(logs, [_exp(v) for v in logs],
+                                           theta)
+        for append, value in zip(appends, (theta, p, q, log_L,
+                                           *(v for c in checks for v in c),
+                                           math.exp(log_L))):
+            append(value)
+    return stack, stats, sel, M, window
 
 
 @_subcommand()
@@ -525,36 +560,65 @@ def schedule(blk, seed, **_):
     action = (RootAction.u_mn(spec["m"], spec["n"]) if "builtin" in spec
               else RootAction.from_json(spec))
     try:
-        records = _schedule_records(action, blk["tuples"], theta_spec)
+        stack, stats, sel, M, window = _schedule_columns(
+            action, blk["tuples"], theta_spec)
     except _NUMERIC_ERRORS:
         # refuse for the first failing tuple in manifest order, by index
         for idx, entries in enumerate(blk["tuples"]):
             try:
-                _schedule_records(action, [entries], theta_spec)
+                _schedule_columns(action, [entries], theta_spec)
             except _NUMERIC_ERRORS as exc:
                 raise ValueError("tuple %d: %s" % (idx, exc)) from None
         raise
-    ok_all = all(rec["ok_scale_cap"] and rec["ok_group_lower"]
-                 and rec["ok_group_upper"] for rec in records)
-    lines = ["schedule: %d tuples, window checks %s"
-             % (len(records), "all passed" if ok_all else "FAILED")]
-    lines += ["  tuple=%(tuple_index)d r=%(r)d (p,q)=(%(p)d,%(q)d) L=%(L).6g"
-              % rec for rec in records]
+    oks = [window["ok_" + name] for name in _CHECKS]
+    ok_all = all(all(ok) for ok in oks)
+    r = stack.r.tolist()
+
+    csv_rows = zip(range(len(r)), r,
+                   *(map(_exp, col.tolist()) for col in (
+                       stats.log_rho_r, stats.log_m_r)), M,
+                   map(_exp, stats.log_Delta_r.tolist()),
+                   *(col.tolist() for col in (sel.chosen_root, sel.i, sel.j,
+                                              sel.l)),
+                   *(window[name] for name in ("theta", "p", "q", "L",
+                                               "log_L")), *oks)
+
+    def lines():
+        yield ("schedule: %d tuples, window checks %s"
+               % (len(r), "all passed" if ok_all else "FAILED"))
+        for k, fields in enumerate(zip(r, window["p"], window["q"],
+                                       window["L"])):
+            yield "  tuple=%d r=%d (p,q)=(%d,%d) L=%.6g" % (k, *fields)
+
+    def json_chunks():
+        # the keys in sorted order, one tuple at a time
+        yield ('{"action": %s, "mode": "schedule", "seed": %s, "tuples": ['
+               % (_json_value(action.to_json()), _json_value(seed)))
+        relabeling = sel.relabeling.tolist()
+        log_norms = sel.log_norms.tolist()
+        offsets = sel.offsets.tolist()
+        checks = [(name, window["lhs_" + name], window["rhs_" + name])
+                  for name in _CHECKS]
+        for k, log_Delta_r in enumerate(stats.log_Delta_r.tolist()):
+            lo, hi = offsets[k], offsets[k + 1]
+            yield (", " if k else "") + _json_value({
+                "tuple_index": k, "entries": stack[k].tolist(),
+                "log_Delta_r": log_Delta_r,
+                "relabeling": relabeling[lo:hi],
+                "log_norms": log_norms[lo:hi],
+                "checks": {name: {"lhs": lhs[k], "rhs": rhs[k]}
+                           for name, lhs, rhs in checks}})
+        yield '], "version": %s}\n' % _json_value(__version__)
+
     return {
-        "schedule.csv": _csv_text(
-            _SCHEDULE_COLUMNS,
-            [[rec[c] for c in _SCHEDULE_COLUMNS] for rec in records]),
-        "schedule.json": _json_text(
-            {"mode": "schedule", "seed": seed, "action": action.to_json(),
-             "tuples": [{k: rec[k] for k in _SCHEDULE_JSON_FIELDS}
-                        for rec in records],
-             "version": __version__}),
+        "schedule.csv": _csv_lines(_SCHEDULE_COLUMNS, csv_rows),
+        "schedule.json": json_chunks(),
         "schedule.gp": _gnuplot(
             "window length against tuple index",
             ["logscale y", "xlabel 'tuple index'",
              "ylabel 'window length L'"],
             ["'schedule.csv' using 1:14 with points pt 7 title 'L'"]),
-    }, lines, None if ok_all else "window inequality check failed"
+    }, lines(), None if ok_all else "window inequality check failed"
 
 
 def _expand_times(blk):

@@ -11,9 +11,15 @@ Multiplicative quantities overflow quickly for large translations, so
 every statistic is returned together with its natural logarithm and all
 internal comparisons happen in log space; past the float range the
 statistic itself reads inf while its logarithm stays exact.
+
+Tuples are checked and stacked by shape (TupleStack), and each stacked
+pass returns arrays, so the results are columns with one value, or r
+values, per tuple (StatsColumns, SelectionColumns); indexing one gives
+the per-tuple TupleStats or DirectionSelection.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,8 +30,11 @@ from .constants import _exp
 __all__ = [
     "RootAction",
     "TranslationTuple",
+    "TupleStack",
     "TupleStats",
+    "StatsColumns",
     "DirectionSelection",
+    "SelectionColumns",
     "star_norm",
     "log_star_norm",
     "tuple_stats",
@@ -178,6 +187,8 @@ def _matrix(rows, width, message):
 
 
 def _cone_check(entries, tag):
+    """Refuse a stack of tuples, shape (N, r, dim_t), of which one leaves
+    the domain named by tag; each tuple is scaled by its own entries."""
     if tag == "free":
         return
     if tag.startswith("u_mn:"):
@@ -185,13 +196,13 @@ def _cone_check(entries, tag):
             m, n = (int(s) for s in tag[5:].split(","))
         except Exception:
             raise ValueError("malformed cone tag %r" % tag) from None
-        if entries.shape[1] != m + n:
+        if entries.shape[2] != m + n:
             raise ValueError("cone %r expects %d coordinates" % (tag, m + n))
-        scale = 1.0 + np.max(np.abs(entries))
-        if np.any(entries < -1e-12 * scale):
+        scale = 1.0 + np.max(np.abs(entries), axis=(1, 2))[:, None]
+        if np.any(entries < -1e-12 * scale[:, :, None]):
             raise ValueError("cone %r requires nonnegative coordinates" % tag)
-        left = entries[:, :m].sum(axis=1)
-        right = entries[:, m:].sum(axis=1)
+        left = entries[:, :, :m].sum(axis=2)
+        right = entries[:, :, m:].sum(axis=2)
         if np.any(np.abs(left - right) > 1e-9 * scale):
             raise ValueError("cone %r requires balanced block sums" % tag)
         return
@@ -214,7 +225,7 @@ class TranslationTuple:
                              "coordinate vectors")
         if not np.all(np.isfinite(mat)):
             raise ValueError("entries must be finite")
-        _cone_check(mat, domain_tag)
+        _cone_check(mat[None], domain_tag)
         self.entries = mat
         self.entries.setflags(write=False)
         self.domain_tag = str(domain_tag)
@@ -264,43 +275,141 @@ class TupleStats:
 _CHUNK = 1024
 
 
-def _by_length(action, tuples, stacked):
-    """stacked(action, E) for each group of equal-length tuples, E the
-    C-contiguous (N, r, dim_t) stack of at most _CHUNK of their entries;
-    the per-tuple results come back in input order."""
-    tuples = list(tuples)
-    groups = {}
-    for pos, tup in enumerate(tuples):
-        r, dim_t = tup.entries.shape
-        if dim_t != action.dim_t:
+def _shape(entries):
+    try:
+        return len(entries), len(entries[0])
+    except (TypeError, IndexError):
+        return None  # not a nonempty sequence of sequences
+
+
+class TupleStack(Sequence):
+    """Translation tuples, checked as TranslationTuple checks one, and
+    stacked by shape.
+
+    tuples holds TranslationTuples, whose checks have run, or entry
+    lists, checked here against domain_tag; item k is the read-only
+    (r, dim_t) entry array of tuple k.  groups lists, per shape in order
+    of first appearance, the increasing input positions of its tuples
+    and their read-only (N, r, dim_t) entries.  r gives each tuple's
+    length in input order, and offsets its first row in a column that
+    holds r values per tuple: tuple k owns rows offsets[k] to
+    offsets[k + 1].
+    """
+
+    def __init__(self, tuples, domain_tag="free"):
+        tuples = [getattr(tup, "entries", tup) for tup in tuples]
+        shapes = {}
+        for pos, entries in enumerate(tuples):
+            shapes.setdefault(_shape(entries), []).append(pos)
+        self.groups = []
+        self._where = np.empty((len(tuples), 2), dtype=np.intp)
+        self.r = np.empty(len(tuples), dtype=np.intp)
+        for g, positions in enumerate(shapes.values()):
+            members = [tuples[p] for p in positions]
+            try:
+                entries = np.array(members, dtype=float)
+            except ValueError:
+                entries = None
+            if entries is None or entries.ndim != 3:
+                # refused as the first malformed tuple alone is refused
+                for member in members:
+                    TranslationTuple(member, domain_tag)
+                raise ValueError("tuples of shape %r do not stack"
+                                 % (_shape(members[0]),))
+            if not np.all(np.isfinite(entries)):
+                raise ValueError("entries must be finite")
+            _cone_check(entries, domain_tag)
+            entries.setflags(write=False)
+            positions = np.array(positions, dtype=np.intp)
+            self.groups.append((positions, entries))
+            self._where[positions, 0] = g
+            self._where[positions, 1] = np.arange(len(positions))
+            self.r[positions] = entries.shape[1]
+        self.offsets = np.zeros(len(tuples) + 1, dtype=np.intp)
+        np.cumsum(self.r, out=self.offsets[1:])
+
+    def __len__(self):
+        return len(self.r)
+
+    def __getitem__(self, k):
+        g, row = self._where[k]
+        return self.groups[g][1][row]
+
+
+def _as_stack(tuples):
+    return tuples if isinstance(tuples, TupleStack) else TupleStack(tuples)
+
+
+def _by_length(action, stack, stacked, columns):
+    """Fill columns, in input order, from stacked(action, E) for each
+    group of a TupleStack, E a C-contiguous (N, r, dim_t) stack of at
+    most _CHUNK of its tuples.  stacked returns one array per column: an
+    (N,) array fills a column of one value per tuple, an (N, r) array
+    one of r values per tuple, at the stack's offsets."""
+    for _, entries in stack.groups:
+        if entries.shape[2] != action.dim_t:
             raise ValueError("expected length-%d coordinate vectors, got %d"
-                             % (action.dim_t, dim_t))
-        groups.setdefault(r, []).append(pos)
-    out = [None] * len(tuples)
-    chunks = [group[k:k + _CHUNK] for group in groups.values()
-              for k in range(0, len(group), _CHUNK)]
-    for positions in chunks:
-        entries = np.stack([tuples[p].entries for p in positions])
-        # values past the float range read +-inf or NaN, and the stacked
-        # passes handle both, so numpy need not warn about them
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = stacked(action, entries)
-        for p, res in zip(positions, results):
-            out[p] = res
-    return out
+                             % (action.dim_t, entries.shape[2]))
+    for positions, entries in stack.groups:
+        for k in range(0, len(positions), _CHUNK):
+            chunk = positions[k:k + _CHUNK]
+            # values past the float range read +-inf or NaN, and the
+            # stacked passes handle both, so numpy need not warn about them
+            with np.errstate(over="ignore", invalid="ignore"):
+                arrays = stacked(action, entries[k:k + _CHUNK])
+            rows = stack.offsets[chunk, None] + np.arange(entries.shape[1])
+            for col, arr in zip(columns, arrays):
+                col[chunk if arr.ndim == 1 else rows] = arr
+
+
+@dataclass(eq=False)
+class StatsColumns(Sequence):
+    """The statistics of a stack of tuples: item k is tuple k's
+    TupleStats.  Each field is an array with one value per tuple, in
+    input order; the multiplicative statistics are computed from the
+    logs per item."""
+    r: np.ndarray
+    log_rho_r: np.ndarray
+    log_m_r: np.ndarray
+    log_M_r: np.ndarray
+    log_Delta_r: np.ndarray
+
+    def __len__(self):
+        return len(self.r)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        log_rho_r, log_m, log_M, log_delta = (
+            float(col[k]) for col in (self.log_rho_r, self.log_m_r,
+                                      self.log_M_r, self.log_Delta_r))
+        return TupleStats(
+            r=int(self.r[k]),
+            rho_r=_exp(log_rho_r),
+            m_r=_exp(log_m),
+            M_r=_exp(log_M),
+            Delta_r=_exp(log_delta),
+            log_rho_r=log_rho_r,
+            log_m_r=log_m,
+            log_M_r=log_M,
+            log_Delta_r=log_delta,
+        )
 
 
 def tuple_stats(action, tuples):
     """Statistics (rho_r, m_r, M_r, Delta_r) of each translation tuple.
 
-    Takes a sequence of TranslationTuple and returns one TupleStats per
-    tuple, in input order; tuples of one length are computed together,
+    Takes a TupleStack or a sequence of TranslationTuple and returns
+    StatsColumns: one TupleStats per tuple, in input order, kept as
+    columns of logarithms.  Tuples of one length are computed together,
     in stacked passes of up to _CHUNK tuples.  The growth value of one
     entry is rho(t) = exp(min coordinate), evaluated in log space so
     large translations cannot overflow.  A root value that is NaN (an
     overflowing inf - inf) never sets m_r or M_r.
     """
-    return _by_length(action, tuples, _stats_stack)
+    stack = _as_stack(tuples)
+    cols = [np.empty(len(stack)) for _ in range(4)]
+    _by_length(action, stack, _stats_stack, cols)
+    return StatsColumns(stack.r, *cols)
 
 
 def _stats_stack(action, entries):
@@ -314,26 +423,18 @@ def _stats_stack(action, entries):
     # log star norm of every pair t_i - t_j, i < j
     pair = np.max(np.abs(action.root_values(entries[:, i] - entries[:, j])),
                   axis=2)
-    out = []
-    for log_rhos, norms in zip(mins.tolist(), pair.tolist()):
-        log_rho_r = min(log_rhos)
-        # fold from log m_r = inf and log M_r = 0 (the pair (i, i) has
-        # star norm 1); a NaN never replaces either
-        log_m = min([math.inf] + norms)
-        log_M = max([0.0] + norms)
-        log_delta = log_rhos[0] if r == 1 else min(log_rho_r, log_m)
-        out.append(TupleStats(
-            r=r,
-            rho_r=_exp(log_rho_r),
-            m_r=_exp(log_m),
-            M_r=_exp(log_M),
-            Delta_r=_exp(log_delta),
-            log_rho_r=log_rho_r,
-            log_m_r=log_m,
-            log_M_r=log_M,
-            log_Delta_r=log_delta,
-        ))
-    return out
+    # the first smallest minimum, as a left fold keeps it (0.0 and -0.0
+    # tie)
+    log_rho_r = np.take_along_axis(mins, np.argmin(mins, axis=1)[:, None],
+                                   axis=1)[:, 0]
+    # fold from log m_r = inf and log M_r = 0 (the pair (i, i) has star
+    # norm 1); a NaN never replaces either
+    log_m = np.fmin.reduce(pair, axis=1, initial=math.inf)
+    log_M = np.fmax.reduce(pair, axis=1, initial=0.0)
+    # min(log rho_r, log m_r), keeping log rho_r on a tie; for r = 1,
+    # log m_r = inf leaves log rho(t_1)
+    log_delta = np.where(log_m < log_rho_r, log_m, log_rho_r)
+    return log_rho_r, log_m, log_M, log_delta
 
 
 @dataclass(frozen=True)
@@ -366,18 +467,60 @@ class DirectionSelection:
         return self.log_norms[0]
 
 
+@dataclass(eq=False)
+class SelectionColumns(Sequence):
+    """The direction selections of a stack of tuples: item k is tuple
+    k's DirectionSelection.  degenerate, chosen_root, i, j and l hold
+    one value per tuple, in input order (the indices read 0 where
+    degenerate); relabeling and log_norms hold r values per tuple, tuple
+    k's at rows offsets[k] to offsets[k + 1].  The norms are computed
+    from log_norms per item."""
+    offsets: np.ndarray
+    degenerate: np.ndarray
+    chosen_root: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    l: np.ndarray
+    relabeling: np.ndarray
+    log_norms: np.ndarray
+
+    def __len__(self):
+        return len(self.degenerate)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        log_norms = tuple(self.log_norms[lo:hi].tolist())
+        degenerate = bool(self.degenerate[k])
+        return DirectionSelection(
+            degenerate,
+            *((None,) * 4 if degenerate else
+              (int(col[k]) for col in (self.chosen_root, self.i, self.j,
+                                       self.l))),
+            relabeling=tuple(self.relabeling[lo:hi].tolist()),
+            log_norms=log_norms,
+            norms=tuple(map(_exp, log_norms)),
+        )
+
+
 def select_direction(action, tuples):
     """Pick (i, j, root) attaining M_r and return the sorted image data.
 
-    Takes a sequence of TranslationTuple, each with r >= 2, and returns
-    one DirectionSelection per tuple, in input order; tuples of one
-    length are computed together, in stacked passes of up to _CHUNK
-    tuples.  Ties in the argmax are
-    broken by smallest (root index, i, j).  A tuple with all entries
-    equal yields a degenerate selection instead of an arbitrary
+    Takes a TupleStack or a sequence of TranslationTuple, each with r >=
+    2, and returns SelectionColumns: one DirectionSelection per tuple, in
+    input order, kept as columns.  Tuples of one length are computed
+    together, in stacked passes of up to _CHUNK tuples.  Ties in the
+    argmax are broken by smallest (root index, i, j).  A tuple with all
+    entries equal yields a degenerate selection instead of an arbitrary
     direction.
     """
-    return _by_length(action, tuples, _selection_stack)
+    stack = _as_stack(tuples)
+    n, rows = len(stack), stack.offsets[-1]
+    cols = [np.empty(n, dtype=bool), *(np.empty(n, dtype=np.intp)
+                                       for _ in range(4)),
+            np.empty(rows, dtype=np.intp), np.empty(rows)]
+    _by_length(action, stack, _selection_stack, cols)
+    return SelectionColumns(stack.offsets, *cols)
 
 
 def _selection_stack(action, entries):
@@ -394,37 +537,29 @@ def _selection_stack(action, entries):
     best = np.argmax(gains, axis=1)
     rows = np.arange(n_tup)
     a, i, j = np.unravel_index(best, diffs.shape[1:])
-    out = []
-    for ra, ri, rj, log_M, image_logs in zip(
-            a.tolist(), i.tolist(), j.tolist(), gains[rows, best].tolist(),
-            diffs[rows, a, :, j].tolist()):
-        if log_M == 0.0:
-            out.append(DirectionSelection(
-                degenerate=True, chosen_root=None, i=None, j=None, l=None,
-                relabeling=tuple(range(1, r + 1)),
-                log_norms=tuple([0.0] * r), norms=tuple([1.0] * r)))
-            continue
-        # decreasing; the sort is stable, so ties keep entry order
-        order = sorted(range(r), key=image_logs.__getitem__, reverse=True)
-        sorted_logs = tuple(map(image_logs.__getitem__, order))
-        # sanity: decreasing, top equals M_r, the j-image sits at exactly
-        # 1, and the bottom image is at most M_r^{-1} times the top
-        if not (all(x >= y for x, y in zip(sorted_logs, sorted_logs[1:]))
-                and abs(sorted_logs[0] - log_M)
-                <= 1e-9 * max(1.0, abs(log_M))
-                and image_logs[rj] == 0.0
-                and sorted_logs[-1] <= sorted_logs[0] - log_M + 1e-9):
-            raise ArithmeticError("direction selection failed its "
-                                  "image-norm checks (log M_r = %r)"
-                                  % log_M)
-        out.append(DirectionSelection(
-            degenerate=False,
-            chosen_root=ra + 1,
-            i=ri + 1,
-            j=rj + 1,
-            l=order.index(rj) + 1,
-            relabeling=tuple(k + 1 for k in order),
-            log_norms=sorted_logs,
-            norms=tuple(map(_exp, sorted_logs)),
-        ))
-    return out
+    log_M = gains[rows, best]
+    degenerate = log_M == 0.0
+    image_logs = diffs[rows, a, :, j]
+    # decreasing; the sort is stable, so ties keep entry order
+    order = np.argsort(-image_logs, axis=1, kind="stable")
+    logs = np.take_along_axis(image_logs, order, axis=1)
+    # sanity: decreasing, top equals M_r, the j-image sits at exactly 1,
+    # and the bottom image is at most M_r^{-1} times the top
+    ok = (np.all(logs[:, :-1] >= logs[:, 1:], axis=1)
+          & (np.abs(logs[:, 0] - log_M)
+             <= 1e-9 * np.maximum(1.0, np.abs(log_M)))
+          & (image_logs[rows, j] == 0.0)
+          & (logs[:, -1] <= logs[:, 0] - log_M + 1e-9))
+    failed = ~(ok | degenerate)
+    if failed.any():
+        raise ArithmeticError("direction selection failed its image-norm "
+                              "checks (log M_r = %r)"
+                              % float(log_M[np.argmax(failed)]))
+    l = np.argmax(order == j[:, None], axis=1)  # where the j-image sorts
+    # a degenerate tuple prefers no direction: its images all sit at 1,
+    # in entry order, and its indices read 0
+    order[degenerate] = np.arange(r)
+    logs[degenerate] = 0.0
+    kept = ~degenerate
+    return (degenerate, (a + 1) * kept, (i + 1) * kept, (j + 1) * kept,
+            (l + 1) * kept, order + 1, logs)

@@ -160,20 +160,19 @@ class EisensteinObservable:
     def value_reduced(self, x, y):
         """Vectorized evaluation valid at reduced points (y >= sqrt(3)/2).
 
-        Evaluates the identity coset plus the three c = 1 candidates
-        d in {-1, 0, 1}; every other coset provably lands below y_lo at
-        these heights, and out-of-support candidates contribute zero on
-        their own.
+        Evaluates the identity coset plus the c = 1, d = 0 coset; every
+        other coset provably lands below y_lo at these heights.  For the
+        c = 1 cosets d = +-1 with |xc| <= 1/2, (xc +- 1)^2 + y^2 - y >=
+        (y - 1/2)^2 > 0, so their height y / ((xc +- 1)^2 + y^2) is
+        below 1 <= y_lo.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(y < _Y_FLOOR - 1e-9):
             raise ValueError("fast path needs y >= sqrt(3)/2; reduce first")
         xc = x - np.round(x)
-        total = self.profile.value(y)
-        for d in (-1.0, 0.0, 1.0):
-            total = total + self.profile.value(y / ((xc + d) ** 2 + y * y))
-        return total
+        return (self.profile.value(y)
+                + self.profile.value(y / (xc ** 2 + y * y)))
 
     def value_at(self, x, y):
         """Evaluate at arbitrary points: reduce, then the fast path."""

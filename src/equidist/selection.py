@@ -10,6 +10,9 @@ theta^(1/(2r)).
 The gap conditions are decided exactly on the given floats: raised to
 the r-th power they become comparisons of integers, so the selected pair
 (p, q) carries no rounding uncertainty.
+
+choose_window wraps one row of a core, _window_row, that a caller with
+many selections writes straight into columns.
 """
 
 import math
@@ -101,32 +104,41 @@ def choose_window(selection, theta):
     if selection.degenerate:
         raise ValueError("degenerate selection: all image norms are equal, "
                          "no separating window exists")
+    p, q, log_L, *checks = _window_row(selection.log_norms, selection.norms,
+                                       theta)
+    return WindowChoice(p=p, q=q, L=math.exp(log_L), log_L=log_L,
+                        checks=dict(zip(_CHECKS, checks)))
+
+
+# the window checks, in the order of WindowChoice.checks
+_CHECKS = ("scale_cap", "group_lower", "group_upper")
+
+
+def _window_row(log_norms, norms, theta):
+    """The window of decreasing image norms and their logs, the core of
+    choose_window, as one row of columns: p, q, log_L and the (lhs, rhs,
+    ok) of each check in _CHECKS order."""
     theta = float(theta)
-    r = selection.r
+    r = len(norms)
     log_theta = math.log(theta) if theta > 0 else -math.inf
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly between 0 and 1")
-    if log_theta < -selection.log_M - 1e-9 * max(1.0, selection.log_M):
+    log_M = log_norms[0]
+    if log_theta < -log_M - 1e-9 * max(1.0, log_M):
         raise ValueError("theta below 1/M_r: the image norms cannot span "
                          "the required ratio")
 
-    p, q = pigeonhole(selection.norms, theta)
-    log_L = -selection.log_norms[0] - (q + 0.5) / r * log_theta
+    p, q = pigeonhole(norms, theta)
+    log_L = -log_norms[0] - (q + 0.5) / r * log_theta
     tol = 1e-9
 
-    lhs_cap = log_L + selection.log_norms[0]
+    lhs_cap = log_L + log_norms[0]
     rhs_cap = -log_theta
-    lhs_lo = log_L + selection.log_norms[p - 1]
+    lhs_lo = log_L + log_norms[p - 1]
     rhs_lo = -log_theta / (2 * r)
-    lhs_hi = log_L + selection.log_norms[p]
+    lhs_hi = log_L + log_norms[p]
     rhs_hi = log_theta / (2 * r)
-    checks = {
-        "scale_cap": (math.exp(lhs_cap), math.exp(rhs_cap),
-                      lhs_cap <= rhs_cap + tol),
-        "group_lower": (math.exp(lhs_lo), math.exp(rhs_lo),
-                        lhs_lo >= rhs_lo - tol),
-        "group_upper": (math.exp(lhs_hi), math.exp(rhs_hi),
-                        lhs_hi < rhs_hi + tol),
-    }
-    return WindowChoice(p=p, q=q, L=math.exp(log_L), log_L=log_L,
-                        checks=checks)
+    return (p, q, log_L,
+            (math.exp(lhs_cap), math.exp(rhs_cap), lhs_cap <= rhs_cap + tol),
+            (math.exp(lhs_lo), math.exp(rhs_lo), lhs_lo >= rhs_lo - tol),
+            (math.exp(lhs_hi), math.exp(rhs_hi), lhs_hi < rhs_hi + tol))

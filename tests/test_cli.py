@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from equidist import cli
 from equidist.cli import (_brute_force_pq, _csv_text, _finite_or_null,
                           _json_text, main)
 from equidist.geometry import (RootAction, TranslationTuple,
@@ -301,6 +302,26 @@ class TestManifestErrors:
                        % token}
         assert not (tmp_path / "ledger.csv").exists()
 
+    @pytest.mark.parametrize("token", ["1e400", "-1e400"])
+    def test_number_past_the_float_range_is_not_json(self, tmp_path, runner,
+                                                     token):
+        # json.loads would read the literal as an infinite float
+        mpath = write_manifest(
+            tmp_path / "m.json",
+            {"mode": "ledger", "ledger": {"params": GOLDEN_PARAMS,
+                                          "r_max": 2}})
+        text = Path(mpath).read_text(encoding="utf-8")
+        Path(mpath).write_text(text.replace('"D_o": 1.0', '"D_o": ' + token),
+                               encoding="utf-8")
+        res = runner.invoke(main, ["ledger", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert json.loads(res.stderr) == {
+            "error": "schema",
+            "message": "manifest is not valid JSON: %s is past the float "
+                       "range" % token}
+        assert not (tmp_path / "ledger.csv").exists()
+
     def test_non_utf8_manifest(self, tmp_path, runner):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"mode": "ledger"\xff}')
@@ -548,18 +569,42 @@ class TestScheduleCommand:
                                                "n": 1},
                           "tuples": [[[2.0, 2.0], [5.0, 5.0]], bad,
                                      [[3.0, 3.0], [3.0, 3.0]]]}})
-        # the manifest parser refuses the Infinity token, but a literal
-        # past the float range still parses to inf
+        # the manifest parser refuses the Infinity token and a literal
+        # past the float range alike; test_non_finite_entry_is_named
+        # hands the body the inf itself
         text = Path(mpath).read_text(encoding="utf-8")
         Path(mpath).write_text(text.replace("Infinity", "1e400"),
                                encoding="utf-8")
         res = runner.invoke(main, ["schedule", "--manifest", mpath,
                                    "--out", str(tmp_path)])
+        if kind == "finite":
+            assert res.exit_code == 2
+            assert json.loads(res.stderr) == {
+                "error": "schema", "message": "manifest is not valid JSON: "
+                "1e400 is past the float range"}
+            return
         assert res.exit_code == 3
         err = json.loads(res.stderr)
         assert err["error"] == "numerical"
         assert err["message"].startswith("tuple 1: "), err["message"]
         assert phrase in err["message"]
+        assert not (tmp_path / "schedule.csv").exists()
+
+    def test_non_finite_entry_is_named(self, tmp_path, runner, monkeypatch):
+        # a parsed block holding inf, as no manifest can give it, reaches
+        # the body; tuple 2 fails too, but the refusal names tuple 1
+        manifest = {"mode": "schedule", "schedule": {
+            "action": {"builtin": "u_mn", "m": 1, "n": 1},
+            "tuples": [[[2.0, 2.0], [5.0, 5.0]],
+                       self.BAD_TRIPLES["finite"][1],
+                       [[3.0, 3.0], [3.0, 3.0]]]}}
+        monkeypatch.setattr(cli, "_load_manifest", lambda path, mode:
+                            manifest)
+        res = runner.invoke(main, ["schedule", "--manifest", "unread.json",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert json.loads(res.stderr) == {
+            "error": "numerical", "message": "tuple 1: entries must be finite"}
         assert not (tmp_path / "schedule.csv").exists()
 
     @pytest.mark.filterwarnings("error")

@@ -109,6 +109,14 @@ class TestEisenstein:
         slow = [obs.value(a, b) for a, b in zip(x, y)]
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
+    @given(st.floats(min_value=-0.5, max_value=0.5),
+           st.floats(min_value=math.sqrt(3.0) / 2.0 - 1e-9, max_value=1e300),
+           st.sampled_from([-1.0, 1.0]))
+    def test_value_reduced_skips_cosets_below_height_one(self, xc, y, d):
+        # value_reduced leaves out the c = 1, d = +-1 cosets: at every
+        # point it accepts, their height is below 1 <= y_lo
+        assert y / ((xc + d) ** 2 + y * y) < 1.0
+
     def test_value_reduced_rejects_low_points(self):
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 3.0))
         with pytest.raises(ValueError):
@@ -452,7 +460,7 @@ class TestKernelBytes:
                  (np.zeros(0), np.zeros(0)),
                  (np.linspace(-0.5, 0.5, 7), np.float64(1.2)),
                  (np.float64(0.1), np.float64(2.0))]
-        # the four-term sum against the full coprime enumeration
+        # the fast path against the full coprime enumeration
         for x, y in cases:
             got = obs.value_reduced(x, y)
             xs, ys = np.broadcast_arrays(x, y)
