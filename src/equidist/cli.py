@@ -13,11 +13,11 @@ returns its files as text, or, as schedule does, as chunks that format
 its columns one tuple at a time.
 
 A manifest is parsed as strict JSON (NaN, Infinity and number literals
-past the float range, such as 1e400, are refused) and checked against
-the packaged draft-7 JSON schema by the compiled check, a predicate
-built from the schema at import.  It decides acceptance.  jsonschema is
-imported only when it refuses, to word the refusal's message and path;
-a manifest jsonschema accepts still runs.
+past the float range, such as 1e400 or a 400-digit integer, are refused)
+and checked against the packaged draft-7 JSON schema by the compiled
+check, a predicate built from the schema at import.  It decides
+acceptance.  jsonschema is imported only when it refuses, to word the
+refusal's message and path; a manifest jsonschema accepts still runs.
 
 The verify suites are the only implementation of their randomized
 checks; the test suite calls them with its own seeds and trial counts.
@@ -275,6 +275,11 @@ def _finite_float(token):
     return value
 
 
+def _finite_int(token):
+    _finite_float(token)
+    return int(token)
+
+
 def _load_manifest(path, expect_mode):
     """The manifest, parsed as strict JSON with every number finite, and
     checked against the packaged schema.  The compiled check decides;
@@ -283,7 +288,7 @@ def _load_manifest(path, expect_mode):
     text = _read_text(path, "manifest")
     try:
         obj = json.loads(text, parse_constant=_refuse_constant,
-                         parse_float=_finite_float)
+                         parse_float=_finite_float, parse_int=_finite_int)
     except ValueError as exc:
         _fail(2, "schema", "manifest is not valid JSON: %s" % exc)
     if not _MANIFEST_CHECK(obj):

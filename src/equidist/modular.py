@@ -10,20 +10,16 @@ rho(x) dx, is pushed down to height e^(-t) by the contracting diagonal;
 the r-correlation integrates the product of r such translated
 observables against the density.
 
-Quadrature is composite midpoint on uniform nodes (the integrands are
-1-periodic and, for the smooth profile, analytic in x, so midpoint
-converges spectrally).  The independent cross-check oracle used in the
-tests is adaptive quadrature.
-
-On the translated horocycle x + i e^(-t) each observable is evaluated
-by a walk over Farey arcs: a coset (c, d) reaches the support only on
-an arc around -d/c inside its Ford circle, so only the nodes on those
-arcs are touched and each value is computed exactly as the scalar
-coset enumeration `EisensteinObservable.value` computes it.  Rows where
-the Farey set would outgrow the grid (1/(e^-t y_lo) > nodes, the
-under-resolved rows) or where the cusp term f(e^-t) is nonzero reduce
-every node to the fundamental domain instead (`reduce_arrays`, then
-`EisensteinObservable.value_reduced`).
+A correlation row is integrated with a 64-point Gauss-Legendre rule on
+each piece between the merged arc endpoints of its factors: at height
+e^(-t) a coset (c, d) reaches the support of a profile only on an arc
+around -d/c inside its Ford circle, where the observable is that
+coset's single smooth term.  Rows where this takes more points than
+the node budget, or where a cusp term f(e^-t) is nonzero, take the
+composite midpoint rule on uniform nodes, each reduced to the
+fundamental domain (`reduce_arrays`, then
+`EisensteinObservable.value_reduced`).  The tests' independent oracle
+is adaptive quadrature.
 """
 
 import functools
@@ -182,90 +178,6 @@ class EisensteinObservable:
             return float(out)
         return out
 
-    def values_on_grid(self, nodes, y, idx=None):
-        """The nonzero values at the midpoint nodes x_k = (k + 1/2)/nodes
-        at height y, as (indices, values); only the sorted node indices
-        idx are looked at when given.
-
-        Arc side: at height y the coset (c, d), c >= 1, is nonzero only
-        on the arc |x + d/c| <= sqrt(y/y_lo - c^2 y^2)/c, and for
-        y_lo >= 1 these arcs lie in disjoint Ford circles.  The coprime
-        (c, d) with c <= 1/sqrt(y y_lo) and -d/c within reach of [0, 1]
-        are enumerated (np.gcd on the (c, d) grid).  On the inner arc,
-        whose half-width comes from y_hi in place of y_lo, the coset
-        lies above y_hi and f vanishes too, so each arc gives the node
-        ranges between the two half-widths, padded by one node on
-        either side.  The term f(y / ((c x + d)^2 + c^2 y^2)) is
-        evaluated once on the gathered nodes, with the same operations
-        as `value`, so the values equal it bit for bit.  A node that two terms reach (a tangency of Ford
-        circles at height y_lo = 1) sums them in `value`'s order.
-
-        Reduction side: when f(y) != 0 (every node is in the support) or
-        1/(y y_lo) > nodes (the Farey set would outgrow the grid, the
-        under-resolved rows), the nodes go through `value_at`.
-        """
-        f = self.profile
-        y = float(y)
-        if f.value(y) != 0.0 or 1.0 / (y * f.y_lo) > nodes:
-            ks = np.arange(nodes) if idx is None else idx
-            v = self.value_at((ks + 0.5) / nodes, np.full(ks.size, y))
-            keep = v != 0.0
-            return ks[keep], v[keep]
-        # the coprime (c, d) in c-major, d-ascending order; an arc is at
-        # most sqrt(y / y_lo) / c <= 1 / c wide on either side of -d/c,
-        # so d in [-c - 1, 1] reaches every arc that meets [0, 1]
-        cmax = int(math.floor(math.sqrt(1.0 / (y * f.y_lo)) + 1e-12))
-        cs = np.arange(1, cmax + 1)
-        cy = cs * y
-        cy2 = cy * cy
-        S = y / f.y_lo - cy2
-        ds = np.arange(-cmax - 1, 2)
-        pair = ((S >= 0.0)[:, None] & (ds >= -cs[:, None] - 1)
-                & (np.gcd(cs[:, None], ds) == 1))
-        row, col = np.nonzero(pair)
-        c, d = cs[row], ds[col]
-        centre = -d / c
-        # the term is nonzero only between the outer half-width (height
-        # y_lo) and the inner one (height y_hi): a left and a right node
-        # range per arc, merged when no node lies strictly between them
-        outer = np.sqrt(S[row]) / c
-        inner = np.sqrt(np.maximum(y / f.y_hi - cy2[row], 0.0)) / c
-        lo = np.maximum(np.ceil((centre - outer) * nodes - 0.5) - 1, 0)
-        hi = np.minimum(np.floor((centre + outer) * nodes - 0.5) + 1,
-                        nodes - 1)
-        a = np.floor((centre - inner) * nodes - 0.5) + 1
-        b = np.ceil((centre + inner) * nodes - 0.5) - 1
-        merged = b <= a + 1
-        a = np.where(merged, hi, np.minimum(a, hi))
-        b = np.where(merged, hi + 1, np.maximum(b, lo))
-        # walk the arcs from left to right, so the gathered nodes ascend
-        order = np.argsort(centre)
-        first = np.stack([lo, b], axis=1)[order].ravel().astype(np.int64)
-        last = np.stack([a, hi], axis=1)[order].ravel().astype(np.int64)
-        if idx is None:
-            start, count = first, np.maximum(last - first + 1, 0)
-        else:
-            start = np.searchsorted(idx, first)
-            count = np.maximum(np.searchsorted(idx, last, side="right")
-                               - start, 0)
-        arc = np.repeat(np.repeat(order, 2), count)
-        pos = (np.arange(arc.size)
-               - np.repeat(np.cumsum(count) - count - start, count))
-        ks = pos if idx is None else idx[pos]
-        u = c[arc] * ((ks + 0.5) / nodes) + d[arc]
-        v = f.value(y / (u * u + cy2[row][arc]))
-        keep = v != 0.0
-        ks, v = ks[keep], v[keep]
-        if np.all(ks[1:] > ks[:-1]):
-            return ks, v
-        # shared nodes: sort by node, then by the enumeration order
-        by = np.lexsort((arc[keep], ks))
-        ks, v = ks[by], v[by]
-        out, slot = np.unique(ks, return_inverse=True)
-        total = np.zeros(out.size)
-        np.add.at(total, slot, v)
-        return out, total
-
     @property
     def mu(self):
         if self._mu is None:
@@ -290,8 +202,8 @@ class ConstantObservable:
 
 
 @functools.cache
-def _legendre_rule():
-    """256-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+def _legendre_rule(n):
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
     Newton's method on the three-term recurrence
     j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2) from the cosine
@@ -299,7 +211,6 @@ def _legendre_rule():
     2 / ((1 - x^2) P_n'(x)^2), then symmetrized and normalized to total
     2.  Needs no eigen-solver, so the first call starts no BLAS threads.
     """
-    n = 256
     x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(100):
         p0, p1 = np.ones_like(x), x
@@ -328,7 +239,7 @@ def mu_integral(profile):
     """
     if profile.kind == "indicator":
         return (3.0 / math.pi) * (1.0 / profile.y_lo - 1.0 / profile.y_hi)
-    x, w = _legendre_rule()
+    x, w = _legendre_rule(256)
     half = 0.5 * (profile.y_hi - profile.y_lo)
     y = profile.y_lo + half * (x + 1.0)
     val = (3.0 / math.pi) * half * float(np.sum(w * profile.value(y)
@@ -381,27 +292,129 @@ class HorocycleMeasure:
             cached = self._cached_weights = (key, w)
         return cached[1]
 
+    def _weight_at(self, x, xi):
+        """The weight rho(x) e(xi x) at the points x, or None when it is
+        identically 1: one exponential z = e(x) per point, and the
+        integer powers z^(k + xi) of it (conjugated for negative
+        exponents) in the density's coefficient order."""
+        if not xi and self.density.coeffs == {(0,): 1.0}:
+            return None
+        z = np.exp(2j * math.pi * x)
+        w = 0.0
+        for (k,), amp in self.density.coeffs.items():
+            p = z ** abs(k + xi)
+            w = w + amp * (p if k + xi >= 0 else p.conj())
+        return w
+
+
+_GL_ORDER = 64
+_GL_PERIODS = 8.0
+
+
+def _arcs(profile, y):
+    """The support at height y, where f(y) = 0, on [0, 1]: sorted
+    disjoint intervals (lo, hi), each with the coset (c, d) whose term
+    is the only nonzero one there.
+
+    The coset (c, d) lies above y_lo only on the arc
+    |x + d/c| <= sqrt(y/y_lo - c^2 y^2)/c = outer, inside its Ford
+    circle, and above y_hi inside the inner half-width (y_hi for y_lo),
+    which leaves [centre - outer, centre - inner] and
+    [centre + inner, centre + outer].  An arc is at most 1/c wide on
+    either side of -d/c, so the coprime (c, d) with c <= 1/sqrt(y y_lo)
+    and d in [-c - 1, 1] reach every arc that meets [0, 1].
+    """
+    cmax = int(math.floor(math.sqrt(1.0 / (y * profile.y_lo)) + 1e-12))
+    cs = np.arange(1, cmax + 1)
+    cy = cs * y
+    cy2 = cy * cy
+    S = y / profile.y_lo - cy2
+    ds = np.arange(-cmax - 1, 2)
+    pair = ((S >= 0.0)[:, None] & (ds >= -cs[:, None] - 1)
+            & (np.gcd(cs[:, None], ds) == 1))
+    row, col = np.nonzero(pair)
+    c, d = cs[row], ds[col]
+    centre = -d / c
+    outer = np.sqrt(S[row]) / c
+    inner = np.sqrt(np.maximum(y / profile.y_hi - cy2[row], 0.0)) / c
+    lo = np.clip(np.concatenate([centre - outer, centre + inner]), 0.0, 1.0)
+    hi = np.clip(np.concatenate([centre - inner, centre + outer]), 0.0, 1.0)
+    keep = np.flatnonzero(lo < hi)
+    keep = keep[np.argsort(lo[keep], kind="stable")]
+    return lo[keep], hi[keep], c[keep % c.size], d[keep % c.size]
+
+
+def _pieces(factors, nodes):
+    """The sorted intervals of [0, 1] where the supports of all the
+    (profile, y) factors overlap, as (lo, hi, terms) with one (c, d)
+    array pair per factor; None when some Farey set would outgrow the
+    grid (1/(y y_lo) > nodes), so enumerating never costs more than it."""
+    lo, hi, terms = np.zeros(1), np.ones(1), []
+    for f, y in factors:
+        if 1.0 / (y * f.y_lo) > nodes:
+            return None
+        a_lo, a_hi, c, d = _arcs(f, y)
+        # every (piece, arc interval) pair that overlaps, in x order
+        first = np.searchsorted(a_hi, lo, side="right")
+        count = np.maximum(np.searchsorted(a_lo, hi) - first, 0)
+        i = np.repeat(np.arange(lo.size), count)
+        j = np.arange(i.size) - np.repeat(np.cumsum(count) - count - first,
+                                          count)
+        lo, hi = np.maximum(lo[i], a_lo[j]), np.minimum(hi[i], a_hi[j])
+        keep = lo < hi
+        i, j, lo, hi = i[keep], j[keep], lo[keep], hi[keep]
+        terms = [(tc[i], td[i]) for tc, td in terms] + [(c[j], d[j])]
+    return lo, hi, terms
+
+
+def _arc_term(profile, y, c, d, x):
+    """The term f(y / |c z + d|^2) of the coset (c, d) at z = x + iy,
+    with the operations of `EisensteinObservable.value`, so it equals
+    that term bit for bit."""
+    cy = c * y
+    u = c * x + d
+    return profile.value(y / (u * u + cy * cy))
+
+
+def _gauss_row(sigma, factors, nodes, xi):
+    """The 64-point Gauss-Legendre integral of the weight times the
+    (profile, y) factors over the row's pieces, or None for a grid row:
+    a nonzero cusp term f(y), a Farey set past the grid, more than nodes
+    points, or a piece over 8 periods of the weight."""
+    if any(f.value(y) != 0.0 for f, y in factors):
+        return None
+    pieces = _pieces(factors, nodes)
+    if pieces is None or pieces[0].size * _GL_ORDER > nodes:
+        return None
+    lo, hi, terms = pieces
+    band = max(abs(k + xi) for (k,) in sigma.density.coeffs)
+    if band * np.max(hi - lo, initial=0.0) > _GL_PERIODS:
+        return None
+    gx, gw = _legendre_rule(_GL_ORDER)
+    half = (hi - lo) / 2.0
+    x = (lo + half)[:, None] + half[:, None] * gx
+    prod = sigma._weight_at(x, xi)
+    prod = np.ones_like(x) if prod is None else prod
+    for (f, y), (c, d) in zip(factors, terms):
+        prod = prod * _arc_term(f, y, c[:, None], d[:, None], x)
+    return complex(np.sum(half * np.sum(prod * gw, axis=1)))
+
 
 def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     """r-correlation of translated observables against the horocycle
     density, twisted by the character e(xi x) = e^(2 pi i xi x): the
-    midpoint quadrature of
+    integral of
 
         e(xi x) * rho(x) * prod_i obs_i(x + i * e^(-t_i))
 
     over one period x in [0, 1); xi = 0 gives the plain correlation and
-    a non-integer xi is refused.  Deterministic for fixed nodes: the node
-    set and the summation order are fixed.
+    a non-integer xi is refused.  Deterministic: the row and nodes fix
+    the points and the summation order.
 
-    The product lives on a sparse support.  Each Eisenstein factor comes
-    from `EisensteinObservable.values_on_grid` (a walk over Farey arcs,
-    or fundamental-domain reduction on under-resolved rows and where
-    f(e^-t) != 0), evaluated only on the nodes where the product so far
-    is nonzero; constant factors multiply in place.  The weight
-    e(xi x) rho(x), cached on sigma per (nodes, xi), is gathered on the
-    support and multiplies the first factor, as (w v_1) v_2 ... v_r.  The
-    mean is taken over the product scattered back into the full grid, so
-    the summation order is that of the dense array.
+    `_gauss_row` integrates the rows it can; the others take the
+    midpoint rule on nodes uniform nodes: each factor through `value_at`,
+    the weight cached on sigma per (nodes, xi), products associated as
+    (w v_1) v_2 ... v_r.  Constant factors multiply in.
     """
     observables = list(observables)
     times = [float(t) for t in times]
@@ -417,27 +430,21 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
         raise ValueError("at least 16 quadrature nodes are required")
     if not (isinstance(xi, numbers.Integral) or float(xi).is_integer()):
         raise ValueError("xi must be an integer frequency, got %r" % (xi,))
-    w = sigma._weights(nodes, int(xi))
-    idx = vals = None    # support (None: every node) and product on it
-    for obs, t in zip(observables, times):
-        if isinstance(obs, ConstantObservable):
-            if vals is None:
-                vals = (np.full(nodes, obs.value, dtype=complex)
-                        if w is None else w * obs.value)
-            else:
-                vals *= obs.value
-            continue
-        ks, v = obs.values_on_grid(nodes, math.exp(-t), idx)
-        if vals is None:
-            vals = v.astype(complex) if w is None else w[ks] * v
-        else:
-            vals = vals[ks if idx is None else np.searchsorted(idx, ks)]
-            vals *= v
-        idx = ks
-    if idx is not None:
-        full = np.zeros(nodes, dtype=complex)
-        full[idx] = vals
-        vals = full
+    xi = int(xi)
+    ys = [math.exp(-t) for t in times]
+    factors = [(obs.profile, y) for obs, y in zip(observables, ys)
+               if not isinstance(obs, ConstantObservable)]
+    total = _gauss_row(sigma, factors, nodes, xi)
+    if total is not None:
+        for obs in observables:
+            if isinstance(obs, ConstantObservable):
+                total *= obs.value
+        return total
+    x = (np.arange(nodes) + 0.5) / nodes
+    w = sigma._weights(nodes, xi)
+    vals = np.ones(nodes, dtype=complex) if w is None else w
+    for obs, y in zip(observables, ys):
+        vals = vals * obs.value_at(x, np.full(nodes, y))
     return complex(np.mean(vals))
 
 

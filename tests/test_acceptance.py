@@ -227,7 +227,9 @@ def test_criterion_6_equidistribution_trend():
         deltas.append(delta_statistics([t, 2.0 * t])[1])
     fit2 = fit_decay(deltas, errs)
     assert fit2.exponent > 0.0
-    assert fit2.exponent == pytest.approx(1.873069770582319, rel=0.20)
+    # the exponent of the adaptive-quadrature oracle values at these rows
+    # (tests/test_modular.py, _quad_oracle), not of this kernel
+    assert fit2.exponent == pytest.approx(1.8715979038956376, rel=0.20)
     assert time.perf_counter() - start < 300.0
 
 

@@ -17,11 +17,13 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from equidist import cli
+from equidist import cli, modular
 from equidist.cli import (_brute_force_pq, _csv_text, _finite_or_null,
                           _json_text, main)
 from equidist.geometry import (RootAction, TranslationTuple,
                                select_direction, tuple_stats)
+from equidist.modular import (BumpProfile, EisensteinObservable,
+                              HorocycleMeasure)
 from equidist.selection import choose_window, pigeonhole
 
 GOLDEN_PARAMS = {
@@ -321,6 +323,37 @@ class TestManifestErrors:
             "message": "manifest is not valid JSON: %s is past the float "
                        "range" % token}
         assert not (tmp_path / "ledger.csv").exists()
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("mode", ["ledger", "schedule"])
+    def test_integer_past_the_float_range_is_not_json(self, tmp_path, runner,
+                                                      sign, mode):
+        # json.loads would read the literal as an int that no float holds,
+        # and the run would fail later with an unnamed OverflowError
+        token = sign + "1" + "0" * 400
+        if mode == "ledger":
+            block = {"params": dict(GOLDEN_PARAMS, D_o=7.5), "r_max": 2}
+        else:
+            block = {"action": {"builtin": "u_mn", "m": 1, "n": 1},
+                     "tuples": [[[2.0, 2.0], [5.0, 7.5]]]}
+        mpath = tmp_path / "m.json"
+        text = json.dumps({"mode": mode, mode: block})
+        assert text.count("7.5") == 1
+        mpath.write_text(text.replace("7.5", token), encoding="utf-8")
+        res = runner.invoke(main, [mode, "--manifest", str(mpath),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert json.loads(res.stderr) == {
+            "error": "schema",
+            "message": "manifest is not valid JSON: %s is past the float "
+                       "range" % token}
+        assert not (tmp_path / (mode + ".csv")).exists()
+
+    def test_integer_inside_the_float_range_is_an_int(self):
+        text = '{"r_max": 2, "D_o": 1%s, "m": -7}' % ("0" * 300)
+        obj = json.loads(text, parse_int=cli._finite_int)
+        assert obj == {"r_max": 2, "D_o": 10 ** 300, "m": -7}
+        assert all(type(v) is int for v in obj.values())
 
     def test_non_utf8_manifest(self, tmp_path, runner):
         bad = tmp_path / "bad.json"
@@ -738,6 +771,32 @@ class TestCorrelateCommand:
         assert err["error"] == "numerical"
         assert "t_step" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_gauss_legendre_rows_byte_equal(self, tmp_path, runner):
+        # an r = 2 Haar family whose rows all fit the point budget: the
+        # CSV bytes repeat across runs and at --threads 2
+        mpath = self.manifest(
+            tmp_path, nodes=2 ** 14,
+            profiles=[{"kind": "bump", "y_lo": 1.5, "y_hi": 3.0},
+                      {"kind": "bump", "y_lo": 1.2, "y_hi": 2.5}],
+            family={"t_start": 0.5, "t_stop": 3.5, "t_step": 0.5,
+                    "pattern": [1.0, 2.0]})
+        texts = []
+        for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+            res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                       "--out", str(tmp_path / name),
+                                       "--threads", threads])
+            assert res.exit_code == 0, res.output
+            texts.append((tmp_path / name / "correlate.csv").read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+        haar = HorocycleMeasure.haar()
+        pair = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
+                EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
+        for k in range(7):
+            t = 0.5 + 0.5 * k
+            factors = [(o.profile, math.exp(-s))
+                       for o, s in zip(pair, [t, 2.0 * t])]
+            assert modular._pieces(factors, 2 ** 14)[0].size * 64 <= 2 ** 14
 
     def test_nodes_flag_overrides_manifest(self, tmp_path, runner):
         mpath = self.manifest(tmp_path)

@@ -1,10 +1,12 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from equidist import modular
 from equidist.cli import _suite_modular
@@ -174,7 +176,7 @@ class TestMuIntegral:
 
         with monkeypatch.context() as mp:
             leggauss = np.polynomial.legendre.leggauss(256)
-            mp.setattr(modular, "_legendre_rule", lambda: leggauss)
+            mp.setattr(modular, "_legendre_rule", lambda n: leggauss)
             old = [rel_error(*s) for s in supports]
 
         def no_eigensolver(*args, **kwargs):
@@ -186,6 +188,29 @@ class TestMuIntegral:
         for support, e_old, e_new in zip(supports, old, new):
             assert e_new <= e_old, support
             assert e_new < 5e-16, support
+
+    def test_rule_against_leggauss(self):
+        # the 64-point rule of the correlation pieces: its nodes are
+        # numpy's to 1e-15.  leggauss's own weights are off by up to
+        # 2.3e-15 there, so the weights are held to 40-digit ones, from
+        # Newton steps on the recurrence at the same roots
+        mpmath = pytest.importorskip("mpmath")
+        x, w = modular._legendre_rule(64)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15
+        with mpmath.workdps(40):
+            exact = []
+            for root in x:
+                r = mpmath.mpf(root)
+                for _ in range(3):
+                    p0, p1 = mpmath.mpf(1), r
+                    for j in range(2, 65):
+                        p0, p1 = p1, ((2 * j - 1) * r * p1 - (j - 1) * p0) / j
+                    dp = 64 * (r * p1 - p0) / (r * r - 1)
+                    r -= p1 / dp
+                exact.append(float(2 / ((1 - r * r) * dp * dp)))
+        assert np.max(np.abs(w - exact)) <= 1e-15
+        assert np.max(np.abs(w - exact)) < np.max(np.abs(ref_w - exact))
 
     def test_non_finite_result_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
@@ -204,14 +229,23 @@ class TestCorrelation:
         assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_frozen_golden_value(self):
-        # quadrature of the height-window indicator on the t = 6 closed
-        # horocycle at 2^14 midpoint nodes; the exact dyadic rational
-        # 2636/16384 was frozen from this configuration
+        # the height-window indicator on the t = 6 closed horocycle, a
+        # Gauss-Legendre row on which every piece is a level set: the
+        # golden is the exact measure of the x whose coset heights land
+        # in [2, 3], a_0(y) = f(y) + sum_{c <= (y y_lo)^(-1/2)} phi(c)
+        # (2/c) (sqrt(y/y_lo - c^2 y^2) - sqrt(max(y/y_hi - c^2 y^2, 0)))
         haar = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 3.0))
+        assert not _on_grid(haar, [obs], [6.0], 2 ** 14)
         val = correlation(haar, [obs], [6.0], nodes=2 ** 14)
+        y = math.exp(-6.0)
+        exact = obs.profile.value(y) + sum(
+            _phi(c) * (2.0 / c)
+            * (math.sqrt(y / 2.0 - (c * y) ** 2)
+               - math.sqrt(max(y / 3.0 - (c * y) ** 2, 0.0)))
+            for c in range(1, int((y * 2.0) ** -0.5) + 1))
         assert val.imag == 0.0
-        assert val.real == pytest.approx(0.160888671875, abs=1e-13)
+        assert val.real == pytest.approx(exact, abs=1e-13)
         assert abs(val.real - 1.0 / (2.0 * math.pi)) < 2e-2
 
     def test_small_times_against_adaptive_quadrature(self):
@@ -241,14 +275,16 @@ class TestCorrelation:
 
     def test_haar_r1_matches_constant_term_oracle(self):
         # the r = 1 Haar correlation is the Eisenstein constant term
-        # a_0(y), which needs no quadrature grid; on rows resolved to
-        # nodes e^-t >= 100 the midpoint rule agrees with it to rounding
+        # a_0(y), which needs no quadrature grid; every row here is a
+        # Gauss-Legendre row, t = 7 at 2^16 nodes too, where the midpoint
+        # rule would stand at nodes e^-t = 60
         haar = HorocycleMeasure.haar()
         profile = BumpProfile("bump", 1.5, 3.0)
         obs = EisensteinObservable(profile)
         for t, nodes in [(1.0, 2 ** 14), (2.0, 2 ** 14), (3.0, 2 ** 14),
-                         (4.0, 2 ** 14), (5.0, 2 ** 14), (6.0, 2 ** 16)]:
-            assert nodes * math.exp(-t) >= 100
+                         (4.0, 2 ** 14), (5.0, 2 ** 14), (6.0, 2 ** 16),
+                         (7.0, 2 ** 16)]:
+            assert not _on_grid(haar, [obs], [t], nodes)
             val = correlation(haar, [obs], [t], nodes=nodes)
             assert abs(val - _constant_term(profile, math.exp(-t))) <= 1e-12
 
@@ -277,6 +313,10 @@ class TestCorrelation:
             correlation(haar, [], [])
 
 
+def _phi(c):
+    return sum(math.gcd(c, d) == 1 for d in range(1, c + 1))
+
+
 def _constant_term(profile, y):
     """Independent oracle for the r = 1 Haar row at height y: the constant
     term a_0(y) = f(y) + 2y sum_{c <= (y y_lo)^(-1/2)} phi(c)
@@ -285,34 +325,93 @@ def _constant_term(profile, y):
     [1/(c^2 y y_hi) - 1, 1/(c^2 y y_lo) - 1], the support of f."""
     total = profile.value(y)
     for c in range(1, int((y * profile.y_lo) ** -0.5) + 1):
-        phi = sum(math.gcd(c, d) == 1 for d in range(1, c + 1))
         s = c * c * y
         u_lo = math.sqrt(max(0.0, 1.0 / (s * profile.y_hi) - 1.0))
         u_hi = math.sqrt(1.0 / (s * profile.y_lo) - 1.0)
         val, _ = quad(lambda u: profile.value(1.0 / (s * (1.0 + u * u))),
                       u_lo, u_hi, epsabs=0.0, epsrel=1e-13, limit=200)
-        total += 2.0 * y * phi * val
+        total += 2.0 * y * _phi(c) * val
     return total
 
 
-def _reduction_side(obs, nodes, y):
-    # the kernel reduces when the cusp term is nonzero everywhere or the
-    # Farey set would outgrow the grid
-    return (obs.profile.value(y) != 0.0
-            or 1.0 / (y * obs.profile.y_lo) > nodes)
+def _arc_endpoints(profile, y):
+    """Every arc endpoint of the observable at height y, by a scalar loop
+    over the coprime (c, d) with c^2 y y_lo <= 1 and -d/c within reach of
+    [0, 1]: the coset's height is y_lo and y_hi at
+    |x + d/c| = sqrt(y/y_lo - c^2 y^2)/c and sqrt(y/y_hi - c^2 y^2)/c."""
+    ends = []
+    c = 1
+    while c * c * y * profile.y_lo <= 1.0:
+        for d in range(-c - 1, 2):
+            if math.gcd(c, d) == 1:
+                for h in (profile.y_lo, profile.y_hi):
+                    r = math.sqrt(max(y / h - (c * y) ** 2, 0.0)) / c
+                    ends += [-d / c - r, -d / c + r]
+        c += 1
+    return ends
+
+
+def _quad_oracle(observables, times, coeffs=None, xi=0):
+    """Independent oracle for a correlation row: adaptive quadrature of
+    rho(x) e(xi x) prod_i value(x, e^-t_i) over each interval between
+    consecutive arc endpoints, where every factor is smooth.  rho is
+    summed here from its coefficients {k: a_k}, and each factor is the
+    full coprime enumeration `EisensteinObservable.value`; an interval
+    where some factor vanishes at the midpoint lies outside its support
+    and is skipped."""
+    coeffs = coeffs or {0: 1.0}
+    ys = [math.exp(-t) for t in times]
+    cuts = {0.0, 1.0}
+    for obs, y in zip(observables, ys):
+        cuts.update(e for e in _arc_endpoints(obs.profile, y) if 0 < e < 1)
+    cuts = sorted(cuts)
+
+    def integrand(x):
+        v = sum(a * cmath.exp(2j * math.pi * (k + xi) * x)
+                for k, a in coeffs.items())
+        for obs, y in zip(observables, ys):
+            v *= obs.value(x, y)
+        return v
+
+    parts = [lambda x: integrand(x).real]
+    if xi or set(coeffs) != {0}:
+        parts.append(lambda x: integrand(x).imag)
+    total = [0.0, 0.0]
+    with warnings.catch_warnings():
+        # the roundoff notice at these tolerances; the sum is held to
+        # the kernel at 1e-12 and to the grid in the sizing tests
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(cuts, cuts[1:]):
+            if any(obs.value((a + b) / 2.0, y) == 0.0
+                   for obs, y in zip(observables, ys)):
+                continue
+            for k, part in enumerate(parts):
+                total[k] += quad(part, a, b, epsabs=1e-15, epsrel=1e-12,
+                                 limit=200)[0]
+    return complex(*total)
+
+
+def _on_grid(sigma, observables, times, nodes, xi=0):
+    """Whether the row takes the midpoint grid: only that path reads the
+    grid weights."""
+    seen = []
+    weights = sigma._weights
+    sigma._weights = lambda *args: seen.append(args) or weights(*args)
+    try:
+        correlation(sigma, observables, times, nodes=nodes, xi=xi)
+    finally:
+        del sigma._weights
+    return bool(seen)
 
 
 def _factor(obs, x, y):
-    # one factor at every node: the constant, the reduce path on the
-    # reduction side (value_reduced, which
-    # test_value_reduced_equals_four_term_sum holds to the enumeration),
-    # else the scalar definition EisensteinObservable.value
+    # one factor at every node: the constant, else the reduce path
+    # (value_reduced, which test_value_reduced_equals_four_term_sum holds
+    # to the enumeration)
     if isinstance(obs, ConstantObservable):
         return np.full(x.size, obs.value)
-    if _reduction_side(obs, x.size, y):
-        rx, ry = reduce_arrays(x, np.full(x.size, y))
-        return obs.value_reduced(rx, ry)
-    return np.array([obs.value(a, y) for a in x])
+    rx, ry = reduce_arrays(x, np.full(x.size, y))
+    return obs.value_reduced(rx, ry)
 
 
 def _reference_correlation(sigma, observables, times, nodes, xi=0):
@@ -343,57 +442,65 @@ _HAAR_PAIR = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
               EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
 
 
-class TestKernelBytes:
-    """The sparse Farey-arc kernel equals a dense reference with `==`:
-    the scalar definition `value` at every node on the arc side, the
-    reduce path on the reduction side."""
+def _wiener():
+    return HorocycleMeasure(TorusMeasure(
+        1, {(0,): 1.0, (1,): 0.2 + 0.1j, (-1,): 0.2 - 0.1j,
+            (2,): 0.05 - 0.02j, (-2,): 0.05 + 0.02j}))
 
-    @staticmethod
-    def wiener():
-        return HorocycleMeasure(TorusMeasure(
-            1, {(0,): 1.0, (1,): 0.2 + 0.1j, (-1,): 0.2 - 0.1j,
-                (2,): 0.05 - 0.02j, (-2,): 0.05 + 0.02j}))
+
+class TestKernelBytes:
+    """Rows on the midpoint grid (a nonzero cusp term, a Farey set past
+    the grid, or more pieces than the node budget pays for) equal a
+    dense reference with `==`: the reduce path at every node."""
+
+    wiener = staticmethod(_wiener)
 
     def test_haar_pair(self):
+        # at 256 nodes the budget pays for 4 pieces, fewer than these
+        # rows have
         haar = HorocycleMeasure.haar()
         calls = _count_density_calls(haar)
-        for t in (0.5, 1.3, 2.2, 3.0):
-            assert not _reduction_side(_HAAR_PAIR[1], 2 ** 12,
-                                       math.exp(-2.0 * t))
-            val = correlation(haar, _HAAR_PAIR, [t, 2.0 * t], nodes=2 ** 12)
-            ref = _reference_correlation(haar, _HAAR_PAIR, [t, 2.0 * t],
-                                         2 ** 12)
+        for t in (2.2, 3.0, 3.5):
+            assert _on_grid(haar, _HAAR_PAIR, [t, 2.0 * t], 256)
+            val = correlation(haar, _HAAR_PAIR, [t, 2.0 * t], nodes=256)
+            ref = _reference_correlation(haar, _HAAR_PAIR, [t, 2.0 * t], 256)
             assert val == ref
-        assert calls == [2 ** 12] * 4  # all from the reference
+        assert calls == [256] * 3  # all from the reference
 
     @pytest.mark.parametrize("xi", [0, 3])
     def test_wiener_single(self, xi):
         sigma = self.wiener()
         calls = _count_density_calls(sigma)
         obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
-        for t in (0.0, 1.0, 2.5, 4.0):
-            assert correlation(sigma, obs, [t], nodes=2 ** 12, xi=xi) \
-                == _reference_correlation(sigma, obs, [t], 2 ** 12, xi=xi)
-        # four rows: four reference evaluations and one cached one
-        assert len(calls) == 5
+        for t in (1.0, 2.5, 4.0):
+            assert _on_grid(sigma, obs, [t], 64, xi)
+            assert correlation(sigma, obs, [t], nodes=64, xi=xi) \
+                == _reference_correlation(sigma, obs, [t], 64, xi=xi)
+        # three rows: three reference evaluations and one cached one
+        assert len(calls) == 4
 
     def test_cache_follows_node_count(self):
         sigma = self.wiener()
         calls = _count_density_calls(sigma)
         obs = [EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))]
         for nodes in (2 ** 10, 2 ** 12, 2 ** 10):
-            assert correlation(sigma, obs, [1.5], nodes=nodes) \
-                == _reference_correlation(sigma, obs, [1.5], nodes)
+            assert _on_grid(sigma, obs, [5.0], nodes)
+            assert correlation(sigma, obs, [5.0], nodes=nodes) \
+                == _reference_correlation(sigma, obs, [5.0], nodes)
         assert calls == [2 ** 10, 2 ** 10, 2 ** 12, 2 ** 12,
                          2 ** 10, 2 ** 10]
 
     @pytest.mark.parametrize("xi", [0, 2])
     def test_mixed_pair(self, xi):
-        # t on the arc side, 2t under-resolved (e^(2t)/1.2 > 256 nodes)
+        # the Farey set at t fits the grid, the one at 2t outgrows it
+        # (e^(2t)/1.2 > 256 nodes), so the whole row is on the grid
         sigma = self.wiener()
         for t in (3.0, 3.5, 4.0):
-            assert not _reduction_side(_HAAR_PAIR[0], 256, math.exp(-t))
-            assert _reduction_side(_HAAR_PAIR[1], 256, math.exp(-2.0 * t))
+            for obs, y, past in ((_HAAR_PAIR[0], math.exp(-t), False),
+                                 (_HAAR_PAIR[1], math.exp(-2.0 * t), True)):
+                assert (modular._pieces([(obs.profile, y)], 256)
+                        is None) == past
+            assert _on_grid(sigma, _HAAR_PAIR, [t, 2.0 * t], 256, xi)
             assert correlation(sigma, _HAAR_PAIR, [t, 2.0 * t], nodes=256,
                                xi=xi) \
                 == _reference_correlation(sigma, _HAAR_PAIR, [t, 2.0 * t],
@@ -404,9 +511,11 @@ class TestKernelBytes:
         # 1/(y y_lo) > nodes: both keep the reduce path byte for byte
         sigma = self.wiener()
         ind = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
+        assert _on_grid(sigma, [ind], [0.0], 64)
         assert correlation(sigma, [ind], [0.0], nodes=64) \
             == _reference_correlation(sigma, [ind], [0.0], 64)
         for t in (6.0, 7.5):
+            assert _on_grid(sigma, _HAAR_PAIR, [t, 2.0 * t], 256)
             assert correlation(sigma, _HAAR_PAIR, [t, 2.0 * t], nodes=256) \
                 == _reference_correlation(sigma, _HAAR_PAIR, [t, 2.0 * t],
                                           256)
@@ -418,23 +527,28 @@ class TestKernelBytes:
             obs.reverse()
         for sigma in (HorocycleMeasure.haar(), self.wiener()):
             for xi in (0, 1):
+                assert _on_grid(sigma, obs, [2.0, 2.0], 64, xi)
+                assert correlation(sigma, obs, [2.0, 2.0], nodes=64,
+                                   xi=xi) \
+                    == _reference_correlation(sigma, obs, [2.0, 2.0], 64,
+                                              xi=xi)
+                # on Gauss-Legendre rows the constant scales the row
+                assert not _on_grid(sigma, obs, [2.0, 2.0], 512, xi)
                 assert correlation(sigma, obs, [2.0, 2.0], nodes=512,
                                    xi=xi) \
-                    == _reference_correlation(sigma, obs, [2.0, 2.0], 512,
-                                              xi=xi)
+                    == 2.5 * correlation(sigma, _HAAR_PAIR[:1], [2.0],
+                                         nodes=512, xi=xi)
 
     def test_empty_support(self):
-        # at t = 0 no coset reaches [1.5, 3]; the second factor is then
-        # evaluated on no node at all, on either side
+        # at t = 0 no coset reaches [1.5, 3]: no piece at all, so the
+        # Gauss-Legendre row is 0; with a factor at t = 30, whose Farey
+        # set is past the grid, the row is on the grid and 0 there too
         obs = _HAAR_PAIR[0]
-        ks, v = obs.values_on_grid(64, 1.0)
-        assert ks.size == v.size == 0
-        for t in (2.0, 30.0):     # arc side, reduction side
-            ks, v = obs.values_on_grid(64, math.exp(-t),
-                                       np.zeros(0, dtype=np.int64))
-            assert ks.size == v.size == 0
-        for times in ([0.0], [0.0, 2.0], [0.0, 30.0]):
+        assert modular._pieces([(obs.profile, 1.0)], 64)[0].size == 0
+        for times, grid in (([0.0], False), ([0.0, 2.0], False),
+                            ([0.0, 30.0], True)):
             pair = [obs] * len(times)
+            assert _on_grid(self.wiener(), pair, times, 64, 1) == grid
             val = correlation(self.wiener(), pair, times, nodes=64, xi=1)
             assert val == 0j
             assert val == _reference_correlation(self.wiener(), pair,
@@ -470,6 +584,8 @@ class TestKernelBytes:
                                 zip(xs.ravel(), ys.ravel())], atol=1e-12)
 
 
+
+
 _Y_LOS = (1.0, 1.1, 1.5, 2.5)
 
 
@@ -487,81 +603,226 @@ def _arc_side_grid(draw):
             nodes, y, np.array(sorted(subset), dtype=np.int64))
 
 
+def _gauss_points(lo, hi):
+    gx, _ = modular._legendre_rule(64)
+    half = (hi - lo) / 2.0
+    return (lo + half)[:, None] + half[:, None] * gx
+
+
 class TestValuesOnGrid:
+    """Factor values at the quadrature points: the Gauss points of the
+    pieces on Gauss-Legendre rows, the midpoint nodes on the grid."""
+
     @settings(max_examples=80, deadline=None)
     @given(_arc_side_grid())
     def test_arc_side_is_the_scalar_definition(self, case):
+        # the pieces of one factor are sorted, disjoint and inside
+        # [0, 1] (where Ford circles touch, at y_lo = 1, two pieces may
+        # share an endpoint up to rounding), and each piece's term at its
+        # Gauss points is the scalar definition bit for bit (the drawn
+        # index set picks the points, with the first and the last)
         obs, nodes, y, subset = case
-        assert not _reduction_side(obs, nodes, y)
-        ks, v = obs.values_on_grid(nodes, y)
-        assert np.all(ks[1:] > ks[:-1])
-        assert np.all(v != 0.0)
-        x = (np.arange(nodes) + 0.5) / nodes
-        dense = np.zeros(nodes)
-        dense[ks] = v
-        oracle = np.array([obs.value(a, y) for a in x])
-        assert dense.tobytes() == oracle.tobytes()
-        # restricted to a sorted index set: the same values there
-        sk, sv = obs.values_on_grid(nodes, y, subset)
-        keep = oracle[subset] != 0.0
-        assert sk.tobytes() == subset[keep].tobytes()
-        assert sv.tobytes() == oracle[subset][keep].tobytes()
+        lo, hi, [(c, d)] = modular._pieces([(obs.profile, y)], nodes)
+        assert np.all(lo < hi) and np.all(hi[:-1] <= lo[1:] + 1e-15)
+        assert np.all(lo[:-1] <= lo[1:]) and np.all(hi[:-1] <= hi[1:])
+        assert np.all(lo >= 0.0) and np.all(hi <= 1.0)
+        x = _gauss_points(lo, hi)
+        v = modular._arc_term(obs.profile, y, c[:, None], d[:, None], x)
+        if x.size == 0:
+            return
+        pick = np.unique(np.append(subset, [0, x.size - 1]) % x.size)
+        oracle = np.array([obs.value(a, y) for a in x.ravel()[pick]])
+        assert v.ravel()[pick].tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("kind", ["bump", "indicator"])
     @pytest.mark.parametrize("y_lo", _Y_LOS)
     @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
     def test_straddling_the_under_resolved_bound(self, kind, y_lo, side):
-        # y = side / (y_lo nodes): 1/(y y_lo) = nodes / side
+        # y = side / (y_lo nodes): 1/(y y_lo) = nodes / side.  Past the
+        # bound the Farey set would outgrow the grid and no arc is
+        # enumerated; on either side the row has more pieces than 256
+        # nodes pay for, so it is on the grid, where every node reduces
         obs = EisensteinObservable(BumpProfile(kind, y_lo, y_lo + 1.5))
         nodes = 256
-        y = side / (y_lo * nodes)
+        t = -math.log(side / (y_lo * nodes))
+        y = math.exp(-t)
+        pieces = modular._pieces([(obs.profile, y)], nodes)
+        assert (pieces is None) == (1.0 / (y * y_lo) > nodes)
+        assert pieces is None or pieces[0].size * 64 > nodes
+        haar = HorocycleMeasure.haar()
+        assert _on_grid(haar, [obs], [t], nodes)
+        val = correlation(haar, [obs], [t], nodes=nodes)
+        assert val == _reference_correlation(haar, [obs], [t], nodes)
+        # the reduce path agrees with the scalar definition to rounding
         x = (np.arange(nodes) + 0.5) / nodes
-        ks, v = obs.values_on_grid(nodes, y)
-        dense = np.zeros(nodes)
-        dense[ks] = v
-        if 1.0 / (y * y_lo) > nodes:
-            ref = obs.value_at(x, np.full(nodes, y))
-        else:
-            ref = np.array([obs.value(a, y) for a in x])
-        assert dense.tobytes() == ref.tobytes()
-        assert ks.tobytes() == np.flatnonzero(ref).tobytes()
-        # the two sides agree to rounding on either side of the bound
-        np.testing.assert_allclose(
-            dense, [obs.value(a, y) for a in x], rtol=0.0, atol=1e-9)
+        assert val.real == pytest.approx(
+            np.mean([obs.value(a, y) for a in x]), rel=0.0, abs=1e-9)
 
     def test_cusp_term_takes_the_reduction_side(self):
+        # f(1) = 1 on every node at t = 0; the budget would pay for the
+        # pieces (there are none: every arc has width 0), but the row
+        # stays on the grid
         obs = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
-        x = (np.arange(64) + 0.5) / 64
-        ks, v = obs.values_on_grid(64, 1.0)
-        ref = obs.value_at(x, np.ones(64))
-        assert ks.tobytes() == np.arange(64).tobytes()
-        assert v.tobytes() == ref.tobytes()
+        haar = HorocycleMeasure.haar()
+        assert modular._pieces([(obs.profile, 1.0)], 64)[0].size == 0
+        assert _on_grid(haar, [obs], [0.0], 64)
+        val = correlation(haar, [obs], [0.0], nodes=64)
+        assert val == 1.0
+        assert val == _reference_correlation(haar, [obs], [0.0], 64)
 
     def test_tangent_ford_circles_sum_both_terms(self):
         # at 1/2 + i/2 the Ford circles at 0 and 1 touch, and both cosets
-        # reach height 1 = y_lo; node 8 of 17 sits exactly there
+        # reach height 1 = y_lo.  On the grid, node 8 of 17 sits exactly
+        # there and sums both terms; the Gauss-Legendre pieces [0, 1/2]
+        # and [1/2, 1] meet there, and their Gauss points miss it
         obs = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
-        ks, v = obs.values_on_grid(17, 0.5)
-        assert np.all(ks[1:] > ks[:-1])
-        assert v[list(ks).index(8)] == 2.0 == obs.value(0.5, 0.5)
-        dense = np.zeros(17)
-        dense[ks] = v
+        haar = HorocycleMeasure.haar()
+        t = math.log(2.0)
         x = (np.arange(17) + 0.5) / 17
+        dense = obs.value_at(x, np.full(17, 0.5))
+        assert dense[8] == 2.0 == obs.value(0.5, 0.5)
         assert dense.tolist() == [obs.value(a, 0.5) for a in x]
+        assert _on_grid(haar, [obs], [t], 17)
+        assert correlation(haar, [obs], [t], nodes=17) \
+            == _reference_correlation(haar, [obs], [t], 17)
+        lo, hi, _ = modular._pieces([(obs.profile, 0.5)], 128)
+        assert (lo.tolist(), hi.tolist()) == ([0.0, 0.5], [0.5, 1.0])
+        assert not _on_grid(haar, [obs], [t], 128)
+        assert correlation(haar, [obs], [t], nodes=128) == 1.0
+
+
+class TestGaussLegendre:
+    """Rows whose pieces fit the node budget, against the adaptive
+    quadrature oracle `_quad_oracle`."""
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.0, 4.1])
+    def test_haar_pair_against_the_oracle(self, t):
+        haar = HorocycleMeasure.haar()
+        times = [t, 2.0 * t]
+        assert not _on_grid(haar, _HAAR_PAIR, times, 2 ** 16)
+        val = correlation(haar, _HAAR_PAIR, times, nodes=2 ** 16)
+        assert abs(val - _quad_oracle(_HAAR_PAIR, times)) <= 1e-12
+
+    def test_criterion_6_pair_against_the_oracle(self):
+        haar = HorocycleMeasure.haar()
+        pair = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
+                EisensteinObservable(BumpProfile("bump", 2.0, 4.0))]
+        assert not _on_grid(haar, pair, [3.5, 7.0], 2 ** 14)
+        val = correlation(haar, pair, [3.5, 7.0], nodes=2 ** 14)
+        assert abs(val - _quad_oracle(pair, [3.5, 7.0])) <= 1e-12
+
+    @pytest.mark.parametrize("xi", [0, 3])
+    def test_wiener_against_the_oracle(self, xi):
+        sigma = _wiener()
+        obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
+        coeffs = {k: a for (k,), a in sigma.density.coeffs.items()}
+        assert not _on_grid(sigma, obs, [5.0], 2 ** 14, xi)
+        val = correlation(sigma, obs, [5.0], nodes=2 ** 14, xi=xi)
+        assert abs(val - _quad_oracle(obs, [5.0], coeffs, xi)) <= 1e-12
+
+    @pytest.mark.parametrize("sigma, obs, times", [
+        (HorocycleMeasure.haar(), _HAAR_PAIR, [3.0, 6.0]),
+        (_wiener(), _HAAR_PAIR[:1], [4.0]),
+        (HorocycleMeasure.haar(),
+         [EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))], [2.0])])
+    def test_straddling_the_point_budget(self, sigma, obs, times):
+        # pieces * 64 = nodes takes Gauss-Legendre, which gives the same
+        # bytes at any budget that pays for it; one piece more than the
+        # budget pays for falls back to the grid
+        factors = [(o.profile, math.exp(-t)) for o, t in zip(obs, times)]
+        budget = 64 * modular._pieces(factors, 2 ** 18)[0].size
+        assert not _on_grid(sigma, obs, times, budget)
+        assert correlation(sigma, obs, times, nodes=budget) \
+            == correlation(sigma, obs, times, nodes=2 ** 18)
+        for nodes in (budget - 1, budget - 64):
+            assert _on_grid(sigma, obs, times, nodes)
+            assert correlation(sigma, obs, times, nodes=nodes) \
+                == _reference_correlation(sigma, obs, times, nodes)
+
+    def test_no_factor_evaluated_past_the_node_budget(self, monkeypatch):
+        sizes = []
+        value = BumpProfile.value
+
+        def counted(self, u):
+            sizes.append(np.size(u))
+            return value(self, u)
+
+        monkeypatch.setattr(BumpProfile, "value", counted)
+        haar = HorocycleMeasure.haar()
+        for t in (1.0, 2.0, 3.0, 4.1):
+            times = [t, 2.0 * t]
+            factors = [(o.profile, math.exp(-s))
+                       for o, s in zip(_HAAR_PAIR, times)]
+            points = 64 * modular._pieces(factors, 2 ** 18)[0].size
+            for nodes in (points, 2 ** 18):
+                assert not _on_grid(haar, _HAAR_PAIR, times, nodes)
+                sizes.clear()
+                correlation(haar, _HAAR_PAIR, times, nodes=nodes)
+                # the cusp terms (one point each), then each factor at
+                # 64 points per piece
+                assert sizes == [1, 1, points, points]
+
+    def test_rows_are_byte_stable(self):
+        sigma = _wiener()
+        obs = _HAAR_PAIR
+        first = [correlation(sigma, obs, [t, 2.0 * t], nodes=2 ** 16)
+                 for t in (1.5, 3.0, 4.1)]
+        again = [correlation(sigma, obs, [t, 2.0 * t], nodes=2 ** 16)
+                 for t in (1.5, 3.0, 4.1)]
+        assert np.array(first).tobytes() == np.array(again).tobytes()
+
+    @pytest.mark.parametrize("xi", [-4, -1, 0, 3])
+    def test_weight_from_powers_is_the_density(self, xi):
+        # the rows' integrands are even in x, so a weight with e(x) and
+        # e(-x) swapped would integrate the same: check it pointwise
+        sigma = _wiener()
+        x = np.random.default_rng(17).uniform(0.0, 1.0, size=(5, 64))
+        ref = sigma.density.value(x.ravel()).reshape(x.shape) \
+            * np.exp(2j * math.pi * xi * x)
+        np.testing.assert_allclose(sigma._weight_at(x, xi), ref,
+                                   rtol=0.0, atol=1e-14)
+        assert HorocycleMeasure.haar()._weight_at(x, 0) is None
+
+    def test_weight_band(self):
+        # a piece spans at most 8 periods of the weight e((k + xi) x):
+        # the constant row is one piece of width 1
+        haar = HorocycleMeasure.haar()
+        ones = [ConstantObservable()]
+        assert not _on_grid(haar, ones, [1.0], 2 ** 10, 8)
+        assert _on_grid(haar, ones, [1.0], 2 ** 10, 9)
+        for xi in (8, 9):
+            assert abs(correlation(haar, ones, [1.0], nodes=2 ** 10,
+                                   xi=xi)) < 1e-13
+        # the widest piece at t = 2 is 0.105 wide: a density coefficient
+        # at 100 keeps the row on the grid
+        sigma = HorocycleMeasure(TorusMeasure(
+            1, {(0,): 1.0, (100,): 0.1, (-100,): 0.1}))
+        assert _on_grid(sigma, _HAAR_PAIR[:1], [2.0], 2 ** 12)
+        assert correlation(sigma, _HAAR_PAIR[:1], [2.0], nodes=2 ** 12) \
+            == _reference_correlation(sigma, _HAAR_PAIR[:1], [2.0], 2 ** 12)
 
 
 class TestTwistedCorrelation:
     def test_zero_frequency_collapses(self):
         haar = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-        a = correlation(haar, [obs], [3.0], nodes=2 ** 10, xi=0)
-        b = correlation(haar, [obs], [3.0], nodes=2 ** 10)
-        assert a == b
-        # no twist left: the plain midpoint mean of the observable
-        x = (np.arange(2 ** 10) + 0.5) / 2 ** 10
-        direct = np.mean(obs.value_at(x, np.full(x.size, math.exp(-3.0))))
-        assert a.imag == 0.0
-        assert a.real == pytest.approx(direct, rel=1e-15)
+        y = math.exp(-3.0)
+        for nodes in (2 ** 8, 2 ** 10):
+            a = correlation(haar, [obs], [3.0], nodes=nodes, xi=0)
+            b = correlation(haar, [obs], [3.0], nodes=nodes)
+            assert a == b
+            assert a.imag == 0.0
+            # no twist left: on the grid (256 nodes pay for 4 of the 8
+            # pieces), the plain midpoint mean of the observable; on
+            # Gauss-Legendre (1024 nodes), its constant term
+            if nodes == 2 ** 8:
+                assert _on_grid(haar, [obs], [3.0], nodes)
+                x = (np.arange(nodes) + 0.5) / nodes
+                direct = np.mean(obs.value_at(x, np.full(x.size, y)))
+                assert a.real == pytest.approx(direct, rel=1e-15)
+            else:
+                assert not _on_grid(haar, [obs], [3.0], nodes)
+                assert abs(a - _constant_term(obs.profile, y)) <= 1e-12
 
     @pytest.mark.parametrize("xi", [0.5, -2.25, math.nan, math.inf])
     def test_non_integer_frequency_refused(self, xi):
