@@ -18,13 +18,14 @@ import pytest
 from click.testing import CliRunner
 from scipy.integrate import dblquad, quad
 
-from equidist.cli import (_sparse_observable, _suite_integral, _suite_ledger,
-                          _suite_modular, _suite_pigeonhole, _suite_wiener,
-                          _suite_window, main)
+from equidist.cli import main
 from equidist.constants import AssumptionParams, PowerLawGrowth, build_ledger
 from equidist.modular import (BumpProfile, EisensteinObservable,
                               HorocycleMeasure, check_integral_estimate,
                               correlation, delta_statistics, fit_decay)
+from equidist.suites import (_sparse_observable, _suite_integral,
+                             _suite_ledger, _suite_modular, _suite_pigeonhole,
+                             _suite_wiener, _suite_window)
 from equidist.wiener import wiener_norm
 
 from test_wiener import product_of, scaled, sum_of

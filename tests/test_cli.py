@@ -18,13 +18,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from equidist import cli, modular
-from equidist.cli import (_brute_force_pq, _csv_text, _finite_or_null,
-                          _json_text, main)
+from equidist.cli import _csv_text, _finite_or_null, _json_text, main
 from equidist.geometry import (RootAction, TranslationTuple,
                                select_direction, tuple_stats)
 from equidist.modular import (BumpProfile, EisensteinObservable,
                               HorocycleMeasure)
 from equidist.selection import choose_window, pigeonhole
+from equidist.suites import _brute_force_pq
 
 GOLDEN_PARAMS = {
     "d_o": 1, "D_o": 1.0, "delta_o": 1.0, "C": 1.0, "c": 0.4,

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.cli import _suite_ledger
 from equidist.constants import (AssumptionParams, ConstantGrowth,
                                 PowerLawGrowth, TabulatedGrowth, base_case,
                                 bound_evaluate, build_ledger)
+from equidist.suites import _suite_ledger
 
 
 def unit_params():

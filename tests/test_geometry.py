@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.cli import _suite_geometry
 from equidist.constants import _exp
 from equidist.geometry import (_CHUNK, DirectionSelection, RootAction,
                                TranslationTuple, TupleStats, log_star_norm,
                                select_direction, star_norm, tuple_stats)
+from equidist.suites import _suite_geometry
 
 
 def u11():

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from equidist import modular
-from equidist.cli import _suite_modular
 from equidist.modular import (BumpProfile, ConstantObservable,
                               EisensteinObservable, HorocycleMeasure,
                               check_integral_estimate, correlation,
                               delta_statistics, fit_decay, mu_integral,
                               reduce_arrays, s_norm_surrogate)
+from equidist.suites import _suite_modular
 from equidist.wiener import TorusMeasure
 
 

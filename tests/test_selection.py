@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.cli import _selection, _suite_pigeonhole, _suite_window
 from equidist.geometry import DirectionSelection
 from equidist.selection import choose_window, pigeonhole
+from equidist.suites import _selection, _suite_pigeonhole, _suite_window
 
 
 class TestPigeonhole:

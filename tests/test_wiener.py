@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.cli import _suite_wiener
+from equidist.suites import _suite_wiener
 from equidist.wiener import (TorusMeasure, TorusObservable,
                              character_expansion_check, character_twist,
                              wiener_norm)
