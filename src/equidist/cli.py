@@ -20,8 +20,10 @@ acceptance.  jsonschema is imported only when it refuses, to word the
 refusal's message and path; a manifest jsonschema accepts still runs.
 
 The module imports only the constant ledger among the layers, so a
-ledger run loads no numpy.  The other bodies import numpy and the layers
-they run when they are called, and verify imports its suites from
+ledger run loads no numpy.  Nor does a fit run: its body imports
+equidist._fit, which reads the CSV with the csv module and fits in
+integer arithmetic.  The other bodies import numpy and the layers they
+run when they are called, and verify imports its suites from
 equidist.suites.
 
 Exit codes: 0 success, 2 manifest or file problems, 3 numerical
@@ -650,8 +652,6 @@ def _expand_times(blk):
                           help="Override the quadrature node count."))
 def correlate(blk, seed, threads, nodes, **_):
     """Run horocycle correlation experiments from a manifest."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from .modular import (BumpProfile, ConstantObservable,
                           EisensteinObservable, HorocycleMeasure, correlation,
                           delta_statistics, fit_decay, s_norm_surrogate)
@@ -681,6 +681,8 @@ def correlate(blk, seed, threads, nodes, **_):
         return val, d_add, d_mult, abs(val - mu_product)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(run_row, time_rows))
     else:
@@ -755,25 +757,16 @@ def correlate(blk, seed, threads, nodes, **_):
 @_subcommand()
 def fit(blk, seed, manifest_path, **_):
     """Fit a power-law decay to columns of an existing CSV."""
-    import numpy as np
-
-    from .modular import fit_decay
+    from ._fit import fit_decay, read_columns
 
     csv_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
                             blk["input_csv"])
     x_col = blk.get("x_column", "Delta_mult")
     y_col = blk.get("y_column", "abs_error")
-    table = np.genfromtxt(_read_text(csv_path, "input CSV").splitlines(),
-                          delimiter=",", names=True)
-    if table.dtype.names is None or x_col not in table.dtype.names \
-            or y_col not in table.dtype.names:
-        raise ValueError("columns %r and %r not found in %s (have %r)"
-                         % (x_col, y_col, csv_path, table.dtype.names))
-    xs = np.atleast_1d(table[x_col])
-    ys = np.atleast_1d(table[y_col])
-    keep = (xs > 0) & (ys > 0)
-    result = fit_decay(xs[keep], ys[keep])
-    n_points = int(np.count_nonzero(keep))
+    xs, ys = read_columns(_read_text(csv_path, "input CSV"), x_col, y_col,
+                          csv_path)
+    result = fit_decay(xs, ys)
+    n_points = len(xs)
     lines = ["fit: exponent=%.6g prefactor=%.6g residual=%.6g n=%d"
              % (result.exponent, result.prefactor, result.residual,
                 n_points)]

@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the fit needs no numpy and lives apart, so a fit run loads none
+from ._fit import DecayFit, fit_decay
+
 __all__ = [
     "BumpProfile",
     "EisensteinObservable",
@@ -476,38 +479,6 @@ def check_integral_estimate(R, c):
     rhs = 7.0 * R ** (-c) / (1.0 - c)
     return IntegralEstimate(lhs=lhs, rhs=rhs,
                             passed=bool(lhs <= rhs * (1.0 + 1e-12)))
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    exponent: float
-    prefactor: float
-    residual: float
-
-
-def fit_decay(deltas, errors):
-    """Least squares in log-log coordinates:
-
-        log error = log prefactor - exponent * log Delta.
-
-    Returns the exponent (positive means decay), the prefactor, and the
-    RMS residual of the fit.
-    """
-    d = np.asarray(list(deltas), dtype=float)
-    e = np.asarray(list(errors), dtype=float)
-    if d.size < 3 or d.size != e.size:
-        raise ValueError("need at least 3 paired data points")
-    if np.any(d <= 0.0) or np.any(e <= 0.0):
-        raise ValueError("fit requires strictly positive data")
-    ld = np.log(d)
-    le = np.log(e)
-    if ld.max() - ld.min() < 1e-12:
-        raise ValueError("degenerate input: Delta values are constant")
-    slope, intercept = np.polyfit(ld, le, 1)
-    resid = le - (slope * ld + intercept)
-    return DecayFit(exponent=float(-slope),
-                    prefactor=float(math.exp(intercept)),
-                    residual=float(np.sqrt(np.mean(resid * resid))))
 
 
 def delta_statistics(times):

@@ -7,8 +7,11 @@ files and exit codes.
 
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -861,6 +864,66 @@ class TestFitCommand:
         assert res.exit_code == 3
         err = json.loads(res.stderr)
         assert "not found" in err["message"]
+
+    def test_column_overrides(self, tmp_path, runner):
+        # gap and err follow 3 gap^-1/2; the default columns do not
+        rows = ["Delta_mult, gap ,abs_error,err"]
+        rows += ["%r,%r,%r,%r" % (2.0 ** k, 4.0 ** k, 0.5, 3.0 * 2.0 ** -k)
+                 for k in range(1, 6)]
+        (tmp_path / "tbl.csv").write_text("\n".join(rows) + "\n",
+                                          encoding="utf-8")
+        fpath = write_manifest(tmp_path / "f.json", {
+            "mode": "fit", "fit": {"input_csv": "tbl.csv",
+                                   "x_column": "gap", "y_column": "err"}})
+        res = runner.invoke(main, ["fit", "--manifest", fpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        payload = read_json(tmp_path / "fit.json")
+        assert (payload["x_column"], payload["y_column"]) == ("gap", "err")
+        assert payload["n_points"] == 5
+        assert payload["exponent"] == pytest.approx(0.5, abs=1e-12)
+        assert payload["prefactor"] == pytest.approx(3.0, rel=1e-12)
+        gp = (tmp_path / "fit.gp").read_text()
+        assert "xlabel 'gap'" in gp and "ylabel 'err'" in gp
+        assert "using 'gap':'err'" in gp
+
+    def test_ragged_row_is_one_line(self, tmp_path, runner):
+        (tmp_path / "tbl.csv").write_text(
+            "Delta_mult,abs_error\n1.0,0.5\n2.0,0.25,7\n4.0,0.125\n",
+            encoding="utf-8")
+        fpath = write_manifest(tmp_path / "f.json",
+                               {"mode": "fit",
+                                "fit": {"input_csv": "tbl.csv"}})
+        res = runner.invoke(main, ["fit", "--manifest", fpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["message"] == ("%s line 3 has 3 cells, the header has 2"
+                                  % (tmp_path / "tbl.csv"))
+
+    def test_infinite_cell_is_refused_by_line(self, tmp_path):
+        # in a fresh process, so output that native code writes to the
+        # file descriptors is seen too
+        (tmp_path / "tbl.csv").write_text(
+            "Delta_mult,abs_error\n1.0,0.5\n2.0,0.25\ninf,0.01\n4.0,0.125\n",
+            encoding="utf-8")
+        fpath = write_manifest(tmp_path / "f.json",
+                               {"mode": "fit",
+                                "fit": {"input_csv": "tbl.csv"}})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "equidist", "fit", "--manifest", fpath,
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {
+            "error": "numerical",
+            "message": "%s line 4, column 'Delta_mult': 'inf' is not finite"
+                       % (tmp_path / "tbl.csv")}
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyCommand:

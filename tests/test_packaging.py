@@ -17,7 +17,8 @@ from test_cli import readme_manifests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(equidist.__file__)))
 PKG = os.path.join(SRC, "equidist")
 MODULES = ("constants", "geometry", "modular", "selection", "wiener")
-# what the ledger path must not load: numpy and every layer but constants
+# what the ledger and fit paths must not load: numpy and every layer but
+# constants
 NOT_FOR_LEDGER = ("numpy", "equidist.geometry", "equidist.modular",
                   "equidist.selection", "equidist.wiener")
 
@@ -36,14 +37,17 @@ def _python(*argv):
                           check=True).stdout
 
 
+def _of_packages(modules, packages):
+    return [m for m in modules for p in packages
+            if m == p or m.startswith(p + ".")]
+
+
 def _loaded_after(code, *packages):
     """The modules of packages that a fresh interpreter has loaded after
     running code."""
-    modules = json.loads(_python(
+    return _of_packages(json.loads(_python(
         "-c", code + "\nimport json, sys; print(json.dumps(sorted("
-        "sys.modules)))").splitlines()[-1])
-    return [m for m in modules for p in packages
-            if m == p or m.startswith(p + ".")]
+        "sys.modules)))").splitlines()[-1]), packages)
 
 
 def test_cli_import_loads_no_scipy():
@@ -83,6 +87,52 @@ def test_ledger_path_loads_no_numpy(tmp_path):
     commands = _python("-m", "equidist", "--help").split("Commands:")[1]
     assert sorted(re.findall(r"^  (\w+)", commands, re.M)) == [
         "correlate", "fit", "ledger", "schedule", "verify"]
+
+
+def _imported_by(argv, *packages):
+    """The modules of packages, in import order, that a fresh interpreter
+    run with argv imports, read from -X importtime; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    err = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                         env=env, capture_output=True, text=True,
+                         check=True).stderr
+    return _of_packages(
+        [line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+         if line.startswith("import time:") and "self [us]" not in line],
+        packages)
+
+
+def test_fit_path_loads_no_numpy(tmp_path):
+    # the fit reads its CSV with the csv module and solves in integers: a
+    # fit run, in-process or in its own process, loads neither numpy nor
+    # the layers, and importing the CLI does not load the fit
+    (tmp_path / "t.csv").write_text(
+        "Delta_mult,abs_error\n2.0,0.5\n4.0,0.3\n8.0,0.2\n",
+        encoding="utf-8")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(
+        {"mode": "fit", "fit": {"input_csv": "t.csv"}}), encoding="utf-8")
+    argv = ["fit", "--manifest", str(manifest), "--out", str(tmp_path)]
+    run = ("from equidist import cli\n"
+           "cli.main(%r, standalone_mode=False)" % argv)
+    assert _loaded_after(run, *NOT_FOR_LEDGER) == []
+    assert _loaded_after("import equidist.cli", "equidist._fit") == []
+    assert _imported_by(["-m", "equidist", *argv], "equidist._fit",
+                        *NOT_FOR_LEDGER) == ["equidist._fit"]
+    assert json.loads((tmp_path / "fit.json").read_text())["n_points"] == 3
+
+
+def test_correlate_at_one_thread_starts_no_pool(tmp_path):
+    # concurrent.futures is imported only for a thread pool
+    block = readme_manifests()["correlate"]
+    family = block["correlate"]["family"]
+    family["t_stop"] = family["t_start"]
+    manifest = tmp_path / "c.json"
+    manifest.write_text(json.dumps(block), encoding="utf-8")
+    assert _imported_by(["-m", "equidist", "correlate", "--manifest",
+                         str(manifest), "--out", str(tmp_path), "--threads",
+                         "1"], "equidist.modular", "concurrent") == [
+        "equidist.modular"]
 
 
 def test_one_process_writes_what_fresh_ones_write(tmp_path):
