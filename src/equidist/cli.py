@@ -403,14 +403,14 @@ def main():
 
 
 def _subcommand(*options):
-    """Register body(block, seed=, threads=, manifest_path=, **options) as
-    the subcommand of its name.  It gets its mode's manifest block and
-    returns ({file name: text or an iterable of text chunks}, an iterable
-    of stdout lines (at least one), failure message or None).  Numerical
-    errors exit 3 before any output, so a body computes everything
-    before it returns and its iterables only format; each file is
-    written one chunk at a time and stdout in blocks of _ECHO_LINES
-    lines.  A failure exits 3 after the output."""
+    """Register body(block, seed=, threads=, manifest_path=, out_dir=,
+    **options) as the subcommand of its name.  It gets its mode's
+    manifest block and returns ({file name: text or an iterable of text
+    chunks}, an iterable of stdout lines (at least one), failure message
+    or None).  Numerical errors exit 3 before any output, so a body
+    computes everything before it returns and its iterables only
+    format; each file is written one chunk at a time and stdout in
+    blocks of _ECHO_LINES lines.  A failure exits 3 after the output."""
     def register(body):
         mode = body.__name__
 
@@ -421,7 +421,7 @@ def _subcommand(*options):
             try:
                 files, lines, failure = body(
                     manifest.get(mode, {}), seed=int(seed), threads=threads,
-                    manifest_path=manifest_path, **opts)
+                    manifest_path=manifest_path, out_dir=out_dir, **opts)
             except _NUMERIC_ERRORS as exc:
                 _fail(3, "numerical", exc)
             os.makedirs(out_dir, exist_ok=True)
@@ -649,7 +649,9 @@ def _expand_times(blk):
 
 @_subcommand(click.option("--nodes", type=int, default=None,
                           callback=_at_least(16),
-                          help="Override the quadrature node count."))
+                          help="Override nodes: the most points a row "
+                               "evaluates at once and the largest Farey "
+                               "set a row may enumerate."))
 def correlate(blk, seed, threads, nodes, **_):
     """Run horocycle correlation experiments from a manifest."""
     from .modular import (BumpProfile, ConstantObservable,
@@ -755,7 +757,7 @@ def correlate(blk, seed, threads, nodes, **_):
 
 
 @_subcommand()
-def fit(blk, seed, manifest_path, **_):
+def fit(blk, seed, manifest_path, out_dir, **_):
     """Fit a power-law decay to columns of an existing CSV."""
     from ._fit import fit_decay, read_columns
 
@@ -773,14 +775,15 @@ def fit(blk, seed, manifest_path, **_):
     return {
         "fit.json": _json_text(
             {"mode": "fit", "seed": seed, "version": __version__,
-             "input_csv": csv_path, "x_column": x_col, "y_column": y_col,
-             "n_points": n_points, "exponent": result.exponent,
-             "prefactor": result.prefactor, "residual": result.residual}),
+             "input_csv": blk["input_csv"], "x_column": x_col,
+             "y_column": y_col, "n_points": n_points,
+             "exponent": result.exponent, "prefactor": result.prefactor,
+             "residual": result.residual}),
         "fit.gp": _gnuplot(
             "decay fit over the source table (log-log)",
             ["logscale xy", "xlabel '%s'" % x_col, "ylabel '%s'" % y_col],
             ["'%s' using '%s':'%s' with points pt 7 title 'data'"
-             % (csv_path, x_col, y_col)], result),
+             % (os.path.relpath(csv_path, out_dir), x_col, y_col)], result),
     }, lines, None
 
 

@@ -14,12 +14,10 @@ A correlation row is integrated with a 64-point Gauss-Legendre rule on
 each piece between the merged arc endpoints of its factors: at height
 e^(-t) a coset (c, d) reaches the support of a profile only on an arc
 around -d/c inside its Ford circle, where the observable is that
-coset's single smooth term.  Rows where this takes more points than
-the node budget, or where a cusp term f(e^-t) is nonzero, take the
-composite midpoint rule on uniform nodes, each reduced to the
-fundamental domain (`reduce_arrays`, then
-`EisensteinObservable.value_reduced`).  The tests' independent oracle
-is adaptive quadrature.
+coset's single smooth term.  A factor's Farey set, about 1/(y y_lo)
+cosets, must fit in the row's node count, or the row is refused.  The
+tests' independent oracles are adaptive quadrature and the Eisenstein
+constant term.
 """
 
 import functools
@@ -266,34 +264,11 @@ class HorocycleMeasure:
             raise ValueError("horocycle density must be a probability "
                              "measure (unit zero coefficient)")
         self.density = density
-        self._cached_weights = None
 
     @classmethod
     def haar(cls):
         from .wiener import TorusMeasure
         return cls(TorusMeasure.haar(1))
-
-    def _weights(self, nodes, xi):
-        """The weight rho(x) e(xi x) at the midpoint nodes
-        x = (k + 1/2) / nodes, or None when it is identically 1 (Haar
-        density, xi = 0).
-
-        Built once per (nodes, xi) and kept for the next call, so a time
-        family evaluates the density once; the array is read-only.
-        Concurrent first calls each build identical arrays.
-        """
-        key = (nodes, xi)
-        cached = self._cached_weights
-        if cached is None or cached[0] != key:
-            w = None
-            if xi or self.density.coeffs != {(0,): 1.0}:
-                x = (np.arange(nodes) + 0.5) / nodes
-                w = self.density.value(x)
-                if xi:
-                    w = w * np.exp(2j * math.pi * xi * x)
-                w.flags.writeable = False
-            cached = self._cached_weights = (key, w)
-        return cached[1]
 
     def _weight_at(self, x, xi):
         """The weight rho(x) e(xi x) at the points x, or None when it is
@@ -347,15 +322,12 @@ def _arcs(profile, y):
     return lo[keep], hi[keep], c[keep % c.size], d[keep % c.size]
 
 
-def _pieces(factors, nodes):
+def _pieces(factors):
     """The sorted intervals of [0, 1] where the supports of all the
     (profile, y) factors overlap, as (lo, hi, terms) with one (c, d)
-    array pair per factor; None when some Farey set would outgrow the
-    grid (1/(y y_lo) > nodes), so enumerating never costs more than it."""
+    array pair per factor."""
     lo, hi, terms = np.zeros(1), np.ones(1), []
     for f, y in factors:
-        if 1.0 / (y * f.y_lo) > nodes:
-            return None
         a_lo, a_hi, c, d = _arcs(f, y)
         # every (piece, arc interval) pair that overlaps, in x order
         first = np.searchsorted(a_hi, lo, side="right")
@@ -370,6 +342,19 @@ def _pieces(factors, nodes):
     return lo, hi, terms
 
 
+def _split(lo, hi, terms, band):
+    """Each piece cut into the fewest equal sub-pieces that span at most
+    8 periods of the weight's top frequency band; a piece that needs no
+    cut keeps its endpoints."""
+    k = np.maximum(np.ceil(band * (hi - lo) / _GL_PERIODS), 1).astype(int)
+    i = np.repeat(np.arange(lo.size), k)
+    j = np.arange(i.size) - np.repeat(np.cumsum(k) - k, k)
+    step = (hi - lo)[i] / k[i]
+    return (lo[i] + j * step,
+            np.where(j + 1 == k[i], hi[i], lo[i] + (j + 1) * step),
+            [(c[i], d[i]) for c, d in terms])
+
+
 def _arc_term(profile, y, c, d, x):
     """The term f(y / |c z + d|^2) of the coset (c, d) at z = x + iy,
     with the operations of `EisensteinObservable.value`, so it equals
@@ -381,26 +366,25 @@ def _arc_term(profile, y, c, d, x):
 
 def _gauss_row(sigma, factors, nodes, xi):
     """The 64-point Gauss-Legendre integral of the weight times the
-    (profile, y) factors over the row's pieces, or None for a grid row:
-    a nonzero cusp term f(y), a Farey set past the grid, more than nodes
-    points, or a piece over 8 periods of the weight."""
-    if any(f.value(y) != 0.0 for f, y in factors):
-        return None
-    pieces = _pieces(factors, nodes)
-    if pieces is None or pieces[0].size * _GL_ORDER > nodes:
-        return None
-    lo, hi, terms = pieces
+    (profile, y) factors over the row's pieces, evaluated nodes // 64
+    pieces (at least one) at a time.  The per-piece sums are added in
+    one pass, so without a weight the result does not depend on nodes;
+    a weighted row changes with it only in rounding."""
     band = max(abs(k + xi) for (k,) in sigma.density.coeffs)
-    if band * np.max(hi - lo, initial=0.0) > _GL_PERIODS:
-        return None
+    lo, hi, terms = _split(*_pieces(factors), band)
     gx, gw = _legendre_rule(_GL_ORDER)
     half = (hi - lo) / 2.0
-    x = (lo + half)[:, None] + half[:, None] * gx
-    prod = sigma._weight_at(x, xi)
-    prod = np.ones_like(x) if prod is None else prod
-    for (f, y), (c, d) in zip(factors, terms):
-        prod = prod * _arc_term(f, y, c[:, None], d[:, None], x)
-    return complex(np.sum(half * np.sum(prod * gw, axis=1)))
+    step = max(nodes // _GL_ORDER, 1)
+    sums = []
+    for s in range(0, lo.size, step):
+        part = slice(s, s + step)
+        x = (lo[part] + half[part])[:, None] + half[part, None] * gx
+        prod = sigma._weight_at(x, xi)
+        prod = np.ones_like(x) if prod is None else prod
+        for (f, y), (c, d) in zip(factors, terms):
+            prod = prod * _arc_term(f, y, c[part, None], d[part, None], x)
+        sums.append(np.sum(prod * gw, axis=1))
+    return complex(np.sum(half * np.concatenate(sums))) if sums else 0j
 
 
 def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
@@ -412,12 +396,14 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
 
     over one period x in [0, 1); xi = 0 gives the plain correlation and
     a non-integer xi is refused.  Deterministic: the row and nodes fix
-    the points and the summation order.
+    the points, their batches and the summation order.
 
-    `_gauss_row` integrates the rows it can; the others take the
-    midpoint rule on nodes uniform nodes: each factor through `value_at`,
-    the weight cached on sigma per (nodes, xi), products associated as
-    (w v_1) v_2 ... v_r.  Constant factors multiply in.
+    Every row is a `_gauss_row`.  Constant factors multiply in, and so
+    does a nonzero cusp term f(y): it needs y >= y_lo >= 1, so y = y_lo
+    = 1, where every arc has zero width and the factor is f(1) almost
+    everywhere.  A factor with y y_lo > 1 reaches no coset, so the row
+    is 0.  A factor whose Farey set 1/(y y_lo) exceeds nodes is refused
+    with ValueError naming the nodes the row needs.
     """
     observables = list(observables)
     times = [float(t) for t in times]
@@ -427,28 +413,38 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
         if not 0.0 <= t <= _TIME_CAP:
             raise ValueError(
                 "time %g outside [0, %g]; heights below e^-%g underflow "
-                "the quadrature grid" % (t, _TIME_CAP, _TIME_CAP))
+                "the quadrature" % (t, _TIME_CAP, _TIME_CAP))
     nodes = int(nodes)
     if nodes < 16:
         raise ValueError("at least 16 quadrature nodes are required")
     if not (isinstance(xi, numbers.Integral) or float(xi).is_integer()):
         raise ValueError("xi must be an integer frequency, got %r" % (xi,))
     xi = int(xi)
-    ys = [math.exp(-t) for t in times]
-    factors = [(obs.profile, y) for obs, y in zip(observables, ys)
-               if not isinstance(obs, ConstantObservable)]
-    total = _gauss_row(sigma, factors, nodes, xi)
-    if total is not None:
-        for obs in observables:
-            if isinstance(obs, ConstantObservable):
-                total *= obs.value
-        return total
-    x = (np.arange(nodes) + 0.5) / nodes
-    w = sigma._weights(nodes, xi)
-    vals = np.ones(nodes, dtype=complex) if w is None else w
-    for obs, y in zip(observables, ys):
-        vals = vals * obs.value_at(x, np.full(nodes, y))
-    return complex(np.mean(vals))
+    consts, factors, empty = [], [], False
+    for obs, t in zip(observables, times):
+        y = math.exp(-t)
+        if isinstance(obs, ConstantObservable):
+            consts.append(obs.value)
+        elif (cusp := obs.profile.value(y)) != 0.0:
+            consts.append(cusp)
+        elif y * obs.profile.y_lo > 1.0:
+            empty = True
+        else:
+            factors.append((obs.profile, y))
+    need = max((math.ceil(1.0 / (y * f.y_lo)) for f, y in factors),
+               default=0)
+    if empty:
+        total = 0j
+    elif need > nodes:
+        raise ValueError(
+            "row t=(%s) needs nodes >= %d to enumerate its Farey set "
+            "1/(e^-t y_lo); it has nodes=%d"
+            % (",".join("%g" % t for t in times), need, nodes))
+    else:
+        total = _gauss_row(sigma, factors, nodes, xi)
+    for value in consts:
+        total *= value
+    return total
 
 
 @dataclass(frozen=True)

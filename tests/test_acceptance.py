@@ -199,12 +199,14 @@ def test_criterion_5_modular_geometry():
 
 def test_criterion_6_equidistribution_trend():
     measure = HorocycleMeasure.haar()
-    nodes = 2 ** 14
 
+    # 2^17 nodes admit the Farey set at t = 12 (e^12 / 1.5 = 108504); a
+    # row without a weight has the same bytes at every node count that
+    # admits it, 2^23 included
     start = time.perf_counter()
     obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
     mu = obs.mu
-    errors = {t: abs(correlation(measure, [obs], [float(t)], nodes=nodes)
+    errors = {t: abs(correlation(measure, [obs], [float(t)], nodes=2 ** 17)
                      - mu) for t in range(2, 13)}
     chain = [4, 6, 8, 10, 12]
     inversions = sum(errors[b] > errors[a]
@@ -212,8 +214,9 @@ def test_criterion_6_equidistribution_trend():
     assert inversions <= 1
     fit1 = fit_decay([math.exp(t) for t in errors], list(errors.values()))
     assert fit1.exponent > 0.0
-    # frozen measurement at these settings
-    assert fit1.exponent == pytest.approx(0.4467714371037437, rel=0.20)
+    # the exponent of the constant-term oracle values at these rows
+    # (tests/test_modular.py, _constant_term), not of this kernel
+    assert fit1.exponent == pytest.approx(0.7938395550350245, rel=0.20)
     assert time.perf_counter() - start < 300.0
 
     start = time.perf_counter()
@@ -223,7 +226,7 @@ def test_criterion_6_equidistribution_trend():
     deltas, errs = [], []
     for t in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
         val = correlation(measure, [first, second], [t, 2.0 * t],
-                          nodes=nodes)
+                          nodes=2 ** 15)
         errs.append(abs(val - mu_prod))
         deltas.append(delta_statistics([t, 2.0 * t])[1])
     fit2 = fit_decay(deltas, errs)

@@ -799,7 +799,27 @@ class TestCorrelateCommand:
             t = 0.5 + 0.5 * k
             factors = [(o.profile, math.exp(-s))
                        for o, s in zip(pair, [t, 2.0 * t])]
-            assert modular._pieces(factors, 2 ** 14)[0].size * 64 <= 2 ** 14
+            assert modular._pieces(factors)[0].size * 64 <= 2 ** 14
+
+    def test_row_past_the_farey_bound_is_refused(self, tmp_path, runner):
+        # t = 9 and 10 fit 16384 nodes, t = 11 needs nodes >= e^11 / 1.5:
+        # exit 3 before any output, naming the row and that count, which
+        # then resolves the run
+        mpath = self.manifest(tmp_path, nodes=16384, family={
+            "t_start": 9.0, "t_stop": 11.0, "t_step": 1.0, "pattern": [1.0]})
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "numerical"
+        assert err["message"].startswith("row t=(11) needs nodes >= 39917 ")
+        assert not (tmp_path / "out").exists()
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out"),
+                                   "--nodes", "39917"])
+        assert res.exit_code == 0, res.output
+        _, rows = read_csv_rows(tmp_path / "out" / "correlate.csv")
+        assert [int(row["N_nodes"]) for row in rows] == [39917] * 3
 
     def test_nodes_flag_overrides_manifest(self, tmp_path, runner):
         mpath = self.manifest(tmp_path)
@@ -829,6 +849,32 @@ class TestFitCommand:
         assert payload["n_points"] >= 3
         assert payload["exponent"] > 0.0
         assert "x**(-B)" in (tmp_path / "fit.gp").read_text()
+
+    def test_outputs_do_not_depend_on_the_working_directory(
+            self, tmp_path, runner, monkeypatch):
+        # the same manifest and CSV under two directories, each run from
+        # its own one: fit.json keeps input_csv as the manifest gives it
+        # and fit.gp names the CSV relative to --out
+        rows = ["Delta_mult,abs_error"] + ["%r,%r" % (2.0 ** k, 0.5 ** k)
+                                           for k in range(1, 6)]
+        outputs = []
+        for name in ("a", "b/c"):
+            base = tmp_path / name
+            (base / "run").mkdir(parents=True)
+            (base / "run" / "tbl.csv").write_text("\n".join(rows) + "\n",
+                                                  encoding="utf-8")
+            write_manifest(base / "f.json",
+                           {"mode": "fit",
+                            "fit": {"input_csv": "run/tbl.csv"}})
+            monkeypatch.chdir(base)
+            res = runner.invoke(main, ["fit", "--manifest", "f.json",
+                                       "--out", "results/fit"])
+            assert res.exit_code == 0, res.output
+            outputs.append([(base / "results" / "fit" / f).read_bytes()
+                            for f in ("fit.json", "fit.gp")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["input_csv"] == "run/tbl.csv"
+        assert b"'../../run/tbl.csv' using" in outputs[0][1]
 
     def test_missing_csv(self, tmp_path, runner):
         fpath = write_manifest(tmp_path / "f.json",

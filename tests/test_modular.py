@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -236,7 +238,6 @@ class TestCorrelation:
         # (2/c) (sqrt(y/y_lo - c^2 y^2) - sqrt(max(y/y_hi - c^2 y^2, 0)))
         haar = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 3.0))
-        assert not _on_grid(haar, [obs], [6.0], 2 ** 14)
         val = correlation(haar, [obs], [6.0], nodes=2 ** 14)
         y = math.exp(-6.0)
         exact = obs.profile.value(y) + sum(
@@ -275,30 +276,36 @@ class TestCorrelation:
 
     def test_haar_r1_matches_constant_term_oracle(self):
         # the r = 1 Haar correlation is the Eisenstein constant term
-        # a_0(y), which needs no quadrature grid; every row here is a
-        # Gauss-Legendre row, t = 7 at 2^16 nodes too, where the midpoint
-        # rule would stand at nodes e^-t = 60
+        # a_0(y), which needs no quadrature; a row's value does not depend
+        # on nodes, and 2^17 nodes admit the Farey set at t = 12
         haar = HorocycleMeasure.haar()
         profile = BumpProfile("bump", 1.5, 3.0)
         obs = EisensteinObservable(profile)
-        for t, nodes in [(1.0, 2 ** 14), (2.0, 2 ** 14), (3.0, 2 ** 14),
-                         (4.0, 2 ** 14), (5.0, 2 ** 14), (6.0, 2 ** 16),
-                         (7.0, 2 ** 16)]:
-            assert not _on_grid(haar, [obs], [t], nodes)
-            val = correlation(haar, [obs], [t], nodes=nodes)
+        for t in range(1, 13):
+            val = correlation(haar, [obs], [float(t)], nodes=2 ** 17)
             assert abs(val - _constant_term(profile, math.exp(-t))) <= 1e-12
 
+    def test_constant_term_decays_at_the_square_root_rate(self):
+        # a_0(y) - mu = O(y^(1/2)) unconditionally (Sarnak 1981, Zagier
+        # 1981): on the kernel rows and on the oracle, |a_0(e^-t) - mu|
+        # e^(t/2) stays below 0.25 (its maximum is 0.124, at t = 3)
+        haar = HorocycleMeasure.haar()
+        profile = BumpProfile("bump", 1.5, 3.0)
+        obs = EisensteinObservable(profile)
+        for t in range(2, 13):
+            for val in (correlation(haar, [obs], [float(t)], nodes=2 ** 17),
+                        _constant_term(profile, math.exp(-t))):
+                assert abs(val - obs.mu) * math.exp(t / 2.0) <= 0.25
+
     def test_doubling_nodes_is_stable(self):
-        # holds while the spike structure at height e^-t is resolved,
-        # which needs e^t well below the node count; at 2^13 nodes that
-        # caps the usable range near t = 7 (the defect there is already
-        # down to 1.5e-5, but it grows past 1e-4 from t = 8 on)
+        # nodes sets how many points are evaluated at once, never the
+        # points: the rows are the same bytes at 2^13 and 2^14 nodes
         haar = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
         for t in (2.0, 4.0, 6.0, 7.0):
             coarse = correlation(haar, [obs], [t], nodes=2 ** 13)
             fine = correlation(haar, [obs], [t], nodes=2 ** 14)
-            assert abs(coarse - fine) <= 1e-4
+            assert coarse == fine
 
     def test_validation(self):
         haar = HorocycleMeasure.haar()
@@ -307,6 +314,9 @@ class TestCorrelation:
             correlation(haar, [obs], [2.0], nodes=8)
         with pytest.raises(ValueError, match="underflow"):
             correlation(haar, [obs], [31.0])
+        with pytest.raises(ValueError, match=re.escape(
+                "row t=(12) needs nodes >= 108504 ")):
+            correlation(haar, [obs], [12.0])
         with pytest.raises(ValueError):
             correlation(haar, [obs], [2.0, 3.0])
         with pytest.raises(ValueError):
@@ -317,6 +327,7 @@ def _phi(c):
     return sum(math.gcd(c, d) == 1 for d in range(1, c + 1))
 
 
+@functools.cache
 def _constant_term(profile, y):
     """Independent oracle for the r = 1 Haar row at height y: the constant
     term a_0(y) = f(y) + 2y sum_{c <= (y y_lo)^(-1/2)} phi(c)
@@ -379,7 +390,7 @@ def _quad_oracle(observables, times, coeffs=None, xi=0):
     total = [0.0, 0.0]
     with warnings.catch_warnings():
         # the roundoff notice at these tolerances; the sum is held to
-        # the kernel at 1e-12 and to the grid in the sizing tests
+        # the kernel at 1e-12
         warnings.simplefilter("ignore", IntegrationWarning)
         for a, b in zip(cuts, cuts[1:]):
             if any(obs.value((a + b) / 2.0, y) == 0.0
@@ -391,51 +402,39 @@ def _quad_oracle(observables, times, coeffs=None, xi=0):
     return complex(*total)
 
 
-def _on_grid(sigma, observables, times, nodes, xi=0):
-    """Whether the row takes the midpoint grid: only that path reads the
-    grid weights."""
-    seen = []
-    weights = sigma._weights
-    sigma._weights = lambda *args: seen.append(args) or weights(*args)
-    try:
-        correlation(sigma, observables, times, nodes=nodes, xi=xi)
-    finally:
-        del sigma._weights
-    return bool(seen)
+def _bytes(val):
+    return np.complex128(val).tobytes()
 
 
-def _factor(obs, x, y):
-    # one factor at every node: the constant, else the reduce path
-    # (value_reduced, which test_value_reduced_equals_four_term_sum holds
-    # to the enumeration)
-    if isinstance(obs, ConstantObservable):
-        return np.full(x.size, obs.value)
-    rx, ry = reduce_arrays(x, np.full(x.size, y))
-    return obs.value_reduced(rx, ry)
+def _same(sigma, xi, a, b):
+    """A row without weight is the same bytes however nodes batches its
+    points; numpy's complex products round differently at different
+    array lengths, so a weighted row agrees to rounding."""
+    if sigma._weight_at(np.zeros(1), xi) is None:
+        assert _bytes(a) == _bytes(b)
+    else:
+        assert abs(a - b) <= 1e-15
 
 
-def _reference_correlation(sigma, observables, times, nodes, xi=0):
-    # dense: density evaluated on every call, a fresh array for every
-    # factor, products associated as (w v_1) v_2 ...
-    x = (np.arange(nodes) + 0.5) / nodes
-    vals = sigma.density.value(x).astype(complex)
-    if xi:
-        vals = vals * np.exp(2j * math.pi * xi * x)
-    for obs, t in zip(observables, times):
-        vals = vals * _factor(obs, x, math.exp(-t))
-    return complex(np.mean(vals))
+def _straddle(sigma, observables, times, xi=0):
+    """The row at the fewest nodes that admit it, after checking that one
+    node fewer is refused with a message naming that count, and that the
+    row is the same at twice that count."""
+    need = max([16] + [math.ceil(1.0 / (math.exp(-t) * o.profile.y_lo))
+                       for o, t in zip(observables, times)])
+    if need > 16:
+        named = "row t=(%s) needs nodes >= %d " % (
+            ",".join("%g" % t for t in times), need)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            correlation(sigma, observables, times, nodes=need - 1, xi=xi)
+    val = correlation(sigma, observables, times, nodes=need, xi=xi)
+    _same(sigma, xi, val, correlation(sigma, observables, times,
+                                      nodes=2 * need, xi=xi))
+    return val
 
 
-def _count_density_calls(sigma):
-    calls = []
-    value = sigma.density.value
-
-    def counted(x):
-        calls.append(np.size(x))
-        return value(x)
-
-    sigma.density.value = counted
-    return calls
+def _coeffs(sigma):
+    return {k: a for (k,), a in sigma.density.coeffs.items()}
 
 
 _HAAR_PAIR = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
@@ -449,110 +448,95 @@ def _wiener():
 
 
 class TestKernelBytes:
-    """Rows on the midpoint grid (a nonzero cusp term, a Farey set past
-    the grid, or more pieces than the node budget pays for) equal a
-    dense reference with `==`: the reduce path at every node."""
+    """Rows with more pieces than one batch of nodes points holds, with a
+    cusp or an empty factor, or with a Farey set past nodes: an answered
+    row is held to an oracle at 1e-12 and is the same at every node count
+    that admits it (`_same`); a refused row names the nodes it needs."""
 
     wiener = staticmethod(_wiener)
 
     def test_haar_pair(self):
-        # at 256 nodes the budget pays for 4 pieces, fewer than these
-        # rows have
+        # the rows need 68, 337 and 914 nodes for their Farey sets at 2t
+        # and have 16, 64 and 186 pieces, so at those counts they run 1,
+        # 5 and 14 pieces at a time
         haar = HorocycleMeasure.haar()
-        calls = _count_density_calls(haar)
         for t in (2.2, 3.0, 3.5):
-            assert _on_grid(haar, _HAAR_PAIR, [t, 2.0 * t], 256)
-            val = correlation(haar, _HAAR_PAIR, [t, 2.0 * t], nodes=256)
-            ref = _reference_correlation(haar, _HAAR_PAIR, [t, 2.0 * t], 256)
-            assert val == ref
-        assert calls == [256] * 3  # all from the reference
+            val = _straddle(haar, _HAAR_PAIR, [t, 2.0 * t])
+            if t < 3.5:
+                assert abs(val - _quad_oracle(_HAAR_PAIR, [t, 2.0 * t])) \
+                    <= 1e-12
 
     @pytest.mark.parametrize("xi", [0, 3])
     def test_wiener_single(self, xi):
+        # at 64 nodes the rows are evaluated one piece at a time
         sigma = self.wiener()
-        calls = _count_density_calls(sigma)
         obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
         for t in (1.0, 2.5, 4.0):
-            assert _on_grid(sigma, obs, [t], 64, xi)
-            assert correlation(sigma, obs, [t], nodes=64, xi=xi) \
-                == _reference_correlation(sigma, obs, [t], 64, xi=xi)
-        # three rows: three reference evaluations and one cached one
-        assert len(calls) == 4
-
-    def test_cache_follows_node_count(self):
-        sigma = self.wiener()
-        calls = _count_density_calls(sigma)
-        obs = [EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))]
-        for nodes in (2 ** 10, 2 ** 12, 2 ** 10):
-            assert _on_grid(sigma, obs, [5.0], nodes)
-            assert correlation(sigma, obs, [5.0], nodes=nodes) \
-                == _reference_correlation(sigma, obs, [5.0], nodes)
-        assert calls == [2 ** 10, 2 ** 10, 2 ** 12, 2 ** 12,
-                         2 ** 10, 2 ** 10]
+            val = correlation(sigma, obs, [t], nodes=64, xi=xi)
+            _same(sigma, xi, val,
+                  correlation(sigma, obs, [t], nodes=2 ** 18, xi=xi))
+            assert abs(val - _quad_oracle(obs, [t], _coeffs(sigma), xi)) \
+                <= 1e-12
 
     @pytest.mark.parametrize("xi", [0, 2])
     def test_mixed_pair(self, xi):
-        # the Farey set at t fits the grid, the one at 2t outgrows it
-        # (e^(2t)/1.2 > 256 nodes), so the whole row is on the grid
+        # the Farey set at t fits 256 nodes, the one at 2t does not
+        # (e^(2t)/1.2 > 256), so the row is refused there
         sigma = self.wiener()
         for t in (3.0, 3.5, 4.0):
-            for obs, y, past in ((_HAAR_PAIR[0], math.exp(-t), False),
-                                 (_HAAR_PAIR[1], math.exp(-2.0 * t), True)):
-                assert (modular._pieces([(obs.profile, y)], 256)
-                        is None) == past
-            assert _on_grid(sigma, _HAAR_PAIR, [t, 2.0 * t], 256, xi)
-            assert correlation(sigma, _HAAR_PAIR, [t, 2.0 * t], nodes=256,
-                               xi=xi) \
-                == _reference_correlation(sigma, _HAAR_PAIR, [t, 2.0 * t],
-                                          256, xi=xi)
+            with pytest.raises(ValueError, match="needs nodes"):
+                correlation(sigma, _HAAR_PAIR, [t, 2.0 * t], nodes=256,
+                            xi=xi)
+            val = _straddle(sigma, _HAAR_PAIR, [t, 2.0 * t], xi)
+            if t == 3.0:
+                assert abs(val - _quad_oracle(_HAAR_PAIR, [t, 2.0 * t],
+                                              _coeffs(sigma), xi)) <= 1e-12
 
-    def test_reduction_side_rows(self):
-        # f(y) != 0 at t = 0 for the indicator on [1, 2], and rows past
-        # 1/(y y_lo) > nodes: both keep the reduce path byte for byte
+    def test_cusp_and_deep_pair_rows(self):
+        # f(1) = 1 for the indicator on [1, 2] at t = 0, a constant
+        # factor, so the row is the density's mass; the pairs at (6, 12)
+        # and (7.5, 15) need about e^(2t)/1.2 nodes
         sigma = self.wiener()
         ind = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
-        assert _on_grid(sigma, [ind], [0.0], 64)
-        assert correlation(sigma, [ind], [0.0], nodes=64) \
-            == _reference_correlation(sigma, [ind], [0.0], 64)
-        for t in (6.0, 7.5):
-            assert _on_grid(sigma, _HAAR_PAIR, [t, 2.0 * t], 256)
-            assert correlation(sigma, _HAAR_PAIR, [t, 2.0 * t], nodes=256) \
-                == _reference_correlation(sigma, _HAAR_PAIR, [t, 2.0 * t],
-                                          256)
+        val = correlation(sigma, [ind], [0.0], nodes=64)
+        assert _bytes(val) == _bytes(
+            correlation(sigma, [ConstantObservable()], [0.0], nodes=64))
+        assert abs(val - _quad_oracle([ind], [0.0], _coeffs(sigma))) <= 1e-12
+        for t, need in ((6.0, 135629), (7.5, 2724182)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "row t=(%g,%g) needs nodes >= %d " % (t, 2 * t, need))):
+                correlation(sigma, _HAAR_PAIR, [t, 2.0 * t], nodes=256)
+        _straddle(sigma, _HAAR_PAIR, [6.0, 12.0])
 
     @pytest.mark.parametrize("first", [True, False])
     def test_constant_factor(self, first):
+        # the constant scales the row, at 64 nodes (one piece at a time)
+        # as at 512
         obs = [ConstantObservable(2.5), _HAAR_PAIR[0]]
         if not first:
             obs.reverse()
         for sigma in (HorocycleMeasure.haar(), self.wiener()):
             for xi in (0, 1):
-                assert _on_grid(sigma, obs, [2.0, 2.0], 64, xi)
-                assert correlation(sigma, obs, [2.0, 2.0], nodes=64,
-                                   xi=xi) \
-                    == _reference_correlation(sigma, obs, [2.0, 2.0], 64,
-                                              xi=xi)
-                # on Gauss-Legendre rows the constant scales the row
-                assert not _on_grid(sigma, obs, [2.0, 2.0], 512, xi)
-                assert correlation(sigma, obs, [2.0, 2.0], nodes=512,
-                                   xi=xi) \
-                    == 2.5 * correlation(sigma, _HAAR_PAIR[:1], [2.0],
-                                         nodes=512, xi=xi)
+                single = correlation(sigma, _HAAR_PAIR[:1], [2.0],
+                                     nodes=512, xi=xi)
+                for nodes in (64, 512):
+                    _same(sigma, xi, 2.5 * single, correlation(
+                        sigma, obs, [2.0, 2.0], nodes=nodes, xi=xi))
+                assert abs(single - _quad_oracle(
+                    _HAAR_PAIR[:1], [2.0], _coeffs(sigma), xi)) <= 1e-12
 
     def test_empty_support(self):
-        # at t = 0 no coset reaches [1.5, 3]: no piece at all, so the
-        # Gauss-Legendre row is 0; with a factor at t = 30, whose Farey
-        # set is past the grid, the row is on the grid and 0 there too
+        # at t = 0 no coset reaches [1.5, 3]: the row is exactly 0,
+        # whichever factor comes first and even beside a factor at t = 30,
+        # whose Farey set alone is refused
         obs = _HAAR_PAIR[0]
-        assert modular._pieces([(obs.profile, 1.0)], 64)[0].size == 0
-        for times, grid in (([0.0], False), ([0.0, 2.0], False),
-                            ([0.0, 30.0], True)):
+        assert modular._pieces([(obs.profile, 1.0)])[0].size == 0
+        for times in ([0.0], [0.0, 2.0], [0.0, 30.0], [30.0, 0.0]):
             pair = [obs] * len(times)
-            assert _on_grid(self.wiener(), pair, times, 64, 1) == grid
             val = correlation(self.wiener(), pair, times, nodes=64, xi=1)
-            assert val == 0j
-            assert val == _reference_correlation(self.wiener(), pair,
-                                                 times, 64, xi=1)
+            assert _bytes(val) == _bytes(0j)
+        with pytest.raises(ValueError, match="needs nodes"):
+            correlation(self.wiener(), [obs], [30.0], nodes=64, xi=1)
 
     @pytest.mark.parametrize("kind", ["bump", "indicator"])
     @pytest.mark.parametrize("y_lo", [1.0, 1.1, 1.16, 1.5])
@@ -610,8 +594,8 @@ def _gauss_points(lo, hi):
 
 
 class TestValuesOnGrid:
-    """Factor values at the quadrature points: the Gauss points of the
-    pieces on Gauss-Legendre rows, the midpoint nodes on the grid."""
+    """Factor values at the quadrature points, the Gauss points of the
+    pieces."""
 
     @settings(max_examples=80, deadline=None)
     @given(_arc_side_grid())
@@ -622,7 +606,7 @@ class TestValuesOnGrid:
         # Gauss points is the scalar definition bit for bit (the drawn
         # index set picks the points, with the first and the last)
         obs, nodes, y, subset = case
-        lo, hi, [(c, d)] = modular._pieces([(obs.profile, y)], nodes)
+        lo, hi, [(c, d)] = modular._pieces([(obs.profile, y)])
         assert np.all(lo < hi) and np.all(hi[:-1] <= lo[1:] + 1e-15)
         assert np.all(lo[:-1] <= lo[1:]) and np.all(hi[:-1] <= hi[1:])
         assert np.all(lo >= 0.0) and np.all(hi <= 1.0)
@@ -639,42 +623,48 @@ class TestValuesOnGrid:
     @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
     def test_straddling_the_under_resolved_bound(self, kind, y_lo, side):
         # y = side / (y_lo nodes): 1/(y y_lo) = nodes / side.  Past the
-        # bound the Farey set would outgrow the grid and no arc is
-        # enumerated; on either side the row has more pieces than 256
-        # nodes pay for, so it is on the grid, where every node reduces
+        # bound the Farey set outgrows 256 nodes and the row is refused;
+        # on either side its pieces need more points than 256, so it is
+        # evaluated a few pieces at a time, and it is the constant term
         obs = EisensteinObservable(BumpProfile(kind, y_lo, y_lo + 1.5))
         nodes = 256
         t = -math.log(side / (y_lo * nodes))
         y = math.exp(-t)
-        pieces = modular._pieces([(obs.profile, y)], nodes)
-        assert (pieces is None) == (1.0 / (y * y_lo) > nodes)
-        assert pieces is None or pieces[0].size * 64 > nodes
+        assert modular._pieces([(obs.profile, y)])[0].size * 64 > nodes
         haar = HorocycleMeasure.haar()
-        assert _on_grid(haar, [obs], [t], nodes)
-        val = correlation(haar, [obs], [t], nodes=nodes)
-        assert val == _reference_correlation(haar, [obs], [t], nodes)
-        # the reduce path agrees with the scalar definition to rounding
-        x = (np.arange(nodes) + 0.5) / nodes
-        assert val.real == pytest.approx(
-            np.mean([obs.value(a, y) for a in x]), rel=0.0, abs=1e-9)
+        val = _straddle(haar, [obs], [t])
+        if 1.0 / (y * y_lo) > nodes:
+            with pytest.raises(ValueError, match="needs nodes >= 257 "):
+                correlation(haar, [obs], [t], nodes=nodes)
+        else:
+            assert _bytes(correlation(haar, [obs], [t], nodes=nodes)) \
+                == _bytes(val)
+        assert abs(val - _constant_term(obs.profile, y)) <= 1e-12
 
-    def test_cusp_term_takes_the_reduction_side(self):
-        # f(1) = 1 on every node at t = 0; the budget would pay for the
-        # pieces (there are none: every arc has width 0), but the row
-        # stays on the grid
+    def test_cusp_term_is_a_constant_factor(self):
+        # f(1) = 1 at t = 0 for the indicator on [1, 2]: every arc has
+        # zero width, so the factor multiplies in as the constant f(1),
+        # alone and beside a factor with pieces
         obs = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
-        haar = HorocycleMeasure.haar()
-        assert modular._pieces([(obs.profile, 1.0)], 64)[0].size == 0
-        assert _on_grid(haar, [obs], [0.0], 64)
-        val = correlation(haar, [obs], [0.0], nodes=64)
-        assert val == 1.0
-        assert val == _reference_correlation(haar, [obs], [0.0], 64)
+        assert modular._pieces([(obs.profile, 1.0)])[0].size == 0
+        haar, sigma = HorocycleMeasure.haar(), _wiener()
+        one = ConstantObservable()
+        assert _bytes(correlation(haar, [obs], [0.0], nodes=64)) \
+            == _bytes(correlation(haar, [one], [0.0], nodes=64))
+        assert correlation(haar, [obs], [0.0], nodes=64) \
+            == pytest.approx(1.0, abs=1e-15)
+        pair = [obs, _HAAR_PAIR[0]]
+        val = correlation(sigma, pair, [0.0, 2.0], nodes=64, xi=1)
+        assert _bytes(val) == _bytes(correlation(
+            sigma, [one, _HAAR_PAIR[0]], [0.0, 2.0], nodes=64, xi=1))
+        assert abs(val - _quad_oracle(pair, [0.0, 2.0], _coeffs(sigma), 1)) \
+            <= 1e-12
 
     def test_tangent_ford_circles_sum_both_terms(self):
         # at 1/2 + i/2 the Ford circles at 0 and 1 touch, and both cosets
-        # reach height 1 = y_lo.  On the grid, node 8 of 17 sits exactly
-        # there and sums both terms; the Gauss-Legendre pieces [0, 1/2]
-        # and [1/2, 1] meet there, and their Gauss points miss it
+        # reach height 1 = y_lo: the reduce path sums both terms at that
+        # point; the pieces [0, 1/2] and [1/2, 1] meet there, and their
+        # Gauss points miss it
         obs = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
         haar = HorocycleMeasure.haar()
         t = math.log(2.0)
@@ -682,24 +672,20 @@ class TestValuesOnGrid:
         dense = obs.value_at(x, np.full(17, 0.5))
         assert dense[8] == 2.0 == obs.value(0.5, 0.5)
         assert dense.tolist() == [obs.value(a, 0.5) for a in x]
-        assert _on_grid(haar, [obs], [t], 17)
-        assert correlation(haar, [obs], [t], nodes=17) \
-            == _reference_correlation(haar, [obs], [t], 17)
-        lo, hi, _ = modular._pieces([(obs.profile, 0.5)], 128)
+        lo, hi, _ = modular._pieces([(obs.profile, 0.5)])
         assert (lo.tolist(), hi.tolist()) == ([0.0, 0.5], [0.5, 1.0])
-        assert not _on_grid(haar, [obs], [t], 128)
-        assert correlation(haar, [obs], [t], nodes=128) == 1.0
+        assert correlation(haar, [obs], [t], nodes=17) \
+            == correlation(haar, [obs], [t], nodes=128) == 1.0
 
 
 class TestGaussLegendre:
-    """Rows whose pieces fit the node budget, against the adaptive
-    quadrature oracle `_quad_oracle`."""
+    """Rows against the adaptive quadrature oracle `_quad_oracle`, and how
+    nodes batches their points."""
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 3.0, 4.1])
     def test_haar_pair_against_the_oracle(self, t):
         haar = HorocycleMeasure.haar()
         times = [t, 2.0 * t]
-        assert not _on_grid(haar, _HAAR_PAIR, times, 2 ** 16)
         val = correlation(haar, _HAAR_PAIR, times, nodes=2 ** 16)
         assert abs(val - _quad_oracle(_HAAR_PAIR, times)) <= 1e-12
 
@@ -707,7 +693,6 @@ class TestGaussLegendre:
         haar = HorocycleMeasure.haar()
         pair = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
                 EisensteinObservable(BumpProfile("bump", 2.0, 4.0))]
-        assert not _on_grid(haar, pair, [3.5, 7.0], 2 ** 14)
         val = correlation(haar, pair, [3.5, 7.0], nodes=2 ** 14)
         assert abs(val - _quad_oracle(pair, [3.5, 7.0])) <= 1e-12
 
@@ -715,10 +700,9 @@ class TestGaussLegendre:
     def test_wiener_against_the_oracle(self, xi):
         sigma = _wiener()
         obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
-        coeffs = {k: a for (k,), a in sigma.density.coeffs.items()}
-        assert not _on_grid(sigma, obs, [5.0], 2 ** 14, xi)
         val = correlation(sigma, obs, [5.0], nodes=2 ** 14, xi=xi)
-        assert abs(val - _quad_oracle(obs, [5.0], coeffs, xi)) <= 1e-12
+        assert abs(val - _quad_oracle(obs, [5.0], _coeffs(sigma), xi)) \
+            <= 1e-12
 
     @pytest.mark.parametrize("sigma, obs, times", [
         (HorocycleMeasure.haar(), _HAAR_PAIR, [3.0, 6.0]),
@@ -726,18 +710,16 @@ class TestGaussLegendre:
         (HorocycleMeasure.haar(),
          [EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))], [2.0])])
     def test_straddling_the_point_budget(self, sigma, obs, times):
-        # pieces * 64 = nodes takes Gauss-Legendre, which gives the same
-        # bytes at any budget that pays for it; one piece more than the
-        # budget pays for falls back to the grid
+        # at pieces * 64 = budget nodes the row is one batch; below that
+        # it is evaluated nodes // 64 pieces at a time, with the same
+        # value down to the fewest nodes that admit its Farey sets, and
+        # one node fewer is refused
         factors = [(o.profile, math.exp(-t)) for o, t in zip(obs, times)]
-        budget = 64 * modular._pieces(factors, 2 ** 18)[0].size
-        assert not _on_grid(sigma, obs, times, budget)
-        assert correlation(sigma, obs, times, nodes=budget) \
-            == correlation(sigma, obs, times, nodes=2 ** 18)
-        for nodes in (budget - 1, budget - 64):
-            assert _on_grid(sigma, obs, times, nodes)
-            assert correlation(sigma, obs, times, nodes=nodes) \
-                == _reference_correlation(sigma, obs, times, nodes)
+        budget = 64 * modular._pieces(factors)[0].size
+        val = correlation(sigma, obs, times, nodes=budget)
+        for nodes in (budget - 1, budget - 64, 2 ** 18):
+            _same(sigma, 0, val, correlation(sigma, obs, times, nodes=nodes))
+        _same(sigma, 0, val, _straddle(sigma, obs, times))
 
     def test_no_factor_evaluated_past_the_node_budget(self, monkeypatch):
         sizes = []
@@ -753,23 +735,28 @@ class TestGaussLegendre:
             times = [t, 2.0 * t]
             factors = [(o.profile, math.exp(-s))
                        for o, s in zip(_HAAR_PAIR, times)]
-            points = 64 * modular._pieces(factors, 2 ** 18)[0].size
-            for nodes in (points, 2 ** 18):
-                assert not _on_grid(haar, _HAAR_PAIR, times, nodes)
+            points = 64 * modular._pieces(factors)[0].size
+            for nodes in (points // 3, points, 2 ** 18):
                 sizes.clear()
                 correlation(haar, _HAAR_PAIR, times, nodes=nodes)
                 # the cusp terms (one point each), then each factor at
-                # 64 points per piece
-                assert sizes == [1, 1, points, points]
+                # 64 points per piece, at most nodes points at a time
+                assert sizes[:2] == [1, 1]
+                assert sum(sizes[2:]) == 2 * points
+                assert max(sizes[2:]) <= max(nodes, 64)
+                if nodes >= points:
+                    assert sizes == [1, 1, points, points]
 
     def test_rows_are_byte_stable(self):
         sigma = _wiener()
         obs = _HAAR_PAIR
-        first = [correlation(sigma, obs, [t, 2.0 * t], nodes=2 ** 16)
-                 for t in (1.5, 3.0, 4.1)]
-        again = [correlation(sigma, obs, [t, 2.0 * t], nodes=2 ** 16)
-                 for t in (1.5, 3.0, 4.1)]
-        assert np.array(first).tobytes() == np.array(again).tobytes()
+        # in one batch (2^16 nodes) and in batches of 64 pieces
+        for nodes in (2 ** 16, 2 ** 12):
+            first = [correlation(sigma, obs, [t, 2.0 * t], nodes=nodes)
+                     for t in (1.5, 3.0, 4.1)]
+            again = [correlation(sigma, obs, [t, 2.0 * t], nodes=nodes)
+                     for t in (1.5, 3.0, 4.1)]
+            assert np.array(first).tobytes() == np.array(again).tobytes()
 
     @pytest.mark.parametrize("xi", [-4, -1, 0, 3])
     def test_weight_from_powers_is_the_density(self, xi):
@@ -785,44 +772,64 @@ class TestGaussLegendre:
 
     def test_weight_band(self):
         # a piece spans at most 8 periods of the weight e((k + xi) x):
-        # the constant row is one piece of width 1
+        # the constant row is one piece of width 1, cut in two at xi = 9
         haar = HorocycleMeasure.haar()
         ones = [ConstantObservable()]
-        assert not _on_grid(haar, ones, [1.0], 2 ** 10, 8)
-        assert _on_grid(haar, ones, [1.0], 2 ** 10, 9)
-        for xi in (8, 9):
+        for xi, cuts in ((8, [0.0, 1.0]), (9, [0.0, 0.5, 1.0])):
+            lo, hi, _ = modular._split(np.zeros(1), np.ones(1), [], xi)
+            assert (lo.tolist(), hi.tolist()) == (cuts[:-1], cuts[1:])
             assert abs(correlation(haar, ones, [1.0], nodes=2 ** 10,
                                    xi=xi)) < 1e-13
         # the widest piece at t = 2 is 0.105 wide: a density coefficient
-        # at 100 keeps the row on the grid
+        # at 100 cuts it
+        coeffs = {0: 1.0, 100: 0.1, -100: 0.1}
         sigma = HorocycleMeasure(TorusMeasure(
-            1, {(0,): 1.0, (100,): 0.1, (-100,): 0.1}))
-        assert _on_grid(sigma, _HAAR_PAIR[:1], [2.0], 2 ** 12)
-        assert correlation(sigma, _HAAR_PAIR[:1], [2.0], nodes=2 ** 12) \
-            == _reference_correlation(sigma, _HAAR_PAIR[:1], [2.0], 2 ** 12)
+            1, {(k,): a for k, a in coeffs.items()}))
+        val = correlation(sigma, _HAAR_PAIR[:1], [2.0], nodes=2 ** 12)
+        assert abs(val - _quad_oracle(_HAAR_PAIR[:1], [2.0], coeffs)) \
+            <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                    max_size=20),
+           st.integers(0, 400))
+    def test_split_cuts_only_wide_pieces(self, ends, band):
+        # a piece within 8 periods keeps its endpoints bit for bit; a wider
+        # one becomes equal sub-pieces that tile it, each within 8
+        # periods, with its own coset terms
+        lo = np.array([min(e) for e in ends], dtype=float)
+        hi = np.array([max(e) for e in ends], dtype=float)
+        c = np.arange(lo.size)
+        sub_lo, sub_hi, [(sc, sd)] = modular._split(lo, hi, [(c, -c)], band)
+        assert np.array_equal(sc, -sd)
+        for k in range(lo.size):
+            mine = sc == k
+            a, b = sub_lo[mine], sub_hi[mine]
+            assert a[0] == lo[k] and b[-1] == hi[k]
+            assert np.array_equal(a[1:], b[:-1])
+            if band * (hi[k] - lo[k]) <= 8.0:
+                assert a.size == 1
+            else:
+                assert np.all(band * (b - a) <= 8.0 * (1.0 + 1e-12))
+                assert a.size == math.ceil(band * (hi[k] - lo[k]) / 8.0)
 
 
 class TestTwistedCorrelation:
     def test_zero_frequency_collapses(self):
+        # no twist left: the row is the constant term, the same bytes at
+        # 256 nodes (four pieces at a time) and at 1024 (all eight)
         haar = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
         y = math.exp(-3.0)
+        vals = []
         for nodes in (2 ** 8, 2 ** 10):
             a = correlation(haar, [obs], [3.0], nodes=nodes, xi=0)
             b = correlation(haar, [obs], [3.0], nodes=nodes)
             assert a == b
             assert a.imag == 0.0
-            # no twist left: on the grid (256 nodes pay for 4 of the 8
-            # pieces), the plain midpoint mean of the observable; on
-            # Gauss-Legendre (1024 nodes), its constant term
-            if nodes == 2 ** 8:
-                assert _on_grid(haar, [obs], [3.0], nodes)
-                x = (np.arange(nodes) + 0.5) / nodes
-                direct = np.mean(obs.value_at(x, np.full(x.size, y)))
-                assert a.real == pytest.approx(direct, rel=1e-15)
-            else:
-                assert not _on_grid(haar, [obs], [3.0], nodes)
-                assert abs(a - _constant_term(obs.profile, y)) <= 1e-12
+            assert abs(a - _constant_term(obs.profile, y)) <= 1e-12
+            vals.append(_bytes(a))
+        assert vals[0] == vals[1]
 
     @pytest.mark.parametrize("xi", [0.5, -2.25, math.nan, math.inf])
     def test_non_integer_frequency_refused(self, xi):
@@ -845,9 +852,10 @@ class TestTwistedCorrelation:
         assert abs(val) < 1e-13
 
     def test_magnitude_decays_in_t(self):
+        # 2^14 nodes admit the Farey set at t = 10 (e^10 / 1.5 = 14685)
         haar = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
-        mags = [abs(correlation(haar, [obs], [t], nodes=2 ** 13, xi=1))
+        mags = [abs(correlation(haar, [obs], [t], nodes=2 ** 14, xi=1))
                 for t in (2.0, 6.0, 10.0)]
         assert mags[2] < mags[0]
 
@@ -913,17 +921,18 @@ class TestFitDecay:
 
     def test_frozen_horocycle_table_exponent(self):
         # end-to-end table: Haar density, smooth bump on [2, 3],
-        # t = 2..12 step 1 at N = 2^14 nodes.  The exponent is a frozen
-        # measurement at those settings, held to +-20%.
+        # t = 2..12 step 1 at 2^17 nodes.  The golden is the exponent of
+        # the constant-term oracle `_constant_term` on these rows, held
+        # to +-20%.
         meas = HorocycleMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 2.0, 3.0))
         mu = obs.mu
         ts = range(2, 13)
-        errs = [abs(correlation(meas, [obs], [float(t)], nodes=2 ** 14)
+        errs = [abs(correlation(meas, [obs], [float(t)], nodes=2 ** 17)
                     - mu) for t in ts]
         fit = fit_decay([math.exp(t) for t in ts], errs)
         assert fit.exponent > 0.0
-        assert fit.exponent == pytest.approx(0.3519037269881805, rel=0.20)
+        assert fit.exponent == pytest.approx(0.7139361820696822, rel=0.20)
 
 
 class TestDeltaStatistics:
