@@ -127,7 +127,6 @@ class EisensteinObservable:
         if profile.y_lo < 1.0:
             raise ValueError("profile support must sit at heights >= 1")
         self.profile = profile
-        self._mu = None
 
     def value(self, x, y):
         """Full coprime-pair enumeration at x + iy; works at any point,
@@ -173,17 +172,12 @@ class EisensteinObservable:
 
     def value_at(self, x, y):
         """Evaluate at arbitrary points: reduce, then the fast path."""
-        rx, ry = reduce_arrays(x, y)
-        out = self.value_reduced(rx, ry)
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
+        out = self.value_reduced(*reduce_arrays(x, y))
+        return float(out) if np.ndim(out) == 0 else out
 
-    @property
+    @functools.cached_property
     def mu(self):
-        if self._mu is None:
-            self._mu = mu_integral(self.profile)
-        return self._mu
+        return mu_integral(self.profile)
 
 
 @dataclass(frozen=True)
@@ -197,9 +191,7 @@ class ConstantObservable:
 
     def value_at(self, x, y):
         shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
-        if shape == ():
-            return float(self.value)
-        return np.full(shape, self.value)
+        return np.full(shape, self.value) if shape else float(self.value)
 
 
 @functools.cache
@@ -342,11 +334,23 @@ def _pieces(factors):
     return lo, hi, terms
 
 
-def _split(lo, hi, terms, band):
+def _refusal(times, need, nodes, why):
+    """The ValueError naming the row and the nodes that resolve it."""
+    return ValueError("row t=(%s) needs nodes >= %d %s; it has nodes=%d"
+                      % (",".join("%g" % t for t in times), need, why, nodes))
+
+
+def _split(lo, hi, terms, band, nodes, times):
     """Each piece cut into the fewest equal sub-pieces that span at most
     8 periods of the weight's top frequency band; a piece that needs no
-    cut keeps its endpoints."""
-    k = np.maximum(np.ceil(band * (hi - lo) / _GL_PERIODS), 1).astype(int)
+    cut keeps its endpoints.  Each cut costs 64 points, so more cuts than
+    nodes are refused before any sub-piece is built."""
+    k = np.maximum(np.ceil(band * (hi - lo) / _GL_PERIODS), 1.0)
+    cuts = float(np.sum(k)) - lo.size
+    if cuts > nodes:
+        raise _refusal(times, cuts, nodes,
+                       "to cut its pieces to 8 periods of its weight")
+    k = k.astype(int)
     i = np.repeat(np.arange(lo.size), k)
     j = np.arange(i.size) - np.repeat(np.cumsum(k) - k, k)
     step = (hi - lo)[i] / k[i]
@@ -364,14 +368,14 @@ def _arc_term(profile, y, c, d, x):
     return profile.value(y / (u * u + cy * cy))
 
 
-def _gauss_row(sigma, factors, nodes, xi):
+def _gauss_row(sigma, factors, nodes, xi, times):
     """The 64-point Gauss-Legendre integral of the weight times the
     (profile, y) factors over the row's pieces, evaluated nodes // 64
     pieces (at least one) at a time.  The per-piece sums are added in
     one pass, so without a weight the result does not depend on nodes;
     a weighted row changes with it only in rounding."""
     band = max(abs(k + xi) for (k,) in sigma.density.coeffs)
-    lo, hi, terms = _split(*_pieces(factors), band)
+    lo, hi, terms = _split(*_pieces(factors), band, nodes, times)
     gx, gw = _legendre_rule(_GL_ORDER)
     half = (hi - lo) / 2.0
     step = max(nodes // _GL_ORDER, 1)
@@ -402,8 +406,8 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     does a nonzero cusp term f(y): it needs y >= y_lo >= 1, so y = y_lo
     = 1, where every arc has zero width and the factor is f(1) almost
     everywhere.  A factor with y y_lo > 1 reaches no coset, so the row
-    is 0.  A factor whose Farey set 1/(y y_lo) exceeds nodes is refused
-    with ValueError naming the nodes the row needs.
+    is 0.  A Farey set 1/(y y_lo) or a count of weight cuts past nodes is
+    refused with ValueError naming the nodes the row needs.
     """
     observables = list(observables)
     times = [float(t) for t in times]
@@ -436,12 +440,10 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     if empty:
         total = 0j
     elif need > nodes:
-        raise ValueError(
-            "row t=(%s) needs nodes >= %d to enumerate its Farey set "
-            "1/(e^-t y_lo); it has nodes=%d"
-            % (",".join("%g" % t for t in times), need, nodes))
+        raise _refusal(times, need, nodes,
+                       "to enumerate its Farey set 1/(e^-t y_lo)")
     else:
-        total = _gauss_row(sigma, factors, nodes, xi)
+        total = _gauss_row(sigma, factors, nodes, xi, times)
     for value in consts:
         total *= value
     return total

@@ -821,6 +821,25 @@ class TestCorrelateCommand:
         _, rows = read_csv_rows(tmp_path / "out" / "correlate.csv")
         assert [int(row["N_nodes"]) for row in rows] == [39917] * 3
 
+    def test_row_cut_past_nodes_is_refused(self, tmp_path, runner):
+        # a weight at frequency 10^9 cuts the t = 2 row's pieces about
+        # 4 * 10^7 times: exit 3 before any sub-piece or output is made,
+        # naming the row and that count
+        sigma = {"dim": 1, "coeffs": [
+            {"chi": [0], "re": 1.0, "im": 0.0},
+            {"chi": [1000000000], "re": 0.1, "im": 0.0}]}
+        mpath = self.manifest(tmp_path, sigma=sigma)
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "numerical"
+        msg = re.match(r"row t=\(2\) needs nodes >= (\d+) to cut its "
+                       r"pieces to 8 periods of its weight; it has "
+                       r"nodes=1024$", err["message"])
+        assert msg and int(msg.group(1)) > 4 * 10 ** 7
+        assert not (tmp_path / "out").exists()
+
     def test_nodes_flag_overrides_manifest(self, tmp_path, runner):
         mpath = self.manifest(tmp_path)
         res = runner.invoke(main, ["correlate", "--manifest", mpath,

@@ -510,8 +510,8 @@ class TestKernelBytes:
 
     @pytest.mark.parametrize("first", [True, False])
     def test_constant_factor(self, first):
-        # the constant scales the row, at 64 nodes (one piece at a time)
-        # as at 512
+        # the constant scales the row: the same bytes at 512 nodes, and
+        # at 64 (one piece at a time) the same to `_same`
         obs = [ConstantObservable(2.5), _HAAR_PAIR[0]]
         if not first:
             obs.reverse()
@@ -519,9 +519,10 @@ class TestKernelBytes:
             for xi in (0, 1):
                 single = correlation(sigma, _HAAR_PAIR[:1], [2.0],
                                      nodes=512, xi=xi)
-                for nodes in (64, 512):
-                    _same(sigma, xi, 2.5 * single, correlation(
-                        sigma, obs, [2.0, 2.0], nodes=nodes, xi=xi))
+                assert _bytes(2.5 * single) == _bytes(correlation(
+                    sigma, obs, [2.0, 2.0], nodes=512, xi=xi))
+                _same(sigma, xi, 2.5 * single, correlation(
+                    sigma, obs, [2.0, 2.0], nodes=64, xi=xi))
                 assert abs(single - _quad_oracle(
                     _HAAR_PAIR[:1], [2.0], _coeffs(sigma), xi)) <= 1e-12
 
@@ -710,14 +711,16 @@ class TestGaussLegendre:
         (HorocycleMeasure.haar(),
          [EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))], [2.0])])
     def test_straddling_the_point_budget(self, sigma, obs, times):
-        # at pieces * 64 = budget nodes the row is one batch; below that
-        # it is evaluated nodes // 64 pieces at a time, with the same
-        # value down to the fewest nodes that admit its Farey sets, and
-        # one node fewer is refused
+        # at pieces * 64 = budget nodes and above the row is one batch,
+        # the same bytes; below that it is evaluated nodes // 64 pieces
+        # at a time, the same to `_same` down to the fewest nodes that
+        # admit its Farey sets, and one node fewer is refused
         factors = [(o.profile, math.exp(-t)) for o, t in zip(obs, times)]
         budget = 64 * modular._pieces(factors)[0].size
         val = correlation(sigma, obs, times, nodes=budget)
-        for nodes in (budget - 1, budget - 64, 2 ** 18):
+        assert _bytes(val) == _bytes(
+            correlation(sigma, obs, times, nodes=2 ** 18))
+        for nodes in (budget - 1, budget - 64):
             _same(sigma, 0, val, correlation(sigma, obs, times, nodes=nodes))
         _same(sigma, 0, val, _straddle(sigma, obs, times))
 
@@ -776,7 +779,8 @@ class TestGaussLegendre:
         haar = HorocycleMeasure.haar()
         ones = [ConstantObservable()]
         for xi, cuts in ((8, [0.0, 1.0]), (9, [0.0, 0.5, 1.0])):
-            lo, hi, _ = modular._split(np.zeros(1), np.ones(1), [], xi)
+            lo, hi, _ = modular._split(np.zeros(1), np.ones(1), [], xi,
+                                       16, [1.0])
             assert (lo.tolist(), hi.tolist()) == (cuts[:-1], cuts[1:])
             assert abs(correlation(haar, ones, [1.0], nodes=2 ** 10,
                                    xi=xi)) < 1e-13
@@ -789,6 +793,26 @@ class TestGaussLegendre:
         assert abs(val - _quad_oracle(_HAAR_PAIR[:1], [2.0], coeffs)) \
             <= 1e-12
 
+    def test_cuts_past_nodes_are_refused(self):
+        # at xi = 8 * 18 the constant row's one piece is cut into 18, 17
+        # cuts: refused at 16 nodes before any sub-piece is built,
+        # answered at 17; a weight at 10^9 would cut the t = 2 row about
+        # 4 * 10^7 times and is refused at 2^14 nodes
+        haar = HorocycleMeasure.haar()
+        ones = [ConstantObservable()]
+        with pytest.raises(ValueError, match=re.escape(
+                "row t=(1) needs nodes >= 17 to cut its pieces")):
+            correlation(haar, ones, [1.0], nodes=16, xi=144)
+        assert abs(correlation(haar, ones, [1.0], nodes=17, xi=144)) < 1e-13
+        sigma = HorocycleMeasure(TorusMeasure(
+            1, {(0,): 1.0, (10 ** 9,): 0.1, (-10 ** 9,): 0.1}))
+        lo, hi, _ = modular._pieces([(_HAAR_PAIR[0].profile, math.exp(-2.0))])
+        need = int(np.sum(np.ceil(1e9 * (hi - lo) / 8.0))) - lo.size
+        assert need > 4 * 10 ** 7
+        with pytest.raises(ValueError, match=re.escape(
+                "row t=(2) needs nodes >= %d to cut its pieces" % need)):
+            correlation(sigma, _HAAR_PAIR[:1], [2.0], nodes=2 ** 14)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                     max_size=20),
@@ -800,7 +824,8 @@ class TestGaussLegendre:
         lo = np.array([min(e) for e in ends], dtype=float)
         hi = np.array([max(e) for e in ends], dtype=float)
         c = np.arange(lo.size)
-        sub_lo, sub_hi, [(sc, sd)] = modular._split(lo, hi, [(c, -c)], band)
+        sub_lo, sub_hi, [(sc, sd)] = modular._split(lo, hi, [(c, -c)], band,
+                                                    2 ** 14, [1.0])
         assert np.array_equal(sc, -sd)
         for k in range(lo.size):
             mine = sc == k
