@@ -19,12 +19,13 @@ check, a predicate built from the schema at import.  It decides
 acceptance.  jsonschema is imported only when it refuses, to word the
 refusal's message and path; a manifest jsonschema accepts still runs.
 
-The module imports only the constant ledger among the layers, so a
-ledger run loads no numpy.  Nor does a fit run: its body imports
+The module imports none of the layers: each body imports the layers it
+runs when it is called.  A ledger run loads the constant ledger and no
+numpy; a fit run loads no layer at all, since its body imports
 equidist._fit, which reads the CSV with the csv module and fits in
-integer arithmetic.  The other bodies import numpy and the layers they
-run when they are called, and verify imports its suites from
-equidist.suites.
+integer arithmetic; schedule and correlate import numpy and their
+layers, and verify imports its suites from equidist.suites.  The front
+end is the standard library's argparse, which words usage errors.
 
 Exit codes: 0 success, 2 manifest or file problems, 3 numerical
 failures, failed window checks and failed verify suites.  Errors are
@@ -36,6 +37,7 @@ strict JSON (RFC 8259) with sorted keys; a NaN or infinite float is
 written as null, next to a log10 twin where the value can read inf.
 """
 
+import argparse
 import json
 import math
 import operator
@@ -44,10 +46,7 @@ import sys
 from importlib import resources
 from itertools import islice
 
-import click
-
 from . import __version__
-from .constants import AssumptionParams, _exp, bound_evaluate, build_ledger
 
 _LOG10 = math.log(10.0)
 _NUMERIC_ERRORS = (ValueError, ArithmeticError, KeyError)
@@ -60,7 +59,7 @@ _ECHO_LINES = 1024
 def _fail(code, kind, message, **extra):
     payload = {"error": kind, "message": str(message)}
     payload.update(extra)
-    click.echo(json.dumps(payload, sort_keys=True), err=True)
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     sys.exit(code)
 
 
@@ -322,17 +321,6 @@ def _resolve_threads(threads):
     return threads
 
 
-def _at_least(floor):
-    """Click callback: exit 2 naming the flag when its value is below
-    floor, the manifest schema's minimum for the same setting."""
-    def check(ctx, param, value):
-        if value is not None and value < floor:
-            _fail(2, "schema", "%s must be at least %d, got %d"
-                  % (param.opts[0], floor, value))
-        return value
-    return check
-
-
 def _write(path, text):
     """Write text, or an iterable of text chunks, to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -396,61 +384,98 @@ def _csv_text(header, rows):
     return "".join(_csv_lines(header, rows))
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="equidist")
-def main():
-    """Correlation-bound ledgers and equidistribution experiments."""
+# {subcommand: (body, its (flag, floor, help) options)}, in help order
+_COMMANDS = {}
+_SEED = ("--seed", 0, "Override the manifest seed.")
 
 
-def _subcommand(*options):
+def _subcommand(*flags):
     """Register body(block, seed=, threads=, manifest_path=, out_dir=,
-    **options) as the subcommand of its name.  It gets its mode's
-    manifest block and returns ({file name: text or an iterable of text
-    chunks}, an iterable of stdout lines (at least one), failure message
-    or None).  Numerical errors exit 3 before any output, so a body
-    computes everything before it returns and its iterables only
-    format; each file is written one chunk at a time and stdout in
-    blocks of _ECHO_LINES lines.  A failure exits 3 after the output."""
+    **options) as the subcommand of its name; flags are the integer
+    options it takes besides --threads and --seed, each (flag, floor,
+    help) with floor the manifest schema's minimum for the same setting,
+    checked before the manifest is read.
+    The body gets its mode's manifest block and returns ({file name:
+    text or an iterable of text chunks}, an iterable of stdout lines (at
+    least one), failure message or None).  Numerical errors exit 3
+    before any output, so a body computes everything before it returns
+    and its iterables only format; each file is written one chunk at a
+    time and stdout in blocks of _ECHO_LINES lines.  A failure exits 3
+    after the output."""
     def register(body):
-        mode = body.__name__
-
-        def command(manifest_path, out_dir, threads, seed, **opts):
-            manifest = _load_manifest(manifest_path, mode)
-            if seed is None:
-                seed = manifest.get("seed", 0)
-            try:
-                files, lines, failure = body(
-                    manifest.get(mode, {}), seed=int(seed), threads=threads,
-                    manifest_path=manifest_path, out_dir=out_dir, **opts)
-            except _NUMERIC_ERRORS as exc:
-                _fail(3, "numerical", exc)
-            os.makedirs(out_dir, exist_ok=True)
-            for name, text in files.items():
-                _write(os.path.join(out_dir, name), text)
-            lines = iter(lines)
-            while block := list(islice(lines, _ECHO_LINES)):
-                click.echo("\n".join(block))
-            if failure is not None:
-                _fail(3, "numerical", failure)
-
-        for param in reversed((
-                click.option("--manifest", "manifest_path", required=True,
-                             type=click.Path(), help="Manifest JSON path."),
-                click.option("--out", "out_dir", default=".",
-                             type=click.Path(file_okay=False),
-                             help="Output directory."),
-                *options,
-                click.option("--threads", type=int, default=None,
-                             callback=lambda ctx, param, value:
-                             _resolve_threads(value),
-                             help="Worker threads (default: "
-                                  "EQUIDIST_THREADS or 1)."),
-                click.option("--seed", type=int, default=None,
-                             callback=_at_least(0),
-                             help="Override the manifest seed."))):
-            command = param(command)
-        return main.command(name=mode, help=body.__doc__)(command)
+        _COMMANDS[body.__name__] = body, flags
+        return body
     return register
+
+
+def _directory(path):
+    """--out: any path but an existing file."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError("%r is a file, not a directory"
+                                         % path)
+    return path
+
+
+def _parser(prog):
+    def parser(make, **kwargs):
+        # no -h, and no flag matches a prefix of its name
+        new = make(add_help=False, allow_abbrev=False, **kwargs)
+        new.add_argument("--help", action="help",
+                         help="Show this message and exit.")
+        return new
+
+    top = parser(argparse.ArgumentParser, prog=prog, description=(
+        "Correlation-bound ledgers and equidistribution experiments."))
+    top.add_argument("--version", action="version",
+                     version="equidist, version %s" % __version__,
+                     help="Show the version and exit.")
+    commands = top.add_subparsers(title="commands", dest="command",
+                                  metavar="COMMAND", required=True)
+    for name, (body, flags) in _COMMANDS.items():
+        sub = parser(commands.add_parser, name=name, help=body.__doc__,
+                     description=body.__doc__)
+        sub.add_argument("--manifest", dest="manifest_path", required=True,
+                         metavar="PATH", help="Manifest JSON path.")
+        sub.add_argument("--out", dest="out_dir", default=".",
+                         type=_directory, metavar="DIR",
+                         help="Output directory.")
+        sub.add_argument("--threads", type=int, metavar="N", help=(
+            "Worker threads (default: EQUIDIST_THREADS or 1)."))
+        for flag, _, text in (*flags, _SEED):
+            sub.add_argument(flag, type=int, metavar="N", help=text)
+    return top
+
+
+def main(args=None, prog_name=None):
+    """Run the subcommand that args (default sys.argv[1:]) name.  Returns
+    on success; otherwise raises SystemExit with the exit code, after
+    argparse's usage message or one JSON error line on stderr."""
+    opts = vars(_parser(prog_name or "equidist").parse_args(args))
+    body, flags = _COMMANDS[opts.pop("command")]
+    for flag, floor, _ in (*flags, _SEED):
+        if (value := opts[flag[2:]]) is not None and value < floor:
+            _fail(2, "schema", "%s must be at least %d, got %d"
+                  % (flag, floor, value))
+    threads = _resolve_threads(opts.pop("threads"))
+    seed = opts.pop("seed")
+    mode = body.__name__
+    manifest = _load_manifest(opts["manifest_path"], mode)
+    if seed is None:
+        seed = manifest.get("seed", 0)
+    try:
+        files, lines, failure = body(manifest.get(mode, {}), seed=int(seed),
+                                     threads=threads, **opts)
+    except _NUMERIC_ERRORS as exc:
+        _fail(3, "numerical", exc)
+    out_dir = opts["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        _write(os.path.join(out_dir, name), text)
+    lines = iter(lines)
+    while block := list(islice(lines, _ECHO_LINES)):
+        print("\n".join(block))
+    if failure is not None:
+        _fail(3, "numerical", failure)
 
 
 def _gnuplot(title, settings, plots, fit=None):
@@ -468,6 +493,8 @@ def _gnuplot(title, settings, plots, fit=None):
 @_subcommand()
 def ledger(blk, seed, **_):
     """Build a constant table from assumption parameters."""
+    from .constants import AssumptionParams, bound_evaluate, build_ledger
+
     params = AssumptionParams.from_json(blk["params"])
     mode = "theorem-%s" % blk.get("theorem", "A")
     led = build_ledger(params, int(blk["r_max"]), mode=mode)
@@ -519,6 +546,7 @@ def _schedule_columns(action, tuples, theta_spec):
     the checked TupleStack, its tuple_stats and select_direction results,
     M_r, and {name: list} for the window columns: theta, one _window_row
     and L.  A refusal does not name its tuple."""
+    from .constants import _exp
     from .geometry import TupleStack, select_direction, tuple_stats
     from .selection import _CHECKS, _window_row
 
@@ -557,6 +585,7 @@ def _schedule_columns(action, tuples, theta_spec):
 @_subcommand()
 def schedule(blk, seed, **_):
     """Direction selection and window choice for translation tuples."""
+    from .constants import _exp
     from .geometry import RootAction
     from .selection import _CHECKS
 
@@ -647,16 +676,15 @@ def _expand_times(blk):
     return rows
 
 
-@_subcommand(click.option("--nodes", type=int, default=None,
-                          callback=_at_least(16),
-                          help="Override nodes: the most points a row "
-                               "evaluates at once and the largest Farey "
-                               "set a row may enumerate."))
+@_subcommand(("--nodes", 16, "Override nodes: the most points a row "
+              "evaluates at once and the largest Farey set a row may "
+              "enumerate."))
 def correlate(blk, seed, threads, nodes, **_):
     """Run horocycle correlation experiments from a manifest."""
     from .modular import (BumpProfile, ConstantObservable,
-                          EisensteinObservable, HorocycleMeasure, correlation,
-                          delta_statistics, fit_decay, s_norm_surrogate)
+                          EisensteinObservable, HorocycleMeasure, _check_rows,
+                          correlation, delta_statistics, fit_decay,
+                          s_norm_surrogate)
     from .wiener import TorusMeasure, wiener_norm
 
     sigma = TorusMeasure.from_json(blk["sigma"])
@@ -673,6 +701,8 @@ def correlate(blk, seed, threads, nodes, **_):
             raise ValueError("time row %r does not match the %d "
                              "declared profiles" % (row, r))
     n_nodes = int(nodes if nodes is not None else blk.get("nodes", 2 ** 14))
+    # one refusal names the nodes that admit every row's Farey set
+    _check_rows(observables, time_rows, n_nodes)
     mu_product = 1.0
     for obs in observables:
         mu_product *= obs.mu
@@ -696,6 +726,8 @@ def correlate(blk, seed, threads, nodes, **_):
             "mu_product": mu_product}
     bounds = None
     if "bound" in blk:
+        from .constants import AssumptionParams, bound_evaluate, build_ledger
+
         bparams = AssumptionParams.from_json(blk["bound"]["params"])
         bmode = "theorem-%s" % blk["bound"].get("theorem", "A")
         bled = build_ledger(bparams, max(r, 1), mode=bmode)

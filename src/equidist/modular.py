@@ -98,6 +98,16 @@ class BumpProfile:
             raise ValueError("need 1 <= y_lo < y_hi")
 
     def value(self, u):
+        """f at u: a float for a Python float, else an array of u's
+        shape.  A float skips the array plumbing and gives the array
+        path's bits (the exponential is numpy's in both)."""
+        if isinstance(u, float):
+            if self.kind == "indicator":
+                return 1.0 if self.y_lo <= u <= self.y_hi else 0.0
+            v = (u - self.y_lo) / (self.y_hi - self.y_lo)
+            if not 0.0 < v < 1.0:
+                return 0.0
+            return float(np.exp(4.0 - 1.0 / (v * (1.0 - v))))
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 0
         flat = np.atleast_1d(arr)
@@ -410,43 +420,60 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     refused with ValueError naming the nodes the row needs.
     """
     observables = list(observables)
-    times = [float(t) for t in times]
-    if len(observables) < 1 or len(observables) != len(times):
-        raise ValueError("need r >= 1 observables with matching times")
-    for t in times:
-        if not 0.0 <= t <= _TIME_CAP:
-            raise ValueError(
-                "time %g outside [0, %g]; heights below e^-%g underflow "
-                "the quadrature" % (t, _TIME_CAP, _TIME_CAP))
     nodes = int(nodes)
     if nodes < 16:
         raise ValueError("at least 16 quadrature nodes are required")
     if not (isinstance(xi, numbers.Integral) or float(xi).is_integer()):
         raise ValueError("xi must be an integer frequency, got %r" % (xi,))
     xi = int(xi)
-    consts, factors, empty = [], [], False
-    for obs, t in zip(observables, times):
-        y = math.exp(-t)
-        if isinstance(obs, ConstantObservable):
-            consts.append(obs.value)
-        elif (cusp := obs.profile.value(y)) != 0.0:
-            consts.append(cusp)
-        elif y * obs.profile.y_lo > 1.0:
-            empty = True
-        else:
-            factors.append((obs.profile, y))
-    need = max((math.ceil(1.0 / (y * f.y_lo)) for f, y in factors),
-               default=0)
-    if empty:
-        total = 0j
-    elif need > nodes:
-        raise _refusal(times, need, nodes,
-                       "to enumerate its Farey set 1/(e^-t y_lo)")
-    else:
-        total = _gauss_row(sigma, factors, nodes, xi, times)
+    ((times, consts, factors),) = _check_rows(observables, [times], nodes)
+    total = (0j if factors is None
+             else _gauss_row(sigma, factors, nodes, xi, times))
     for value in consts:
         total *= value
     return total
+
+
+def _check_rows(observables, time_rows, nodes):
+    """Each row of times as (times, constant factors, (profile, y)
+    factors), the latter None when a factor reaches no coset and the row
+    is 0.  Checks every row before any is computed: a time outside
+    [0, _TIME_CAP] or a row of the wrong length first, in row order,
+    then the row with the largest Farey set 1/(e^-t y_lo), the first
+    such, is refused when it passes nodes, so the nodes it names admit
+    every row."""
+    rows, need, worst = [], 0, None
+    for times in time_rows:
+        times = [float(t) for t in times]
+        if len(observables) < 1 or len(observables) != len(times):
+            raise ValueError("need r >= 1 observables with matching times")
+        for t in times:
+            if not 0.0 <= t <= _TIME_CAP:
+                raise ValueError(
+                    "time %g outside [0, %g]; heights below e^-%g underflow "
+                    "the quadrature" % (t, _TIME_CAP, _TIME_CAP))
+        consts, factors, empty = [], [], False
+        for obs, t in zip(observables, times):
+            y = math.exp(-t)
+            if isinstance(obs, ConstantObservable):
+                consts.append(obs.value)
+            elif (cusp := obs.profile.value(y)) != 0.0:
+                consts.append(cusp)
+            elif y * obs.profile.y_lo > 1.0:
+                empty = True
+            else:
+                factors.append((obs.profile, y))
+        if empty:
+            factors = None
+        else:
+            for f, y in factors:
+                if (count := math.ceil(1.0 / (y * f.y_lo))) > need:
+                    need, worst = count, times
+        rows.append((times, consts, factors))
+    if need > nodes:
+        raise _refusal(worst, need, nodes,
+                       "to enumerate its Farey set 1/(e^-t y_lo)")
+    return rows
 
 
 @dataclass(frozen=True)

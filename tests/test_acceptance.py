@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.integrate import dblquad, quad
 
 from equidist.cli import main
@@ -269,9 +268,7 @@ def test_criterion_7_factorial_certificate():
 
 # ------------------------------------------------------------ criterion 8
 
-def test_criterion_8_determinism(tmp_path):
-    runner = CliRunner()
-
+def test_criterion_8_determinism(tmp_path, runner):
     ledger_manifest = tmp_path / "ledger.json"
     ledger_manifest.write_text(json.dumps({
         "mode": "ledger", "seed": 7,

@@ -1,8 +1,8 @@
 """End-to-end exercises of the command line driver.
 
-Every test drives the click entry point through CliRunner with manifests
-written into a temp directory, then inspects the emitted CSV/JSON/gnuplot
-files and exit codes.
+Every test drives the entry point in-process through the `runner`
+fixture with manifests written into a temp directory, then inspects the
+emitted CSV/JSON/gnuplot files and exit codes.
 """
 
 import json
@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -96,11 +95,6 @@ def rebuilt_schedule_csv(block):
 
 # the smallest value each flag accepts
 FLAG_FLOORS = {"--threads": 1, "--nodes": 16, "--seed": 0}
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 class TestLedgerCommand:
@@ -452,7 +446,56 @@ def test_nodes_only_on_correlate(tmp_path, runner, command):
                                str(tmp_path / "absent.json"),
                                "--nodes", "512"])
     assert res.exit_code == 2
-    assert "no such option" in res.stderr.lower()
+    assert "unrecognized arguments: --nodes" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["correlate", "--out", "OUT"],
+    ["correlate", "--manifest", "M", "--out", "OUT", "--threads", "two"],
+    ["correlate", "--manifest", "M", "--out", "OUT", "--seed", "1.5"],
+    ["correlate", "--manifest", "M", "--out", "OUT", "--nodes", "1e4"],
+    # no flag is matched by a prefix of its name
+    ["correlate", "--manif", "M", "--out", "OUT"],
+    ["correlate", "--manifest", "M", "--out", "OUT", "--thread", "2"],
+])
+def test_usage_errors_write_nothing(tmp_path, runner, argv):
+    # no subcommand, a missing --manifest, a non-integer flag or an
+    # abbreviated one: exit 2 with argparse's usage message, before the
+    # manifest, a valid one, is read
+    mpath = write_manifest(tmp_path / "m.json",
+                           {"mode": "correlate", "correlate": CORRELATE_BLOCK})
+    out = tmp_path / "out"
+    res = runner.invoke(main, [{"M": mpath, "OUT": str(out)}.get(a, a)
+                               for a in argv])
+    assert res.exit_code == 2
+    assert res.output == ""
+    assert res.stderr.startswith("usage: equidist")
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_refused(tmp_path, runner):
+    mpath = write_manifest(tmp_path / "m.json",
+                           {"mode": "correlate", "correlate": CORRELATE_BLOCK})
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                               "--out", str(taken)])
+    assert res.exit_code == 2
+    assert res.output == ""
+    assert "argument --out: " in res.stderr
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["m.json", "taken"]
+
+
+def test_version_and_help(runner):
+    res = runner.invoke(main, ["--version"])
+    assert (res.exit_code, res.output) == (0, "equidist, version 0.1.0\n")
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    commands = res.output.split("\ncommands:\n")[1]
+    assert re.findall(r"^    (\w+)", commands, re.M) == [
+        "ledger", "schedule", "correlate", "fit", "verify"]
 
 
 class TestScheduleCommand:
@@ -821,6 +864,22 @@ class TestCorrelateCommand:
         _, rows = read_csv_rows(tmp_path / "out" / "correlate.csv")
         assert [int(row["N_nodes"]) for row in rows] == [39917] * 3
 
+    def test_one_refusal_names_the_largest_farey_set(self, tmp_path,
+                                                      runner):
+        # t = 9, 10 and 11 all pass 1024 nodes (they need 5403, 14685 and
+        # 39917): one run names the largest count, before any row is
+        # computed, so one rerun at that count admits every row
+        mpath = self.manifest(tmp_path, family={
+            "t_start": 9.0, "t_stop": 11.0, "t_step": 1.0, "pattern": [1.0]})
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        assert json.loads(res.stderr)["message"] == (
+            "row t=(11) needs nodes >= 39917 to enumerate its Farey set "
+            "1/(e^-t y_lo); it has nodes=1024")
+        assert res.output == ""
+        assert not (tmp_path / "out").exists()
+
     def test_row_cut_past_nodes_is_refused(self, tmp_path, runner):
         # a weight at frequency 10^9 cuts the t = 2 row's pieces about
         # 4 * 10^7 times: exit 3 before any sub-piece or output is made,
@@ -1127,7 +1186,7 @@ def test_readme_examples(tmp_path, runner):
                                        "--out", str(results),
                                        "--threads", threads])
             assert res.exit_code == 0, res.output
-            stdout.append(res.stdout)
+            stdout.append(res.output)
         files = {f.name: f.read_bytes() for f in sorted(results.iterdir())}
         runs.append((stdout, files))
     assert sorted(runs[0][1]) == sorted(

@@ -9,13 +9,15 @@ five modes and on single mutations of them.
 import copy
 import json
 import math
+import os
+import tempfile
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Runner
 from equidist import cli
 
 SCHEMA = cli._schema()
@@ -238,22 +240,23 @@ def test_refusal_is_worded_by_jsonschema(manifest):
             sort_keys=True) + "\n"
     else:
         return
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        with open("m.json", "w", encoding="utf-8") as fh:
+    with tempfile.TemporaryDirectory() as tmp:
+        mpath = os.path.join(tmp, "m.json")
+        with open(mpath, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
-        res = runner.invoke(cli.main, ["verify", "--manifest", "m.json"])
+        res = Runner.invoke(cli.main, ["verify", "--manifest", mpath])
     assert res.exit_code == 2
     assert res.stderr == expected
 
 
-def test_jsonschema_acceptance_overrides_a_refusal(tmp_path, monkeypatch):
+def test_jsonschema_acceptance_overrides_a_refusal(tmp_path, monkeypatch,
+                                                    runner):
     # a manifest jsonschema accepts runs even if the compiled check
     # refused it
     monkeypatch.setattr(cli, "_MANIFEST_CHECK", lambda obj: False)
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(VALID[0]), encoding="utf-8")
-    res = CliRunner().invoke(cli.main, ["ledger", "--manifest", str(mpath),
-                                        "--out", str(tmp_path)])
+    res = runner.invoke(cli.main, ["ledger", "--manifest", str(mpath),
+                                   "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert (tmp_path / "ledger.csv").exists()

@@ -72,6 +72,29 @@ class TestBumpProfile:
         assert float(np.max(vals)) == pytest.approx(1.0)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_float_path_matches_the_array_path(self, data):
+        # a float skips the array plumbing yet gives the array path's
+        # bits: at and next to the support's endpoints, inside, outside,
+        # and at NaN and the infinities
+        kind = data.draw(st.sampled_from(["indicator", "bump"]))
+        y_lo = data.draw(st.floats(1.0, 10.0))
+        y_hi = y_lo + data.draw(st.floats(1e-3, 10.0))
+        f = BumpProfile(kind, y_lo, y_hi)
+        edges = [e for y in (y_lo, y_hi)
+                 for e in (y, math.nextafter(y, 0.0),
+                           math.nextafter(y, math.inf))]
+        u = data.draw(st.lists(st.one_of(
+            st.sampled_from(edges + [math.nan, math.inf, -math.inf, 0.0]),
+            st.floats(y_lo, y_hi), st.floats(y_lo - 1.0, y_hi + 1.0),
+            st.floats()), min_size=1, max_size=8))
+        with np.errstate(all="ignore"):
+            expected = f.value(np.array(u))
+        got = [f.value(v) for v in u]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == expected.tobytes()
+
     def test_support_floor(self):
         with pytest.raises(ValueError):
             BumpProfile("indicator", 0.5, 2.0)

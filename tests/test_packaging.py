@@ -17,10 +17,9 @@ from test_cli import readme_manifests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(equidist.__file__)))
 PKG = os.path.join(SRC, "equidist")
 MODULES = ("constants", "geometry", "modular", "selection", "wiener")
-# what the ledger and fit paths must not load: numpy and every layer but
-# constants
-NOT_FOR_LEDGER = ("numpy", "equidist.geometry", "equidist.modular",
-                  "equidist.selection", "equidist.wiener")
+LAYERS = tuple("equidist." + name for name in MODULES)
+# what the ledger path must not load: numpy and every layer but constants
+NOT_FOR_LEDGER = ("numpy", *LAYERS[1:])
 
 
 def _public_names():
@@ -50,16 +49,14 @@ def _loaded_after(code, *packages):
         "sys.modules)))").splitlines()[-1]), packages)
 
 
-def test_cli_import_loads_no_scipy():
-    # SciPy is a test-time oracle only; a fresh interpreter must be able
-    # to start the CLI without it
-    assert _loaded_after("import equidist.cli", "scipy") == []
-
-
-def test_cli_import_loads_no_jsonschema():
-    # the compiled check decides acceptance; jsonschema is imported only
-    # to word a refusal
-    assert _loaded_after("import equidist.cli", "jsonschema") == []
+def test_cli_import_loads_only_the_cli():
+    # the front end is argparse; SciPy is a test-time oracle only; the
+    # compiled check decides acceptance, so jsonschema is imported only
+    # to word a refusal; and each body imports numpy and the layers it
+    # runs: a fresh `import equidist.cli` loads none of them
+    assert _loaded_after("import equidist.cli", "click", "numpy",
+                         "jsonschema", "scipy", "equidist") == [
+        "equidist", "equidist.cli"]
 
 
 def test_cli_import_builds_no_quadrature_rule():
@@ -78,14 +75,14 @@ def test_ledger_path_loads_no_numpy(tmp_path):
     manifest.write_text(json.dumps(block), encoding="utf-8")
     out = tmp_path / "out"
     run = ("from equidist import cli\n"
-           "cli.main(['ledger', '--manifest', %r, '--out', %r], "
-           "standalone_mode=False)" % (str(manifest), str(out)))
+           "cli.main(['ledger', '--manifest', %r, '--out', %r])"
+           % (str(manifest), str(out)))
     for code in ("import equidist", "import equidist.cli", run):
         assert _loaded_after(code, *NOT_FOR_LEDGER) == [], code
     assert json.loads((out / "ledger.json").read_text())["mode"] == \
         "theorem-B"
-    commands = _python("-m", "equidist", "--help").split("Commands:")[1]
-    assert sorted(re.findall(r"^  (\w+)", commands, re.M)) == [
+    commands = _python("-m", "equidist", "--help").split("\ncommands:\n")[1]
+    assert sorted(re.findall(r"^    (\w+)", commands, re.M)) == [
         "correlate", "fit", "ledger", "schedule", "verify"]
 
 
@@ -105,7 +102,8 @@ def _imported_by(argv, *packages):
 def test_fit_path_loads_no_numpy(tmp_path):
     # the fit reads its CSV with the csv module and solves in integers: a
     # fit run, in-process or in its own process, loads neither numpy nor
-    # the layers, and importing the CLI does not load the fit
+    # any layer, the constant ledger included, and importing the CLI
+    # does not load the fit
     (tmp_path / "t.csv").write_text(
         "Delta_mult,abs_error\n2.0,0.5\n4.0,0.3\n8.0,0.2\n",
         encoding="utf-8")
@@ -113,12 +111,11 @@ def test_fit_path_loads_no_numpy(tmp_path):
     manifest.write_text(json.dumps(
         {"mode": "fit", "fit": {"input_csv": "t.csv"}}), encoding="utf-8")
     argv = ["fit", "--manifest", str(manifest), "--out", str(tmp_path)]
-    run = ("from equidist import cli\n"
-           "cli.main(%r, standalone_mode=False)" % argv)
-    assert _loaded_after(run, *NOT_FOR_LEDGER) == []
+    run = "from equidist import cli\ncli.main(%r)" % argv
+    assert _loaded_after(run, "numpy", *LAYERS) == []
     assert _loaded_after("import equidist.cli", "equidist._fit") == []
     assert _imported_by(["-m", "equidist", *argv], "equidist._fit",
-                        *NOT_FOR_LEDGER) == ["equidist._fit"]
+                        "numpy", *LAYERS) == ["equidist._fit"]
     assert json.loads((tmp_path / "fit.json").read_text())["n_points"] == 3
 
 
@@ -133,6 +130,30 @@ def test_correlate_at_one_thread_starts_no_pool(tmp_path):
                          str(manifest), "--out", str(tmp_path), "--threads",
                          "1"], "equidist.modular", "concurrent") == [
         "equidist.modular"]
+
+
+def test_boundless_correlate_loads_no_constant_ledger(tmp_path):
+    # only a bound block asks correlate for the constant ledger: the
+    # README's correlate manifest has none, and with one added the run
+    # loads it
+    blocks = readme_manifests()
+    block = blocks["correlate"]
+    family = block["correlate"]["family"]
+    family["t_stop"] = family["t_start"]
+    assert "bound" not in block["correlate"]
+    bounded = json.loads(json.dumps(block))
+    bounded["correlate"]["bound"] = {
+        "params": blocks["ledger"]["ledger"]["params"]}
+    for name, manifest, loaded in (("c", block, []),
+                                   ("b", bounded, ["equidist.constants"])):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        argv = ["correlate", "--manifest", str(path),
+                "--out", str(tmp_path / name)]
+        run = "from equidist import cli\ncli.main(%r)" % argv
+        assert _loaded_after(run, "equidist.constants") == loaded
+        assert _imported_by(["-m", "equidist", *argv],
+                            "equidist.constants") == loaded
 
 
 def test_one_process_writes_what_fresh_ones_write(tmp_path):
@@ -162,7 +183,7 @@ def test_one_process_writes_what_fresh_ones_write(tmp_path):
         "stdout = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
-        "        cli.main(argv, standalone_mode=False)\n"
+        "        cli.main(argv)\n"
         "    stdout.append(buf.getvalue())\n"
         "print(json.dumps(stdout))"), json.dumps(argvs)))
     assert one == fresh

@@ -15,10 +15,10 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Runner
 from equidist import __version__, geometry
 from equidist.cli import _NUMERIC_ERRORS, _gnuplot, main
 from equidist.geometry import (RootAction, TranslationTuple,
@@ -150,11 +150,11 @@ def cli_run(manifest):
         path = Path(tmp) / "m.json"
         path.write_text(json.dumps(manifest), encoding="utf-8")
         out = Path(tmp) / "out"
-        res = CliRunner().invoke(main, ["schedule", "--manifest", str(path),
-                                        "--out", str(out)])
+        res = Runner.invoke(main, ["schedule", "--manifest", str(path),
+                                   "--out", str(out)])
         files = ({f.name: f.read_bytes() for f in out.iterdir()}
                  if out.is_dir() else {})
-    return res.exit_code, files, res.stdout, res.stderr
+    return res.exit_code, files, res.output, res.stderr
 
 
 @st.composite
@@ -283,7 +283,7 @@ def test_schedule_memory_stays_columnar():
         argv = ["schedule", "--manifest", str(path), "--out", tmp]
         tracemalloc.start()
         try:
-            res = CliRunner().invoke(main, argv)
+            res = Runner.invoke(main, argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
