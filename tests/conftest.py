@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
@@ -16,36 +17,23 @@ class Result(NamedTuple):
 
 class Runner:
     """Calls an entry point main(args) with stdout and stderr captured and
-    the environment variables env set (None unsets one) for the call.  A
-    return is exit code 0, a SystemExit gives its code, and any other
-    exception propagates."""
+    the environment variables env set for the call.  A return is exit
+    code 0, a SystemExit gives its code, and any other exception
+    propagates."""
 
     @staticmethod
     def invoke(main, args, env=None):
         out, err = io.StringIO(), io.StringIO()
-        saved = {name: os.environ.get(name) for name in env or ()}
-        try:
-            for name, value in (env or {}).items():
-                _set_env(name, value)
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                try:
-                    main(list(args))
-                    code = 0
-                except SystemExit as exc:
-                    code = (exc.code or 0) if isinstance(
-                        exc.code, (int, type(None))) else 1
-        finally:
-            for name, value in saved.items():
-                _set_env(name, value)
+        with mock.patch.dict(os.environ, env or {}), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                main(list(args))
+                code = 0
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else (
+                    0 if exc.code is None else 1)
         return Result(code, out.getvalue(), err.getvalue())
-
-
-def _set_env(name, value):
-    if value is None:
-        os.environ.pop(name, None)
-    else:
-        os.environ[name] = value
 
 
 @pytest.fixture()
