@@ -49,14 +49,23 @@ def _loaded_after(code, *packages):
         "sys.modules)))").splitlines()[-1]), packages)
 
 
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test-time oracle only; a fresh interpreter must be able
+    # to start the CLI without it
+    assert _loaded_after("import equidist.cli", "scipy") == []
+
+
+def test_cli_import_loads_no_jsonschema():
+    # the compiled check decides acceptance; jsonschema is imported only
+    # to word a refusal
+    assert _loaded_after("import equidist.cli", "jsonschema") == []
+
+
 def test_cli_import_loads_only_the_cli():
-    # the front end is argparse; SciPy is a test-time oracle only; the
-    # compiled check decides acceptance, so jsonschema is imported only
-    # to word a refusal; and each body imports numpy and the layers it
-    # runs: a fresh `import equidist.cli` loads none of them
+    # the front end is argparse, and each body imports numpy and the
+    # layers it runs: a fresh `import equidist.cli` loads none of them
     assert _loaded_after("import equidist.cli", "click", "numpy",
-                         "jsonschema", "scipy", "equidist") == [
-        "equidist", "equidist.cli"]
+                         "equidist") == ["equidist", "equidist.cli"]
 
 
 def test_cli_import_builds_no_quadrature_rule():
