@@ -15,9 +15,11 @@ its columns one tuple at a time.
 A manifest is parsed as strict JSON (NaN, Infinity and number literals
 past the float range, such as 1e400 or a 400-digit integer, are refused)
 and checked against the packaged draft-7 JSON schema by the compiled
-check, a predicate built from the schema at import.  It decides
-acceptance.  jsonschema is imported only when it refuses, to word the
-refusal's message and path; a manifest jsonschema accepts still runs.
+check, a function built from the schema at import.  It alone decides
+acceptance and words a refusal: its message and path are those
+jsonschema.validate reports, except under a oneOf that no branch passes,
+where it reports the branch that failed deepest in the manifest, or,
+when two branches tie, that the manifest is valid under none.
 
 The module imports none of the layers: each body imports the layers it
 runs when it is called.  A ledger run loads the constant ledger and no
@@ -49,7 +51,9 @@ from itertools import islice
 from . import __version__
 
 _LOG10 = math.log(10.0)
-_NUMERIC_ERRORS = (ValueError, ArithmeticError, KeyError)
+# MemoryError: an allocation past what the machine holds, such as the
+# arcs of a row at 10^14 nodes
+_NUMERIC_ERRORS = (ValueError, ArithmeticError, KeyError, MemoryError)
 # the schema's cap on verify.trials, also the longest time family
 _MAX_FAMILY_ROWS = 100000
 # stdout lines per write
@@ -84,10 +88,20 @@ def _read_text(path, what):
 
 # ------------------------------------------------------ the compiled check
 #
-# A draft-7 schema compiles to one predicate over parsed JSON.  Each
-# keyword becomes a test that passes every instance its keyword does not
-# apply to, as in draft 7; a schema passes an instance that passes all of
-# its tests.
+# A draft-7 schema compiles to one function over parsed JSON: None when
+# the instance passes, else the failure that jsonschema.validate would
+# report.  Each keyword becomes a check that passes every instance its
+# keyword does not apply to, as in draft 7, and words a failure as
+# jsonschema does.
+#
+# A failure is (path, weak, off_type, message, tail): path leads from the
+# checked instance to the one that failed, weak marks a oneOf, off_type a
+# schema whose "type" the instance does not match, and message stands at
+# path + tail.  Failures rank as in jsonschema's best_match: the
+# shallowest path, then the greatest, then not weak, then off type, and
+# the first of equals wins.  A oneOf that no branch passes reports, at
+# its own rank, the failure of the branch that failed deepest; when two
+# branches tie for deepest it reports that no branch passed.
 
 def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -119,113 +133,188 @@ def _equal(a, b):
     return a == b
 
 
-def _all(tests):
-    if len(tests) == 1:
-        return tests[0]
-
-    def test(x):
-        for t in tests:
-            if not t(x):
-                return False
-        return True
-    return test
+def _failure(schema, x, message, weak=False, tail=()):
+    """The failure of a keyword of schema at x itself."""
+    off_type = (not isinstance(schema, dict) or "type" not in schema
+                or not _TYPES[schema["type"]](x))
+    return (), weak, off_type, message, tail
 
 
-def _enum_test(values, schema, sub):
-    return lambda x: any(_equal(x, v) for v in values)
+def _rank(failure):
+    path, weak, off_type = failure[:3]
+    return -len(path), path, not weak, off_type
 
 
-def _const_test(value, schema, sub):
-    return lambda x: _equal(x, value)
+def _first(failures):
+    """The failure of failures that jsonschema reports, or None."""
+    return max(failures, key=_rank) if failures else None
 
 
-def _required_test(names, schema, sub):
-    return lambda x: not isinstance(x, dict) or all(n in x for n in names)
+def _under(key, failure):
+    return ((key,) + failure[0],) + failure[1:]
 
 
-def _properties_test(props, schema, sub):
-    tests = [(name, sub(s)) for name, s in props.items()]
+def _all(checks):
+    if len(checks) == 1:
+        return checks[0]
 
-    def test(x):
+    def check(x):
+        failures = []
+        for c in checks:
+            if (f := c(x)) is not None:
+                failures.append(f)
+        return _first(failures)
+    return check
+
+
+def _type_check(name, schema, sub):
+    test = _TYPES[name]
+    return lambda x: None if test(x) else _failure(
+        schema, x, "%r is not of type %r" % (x, name))
+
+
+def _enum_check(values, schema, sub):
+    return lambda x: None if any(_equal(x, v) for v in values) else (
+        _failure(schema, x, "%r is not one of %r" % (x, values)))
+
+
+def _const_check(value, schema, sub):
+    return lambda x: None if _equal(x, value) else _failure(
+        schema, x, "%r was expected" % (value,))
+
+
+def _required_check(names, schema, sub):
+    def check(x):
         if isinstance(x, dict):
-            for name, t in tests:
-                if name in x and not t(x[name]):
-                    return False
-        return True
-    return test
+            for name in names:
+                if name not in x:
+                    return _failure(schema, x,
+                                    "%r is a required property" % name)
+    return check
 
 
-def _additional_test(extra, schema, sub):
+def _properties_check(props, schema, sub):
+    checks = [(name, sub(s)) for name, s in props.items()]
+
+    def check(x):
+        if isinstance(x, dict):
+            return _first([_under(name, f) for name, c in checks
+                           if name in x and (f := c(x[name])) is not None])
+    return check
+
+
+def _additional_check(extra, schema, sub):
     if extra is not False:
         raise ValueError("additionalProperties %r has no compiled check"
                          % (extra,))
     known = frozenset(schema.get("properties", ()))
-    return lambda x: not isinstance(x, dict) or known.issuperset(x)
+
+    def check(x):
+        if isinstance(x, dict) and not known.issuperset(x):
+            names = sorted(set(x) - known, key=str)
+            return _failure(schema, x, "Additional properties are not "
+                            "allowed (%s %s unexpected)"
+                            % (", ".join(map(repr, names)),
+                               "was" if len(names) == 1 else "were"))
+    return check
 
 
-def _items_test(items, schema, sub):
+def _items_check(items, schema, sub):
     if isinstance(items, list):
         raise ValueError("positional items have no compiled check")
     each = sub(items)
-    return lambda x: not isinstance(x, list) or all(map(each, x))
+
+    def check(x):
+        # a failure is a non-empty tuple: the loop stays in C until one
+        if isinstance(x, list) and any(map(each, x)):
+            return _first([_under(k, f) for k, f in enumerate(map(each, x))
+                           if f is not None])
+    return check
 
 
-def _length_test(within):
+def _length_check(fails, words):
+    """minItems or maxItems; words(n) says how a list fails bound n."""
     return lambda n, schema, sub: (
-        lambda x: not isinstance(x, list) or within(len(x), n))
+        lambda x: _failure(schema, x, "%r %s" % (x, words(n)))
+        if isinstance(x, list) and fails(len(x), n) else None)
 
 
-def _bound_test(fails):
+def _bound_check(fails, words):
     """A numeric bound; fails is the comparison that refuses, as in
     jsonschema."""
     return lambda bound, schema, sub: (
-        lambda x: not _is_number(x) or not fails(x, bound))
+        lambda x: _failure(schema, x, "%r is %s %r" % (x, words, bound))
+        if _is_number(x) and fails(x, bound) else None)
 
 
-def _one_of_test(schemas, schema, sub):
-    tests = [sub(s) for s in schemas]
-    return lambda x: sum(t(x) for t in tests) == 1
+def _one_of_check(schemas, schema, sub):
+    checks = [sub(s) for s in schemas]
+
+    def check(x):
+        failures = [c(x) for c in checks]
+        passed = [s for s, f in zip(schemas, failures) if f is None]
+        if len(passed) == 1:
+            return None
+        if passed:
+            return _failure(schema, x, "%r is valid under each of %s" % (
+                x, ", ".join(map(repr, passed[1:] + passed[:1]))), weak=True)
+        depths = [len(f[0]) + len(f[4]) for f in failures]
+        if depths.count(max(depths)) == 1:
+            path, _, _, message, tail = failures[depths.index(max(depths))]
+            return _failure(schema, x, message, weak=True, tail=path + tail)
+        return _failure(schema, x, "%r is not valid under any of the given "
+                        "schemas" % (x,), weak=True)
+    return check
 
 
-def _not_test(negated, schema, sub):
-    test = sub(negated)
-    return lambda x: not test(x)
+def _not_check(negated, schema, sub):
+    check = sub(negated)
+    return lambda x: None if check(x) is not None else _failure(
+        schema, x, "%r should not be valid under %r" % (x, negated))
 
 
-def _if_test(cond, schema, sub):
+def _if_check(cond, schema, sub):
     test, then = sub(cond), sub(schema.get("then", True))
-    return lambda x: not test(x) or then(x)
+    return lambda x: None if test(x) is not None else then(x)
 
 
 _KEYWORDS = {
-    "type": lambda name, schema, sub: _TYPES[name],
-    "enum": _enum_test,
-    "const": _const_test,
-    "required": _required_test,
-    "properties": _properties_test,
-    "additionalProperties": _additional_test,
-    "items": _items_test,
-    "minItems": _length_test(operator.ge),
-    "maxItems": _length_test(operator.le),
-    "minimum": _bound_test(operator.lt),
-    "maximum": _bound_test(operator.gt),
-    "exclusiveMinimum": _bound_test(operator.le),
-    "exclusiveMaximum": _bound_test(operator.ge),
+    "type": _type_check,
+    "enum": _enum_check,
+    "const": _const_check,
+    "required": _required_check,
+    "properties": _properties_check,
+    "additionalProperties": _additional_check,
+    "items": _items_check,
+    "minItems": _length_check(operator.lt, lambda n: (
+        "should be non-empty" if n == 1 else "is too short")),
+    "maxItems": _length_check(operator.gt, lambda n: (
+        "is expected to be empty" if n == 0 else "is too long")),
+    "minimum": _bound_check(operator.lt, "less than the minimum of"),
+    "maximum": _bound_check(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound_check(
+        operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound_check(
+        operator.ge, "greater than or equal to the maximum of"),
     "allOf": lambda schemas, schema, sub: _all([sub(s) for s in schemas]),
-    "oneOf": _one_of_test,
-    "not": _not_test,
-    "if": _if_test,
+    "oneOf": _one_of_check,
+    "not": _not_check,
+    "if": _if_check,
     "then": None,  # read by if
     "$schema": None, "title": None, "definitions": None,
 }
 
 
-def _compile(schema, root):
-    """The predicate of schema, a subschema of root.  $ref takes a local
-    JSON pointer, such as #/definitions/params; a keyword outside
-    _KEYWORDS raises ValueError, so no check is skipped unseen."""
-    if isinstance(schema, bool):
-        return lambda x: schema
+def _check(schema, root):
+    """The check of schema, a subschema of root, that returns a failure
+    tuple or None.  $ref takes a local JSON pointer, such as
+    #/definitions/params; a keyword outside _KEYWORDS raises ValueError,
+    so no check is skipped unseen."""
+    if schema is True:
+        return lambda x: None
+    if schema is False:
+        return lambda x: _failure(schema, x,
+                                  "False schema does not allow %r" % (x,))
     if "$ref" in schema:
         # draft 7 ignores the siblings of $ref
         ref = schema["$ref"]
@@ -235,15 +324,30 @@ def _compile(schema, root):
         target = root
         for part in ref[2:].split("/"):
             target = target[part]
-        return _compile(target, root)
+        return _check(target, root)
     unknown = sorted(set(schema) - set(_KEYWORDS))
     if unknown:
         raise ValueError("schema keywords %s have no compiled check"
                          % ", ".join(unknown))
-    return _all([_KEYWORDS[key](value, schema,
-                                lambda s: _compile(s, root))
+    return _all([_KEYWORDS[key](value, schema, lambda s: _check(s, root))
                  for key, value in schema.items()
                  if _KEYWORDS[key] is not None])
+
+
+def _compile(schema, root):
+    """The compiled check of schema, a subschema of root: a function that
+    returns None when an instance passes, else (message, path) of the
+    failure jsonschema.validate reports, path a list of keys and indices.
+    A failure under a oneOf is worded as the branch that failed deepest
+    words it, or as no branch passing when two tie."""
+    check = _check(schema, root)
+
+    def failure(x):
+        found = check(x)
+        if found is not None:
+            path, _, _, message, tail = found
+            return message, [*path, *tail]
+    return failure
 
 
 def _compiled_schema():
@@ -251,7 +355,12 @@ def _compiled_schema():
     return _compile(schema, schema)
 
 
-_MANIFEST_CHECK = _compiled_schema()
+_MANIFEST_FAILURE = _compiled_schema()
+
+
+def _MANIFEST_CHECK(obj):
+    """Whether obj passes the packaged schema."""
+    return _MANIFEST_FAILURE(obj) is None
 
 
 def _refuse_constant(token):
@@ -272,22 +381,18 @@ def _finite_int(token):
 
 def _load_manifest(path, expect_mode):
     """The manifest, parsed as strict JSON with every number finite, and
-    checked against the packaged schema.  The compiled check decides;
-    jsonschema, imported only then, words a refusal, and a manifest it
-    accepts runs."""
+    checked against the packaged schema once, by the compiled check; a
+    refusal exits 2 with the check's message and path."""
     text = _read_text(path, "manifest")
     try:
         obj = json.loads(text, parse_constant=_refuse_constant,
                          parse_float=_finite_float, parse_int=_finite_int)
     except ValueError as exc:
         _fail(2, "schema", "manifest is not valid JSON: %s" % exc)
-    if not _MANIFEST_CHECK(obj):
-        import jsonschema
-        try:
-            jsonschema.validate(obj, _schema())
-        except jsonschema.ValidationError as exc:
-            _fail(2, "schema", exc.message,
-                  path=[str(p) for p in exc.absolute_path])
+    failure = _MANIFEST_FAILURE(obj)
+    if failure is not None:
+        message, path = failure
+        _fail(2, "schema", message, path=[str(p) for p in path])
     if obj["mode"] != expect_mode:
         _fail(2, "schema", "manifest mode %r does not match subcommand %r"
               % (obj["mode"], expect_mode))
@@ -295,8 +400,9 @@ def _load_manifest(path, expect_mode):
 
 
 def __getattr__(name):
-    # cli.jsonschema and the layers' public names, such as cli.correlation,
-    # stay reachable without importing them with the module
+    # the layers' public names, such as cli.correlation, stay reachable
+    # without importing them with the module; cli.jsonschema serves only
+    # the benchmark's self-test, which reads cli.jsonschema.validate
     if name == "jsonschema":
         import jsonschema
         return jsonschema
@@ -466,7 +572,8 @@ def main(args=None, prog_name=None):
         files, lines, failure = body(manifest.get(mode, {}), seed=int(seed),
                                      threads=threads, **opts)
     except _NUMERIC_ERRORS as exc:
-        _fail(3, "numerical", exc)
+        # a bare MemoryError has no message: name it
+        _fail(3, "numerical", str(exc) or type(exc).__name__)
     out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     for name, text in files.items():

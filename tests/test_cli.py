@@ -385,8 +385,9 @@ class TestManifestErrors:
                                           "r_max": "three"}})
         res = runner.invoke(main, ["ledger", "--manifest", mpath])
         assert res.exit_code == 2
-        err = json.loads(res.stderr)
-        assert err["error"] == "schema"
+        assert json.loads(res.stderr) == {
+            "error": "schema", "message": "'three' is not of type 'integer'",
+            "path": ["ledger", "r_max"]}
 
     def test_garbage_thread_env_rejected(self, tmp_path, runner):
         mpath = write_manifest(
@@ -716,6 +717,34 @@ class TestScheduleCommand:
         assert json.loads(res.stderr)["message"] == (
             "root 1 has 1 coefficients, expected 2")
 
+    @pytest.mark.parametrize("action,message,path", [
+        # u_mn(10^5, 1) would build a 0.8 GB root table
+        ({"builtin": "u_mn", "m": 100000, "n": 1},
+         "100000 is greater than the maximum of 64", ["m"]),
+        # past numpy's largest dimension
+        ({"builtin": "u_mn", "m": 2 ** 70, "n": 1},
+         "1180591620717411303424 is greater than the maximum of 64", ["m"]),
+        # 2^70 default labels would never finish building
+        ({"dim_t": 2, "roots": [[1.0, 1.0], [1.0, -1.0]],
+          "multiplicities": [1, 2 ** 70]},
+         "1180591620717411303424 is greater than the maximum of 1024",
+         ["multiplicities", "1"]),
+    ])
+    def test_action_past_its_size_limits_is_refused(self, tmp_path, runner,
+                                                     action, message, path):
+        mpath = write_manifest(
+            tmp_path / "s.json",
+            {"mode": "schedule",
+             "schedule": {"action": action,
+                          "tuples": [[[1.0, 2.0], [3.0, 4.0]]]}})
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert json.loads(res.stderr) == {
+            "error": "schema", "message": message,
+            "path": ["schedule", "action", *path]}
+        assert not (tmp_path / "out").exists()
+
 
 CORRELATE_BLOCK = {
     "sigma": {"dim": 1, "coeffs": [{"chi": [0], "re": 1.0, "im": 0.0}]},
@@ -897,6 +926,28 @@ class TestCorrelateCommand:
                        r"pieces to 8 periods of its weight; it has "
                        r"nodes=1024$", err["message"])
         assert msg and int(msg.group(1)) > 4 * 10 ** 7
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_allocation_exits_numerical(self, tmp_path, runner,
+                                               monkeypatch):
+        # a row at 10^14 nodes passes its Farey check, 7.1e12 at t = 30,
+        # and then asks numpy for terabytes of arcs; the allocation fails
+        # here without being made: exit 3 with one JSON line, no output
+        def out_of_memory(profile, y):
+            raise MemoryError
+
+        monkeypatch.setattr(modular, "_arcs", out_of_memory)
+        blk = {k: v for k, v in CORRELATE_BLOCK.items() if k != "family"}
+        mpath = write_manifest(
+            tmp_path / "c.json",
+            {"mode": "correlate",
+             "correlate": dict(blk, times=[[30.0]], nodes=10 ** 14)})
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        assert json.loads(res.stderr) == {"error": "numerical",
+                                          "message": "MemoryError"}
+        assert res.output == ""
         assert not (tmp_path / "out").exists()
 
     def test_nodes_flag_overrides_manifest(self, tmp_path, runner):

@@ -1,9 +1,13 @@
-"""The compiled manifest check against jsonschema, its reference.
+"""The compiled manifest check against jsonschema, its test-time oracle.
 
-The CLI accepts a manifest when the check compiled from the packaged
-schema passes it, and asks jsonschema only to word a refusal.  These
-tests hold the two to the same draft-7 verdict on valid manifests of all
-five modes and on single mutations of them.
+The check compiled from the packaged schema is the CLI's only validator:
+it accepts a manifest or refuses it with a message and path, and the
+runtime never imports jsonschema.  These tests hold it to jsonschema's
+draft-7 verdict on valid manifests of all five modes and on single
+mutations of them, and to jsonschema.validate's wording on every refusal
+that does not pass through a oneOf.  Under a oneOf the check reports the
+branch that failed deepest, or no branch passing when two tie; a table
+fixes that wording for each oneOf of the schema.
 """
 
 import copy
@@ -87,7 +91,7 @@ ODD_VALUES = [
 ]
 # the schema's numeric bounds and their float neighbours, put in place of
 # a number
-BOUNDARY = sorted({v for b in (0, 0.5, 1, 10, 16, 30, 64, 100000)
+BOUNDARY = sorted({v for b in (0, 0.5, 1, 10, 16, 30, 64, 1024, 100000)
                    for v in (b, float(b), math.nextafter(b, -math.inf),
                              math.nextafter(b, math.inf))})
 
@@ -207,7 +211,7 @@ def test_compiled_check_agrees_with_jsonschema(manifest):
     ({"not": {"type": "array"}}, []),
 ])
 def test_draft7_semantics(schema, instance):
-    assert cli._compile(schema, schema)(instance) == \
+    assert (cli._compile(schema, schema)(instance) is None) == \
         jsonschema.Draft7Validator(schema).is_valid(instance)
 
 
@@ -230,14 +234,13 @@ def test_unknown_keyword_raises(schema):
 @settings(max_examples=150, deadline=None)
 @given(mutants())
 def test_refusal_is_worded_by_jsonschema(manifest):
-    # exit 2 with jsonschema.validate's message and path, byte for byte
+    # exit 2 with jsonschema.validate's message and path, byte for byte,
+    # unless the refusal passes through a oneOf; then the reported path
+    # extends the oneOf's
     try:
         jsonschema.validate(manifest, SCHEMA)
     except jsonschema.ValidationError as exc:
-        expected = json.dumps(
-            {"error": "schema", "message": exc.message,
-             "path": [str(p) for p in exc.absolute_path]},
-            sort_keys=True) + "\n"
+        error = exc
     else:
         return
     with tempfile.TemporaryDirectory() as tmp:
@@ -246,17 +249,109 @@ def test_refusal_is_worded_by_jsonschema(manifest):
             json.dump(manifest, fh)
         res = Runner.invoke(cli.main, ["verify", "--manifest", mpath])
     assert res.exit_code == 2
-    assert res.stderr == expected
+    if "oneOf" not in error.absolute_schema_path:
+        assert res.stderr == json.dumps(
+            {"error": "schema", "message": error.message,
+             "path": [str(p) for p in error.absolute_path]},
+            sort_keys=True) + "\n"
+        return
+    while error.parent is not None:
+        error = error.parent
+    one_of = [str(p) for p in error.absolute_path]
+    report = json.loads(res.stderr)
+    assert report["error"] == "schema"
+    assert report["path"][:len(one_of)] == one_of
 
 
-def test_jsonschema_acceptance_overrides_a_refusal(tmp_path, monkeypatch,
-                                                    runner):
-    # a manifest jsonschema accepts runs even if the compiled check
-    # refused it
-    monkeypatch.setattr(cli, "_MANIFEST_CHECK", lambda obj: False)
-    mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps(VALID[0]), encoding="utf-8")
-    res = runner.invoke(cli.main, ["ledger", "--manifest", str(mpath),
-                                   "--out", str(tmp_path)])
-    assert res.exit_code == 0, res.output
-    assert (tmp_path / "ledger.csv").exists()
+def _edited(manifest, path, value=None):
+    """A copy of manifest with the value at path replaced by value, or
+    deleted when value is None."""
+    manifest = copy.deepcopy(manifest)
+    *head, last = path
+    if value is None:
+        del _at(manifest, head)[last]
+    else:
+        _at(manifest, head)[last] = value
+    return manifest
+
+
+LEDGER, SCHEDULE, CORRELATE = VALID[0], VALID[3], VALID[5]
+GROWTH = ("ledger", "params", "growth")
+EVALUATE = LEDGER["ledger"]["evaluate"]
+
+
+# manifests that fail in several places, refused as jsonschema ranks
+# their failures: the shallowest path, then the greatest, then a schema
+# whose type the value does not match, then schema order
+@pytest.mark.parametrize("manifest,message,path", [
+    # a then-clause, which names no type, before the root's extra key
+    ({"mode": "ledger", "x": 1}, "'ledger' is a required property", []),
+    (_edited(_edited(LEDGER, GROWTH + ("L1",), 0), ("ledger", "r_max"),
+             "three"),
+     "'three' is not of type 'integer'", ["ledger", "r_max"]),
+    (_edited(_edited(LEDGER, ("ledger", "theorem"), "C"),
+             ("ledger", "r_max"), "three"),
+     "'C' is not one of ['A', 'B']", ["ledger", "theorem"]),
+    (_edited(LEDGER, ("ledger", "r_max"), 0.5),
+     "0.5 is not of type 'integer'", ["ledger", "r_max"]),
+    (_edited(LEDGER, ("ledger", "evaluate"),
+             [dict(EVALUATE[0], r=0)] * 2),
+     "0 is less than the minimum of 1", ["ledger", "evaluate", 1, "r"]),
+])
+def test_refusal_ranks_failures_as_jsonschema(manifest, message, path):
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(manifest, SCHEMA)
+    assert (info.value.message, list(info.value.absolute_path)) == (
+        message, path)
+    assert cli._MANIFEST_FAILURE(manifest) == (message, path)
+
+PROFILE = ("correlate", "profiles", 0)
+ACTION = ("schedule", "action")
+BLOCK = CORRELATE["correlate"]
+BOTH = dict(BLOCK, times=[[2.0, 3.0]])
+NEITHER = {k: v for k, v in BLOCK.items() if k != "family"}
+
+
+def _none_of(instance):
+    return "%r is not valid under any of the given schemas" % (instance,)
+
+
+# each oneOf refused for a wrong kind, a field missing under the right
+# kind and a wrong type: the branch that failed deepest words the
+# refusal, and two branches failing equally deep make it the oneOf's own
+@pytest.mark.parametrize("manifest,message,path", [
+    (_edited(LEDGER, GROWTH + ("kind",), "power"),
+     "'power-law' was expected", GROWTH + ("kind",)),
+    (_edited(LEDGER, GROWTH + ("L2",)),
+     _none_of({"kind": "power-law", "L1": 1.0, "ell": 1.0}), GROWTH),
+    (_edited(LEDGER, GROWTH + ("L1",), "one"),
+     "'one' is not of type 'number'", GROWTH + ("L1",)),
+    (_edited(CORRELATE, PROFILE + ("kind",), "spike"),
+     "'spike' is not one of ['indicator', 'bump']", PROFILE + ("kind",)),
+    (_edited(CORRELATE, PROFILE + ("y_hi",)),
+     _none_of({"kind": "bump", "y_lo": 1.5}), PROFILE),
+    (_edited(CORRELATE, PROFILE + ("y_lo",), "low"),
+     "'low' is not of type 'number'", PROFILE + ("y_lo",)),
+    (_edited(SCHEDULE, ACTION + ("builtin",), "u_nm"),
+     "'u_mn' was expected", ACTION + ("builtin",)),
+    (_edited(SCHEDULE, ACTION + ("n",)),
+     _none_of({"builtin": "u_mn", "m": 1}), ACTION),
+    (_edited(SCHEDULE, ACTION + ("m",), "two"),
+     "'two' is not of type 'integer'", ACTION + ("m",)),
+    (_edited(SCHEDULE, ("schedule", "theta"), "manual"),
+     _none_of("manual"), ("schedule", "theta")),
+    (_edited(SCHEDULE, ("schedule", "theta"), 1.0),
+     _none_of(1.0), ("schedule", "theta")),
+    (_edited(SCHEDULE, ("schedule", "theta"), True),
+     _none_of(True), ("schedule", "theta")),
+    (_edited(CORRELATE, ("correlate",), BOTH), _none_of(BOTH),
+     ("correlate",)),
+    (_edited(CORRELATE, ("correlate",), NEITHER), _none_of(NEITHER),
+     ("correlate",)),
+    # the oneOf asks only which of the two is present; a wrong type
+    # inside the one present is worded by its own keyword
+    (_edited(CORRELATE, ("correlate", "family", "t_step"), "one"),
+     "'one' is not of type 'number'", ("correlate", "family", "t_step")),
+])
+def test_one_of_wording(manifest, message, path):
+    assert cli._MANIFEST_FAILURE(manifest) == (message, list(path))

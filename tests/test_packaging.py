@@ -56,9 +56,83 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_jsonschema():
-    # the compiled check decides acceptance; jsonschema is imported only
-    # to word a refusal
+    # the compiled check is the only validator; jsonschema is a test-time
+    # oracle
     assert _loaded_after("import equidist.cli", "jsonschema") == []
+
+
+def _toml_list(text, name):
+    """The strings of the TOML array `name = [...]` in text."""
+    body = re.search(r"^%s = \[(.*?)\]" % name, text, re.M | re.S).group(1)
+    return re.findall(r'"([^"]+)"', body)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert _toml_list(text, "dependencies") == ["numpy>=1.25"]
+    assert "jsonschema>=4.0" in _toml_list(text, "test")
+
+
+# (module file, imported package): why the package may be imported
+IMPORT_EXCEPTIONS = {
+    ("cli.py", "jsonschema"): "cli.__getattr__ serves cli.jsonschema to "
+                              "the benchmark's self-test, on access only",
+}
+
+
+def test_sources_import_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "equidist"}
+    found = set()
+    for name in sorted(os.listdir(PKG)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                packages = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                packages = [node.module]
+            else:
+                continue
+            found |= {(name, p.split(".")[0]) for p in packages
+                      if p.split(".")[0] not in allowed}
+    assert found == set(IMPORT_EXCEPTIONS)
+
+
+def _without_jsonschema(argv):
+    """A fresh interpreter on the package sources in which jsonschema
+    cannot be imported, running the CLI with argv."""
+    code = ("import sys\n"
+            "sys.modules['jsonschema'] = None\n"
+            "from equidist import cli\n"
+            "cli.main(sys.argv[1:])")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    # a refusal is worded and a manifest runs with jsonschema unimportable
+    block = readme_manifests()["ledger"]
+    bad = json.loads(json.dumps(block))
+    bad["ledger"]["r_max"] = "three"
+    for name, manifest in (("bad", bad), ("good", block)):
+        (tmp_path / ("%s.json" % name)).write_text(json.dumps(manifest),
+                                                    encoding="utf-8")
+    res = _without_jsonschema(["ledger", "--manifest",
+                               str(tmp_path / "bad.json"),
+                               "--out", str(tmp_path / "bad")])
+    assert res.returncode == 2
+    assert res.stderr == json.dumps(
+        {"error": "schema", "message": "'three' is not of type 'integer'",
+         "path": ["ledger", "r_max"]}, sort_keys=True) + "\n"
+    assert not (tmp_path / "bad").exists()
+    res = _without_jsonschema(["ledger", "--manifest",
+                               str(tmp_path / "good.json"),
+                               "--out", str(tmp_path / "good")])
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "good" / "ledger.csv").exists()
 
 
 def test_cli_import_loads_only_the_cli():
