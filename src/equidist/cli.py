@@ -15,7 +15,7 @@ its columns one tuple at a time.
 A manifest is parsed as strict JSON (NaN, Infinity and number literals
 past the float range, such as 1e400 or a 400-digit integer, are refused)
 and checked against the packaged draft-7 JSON schema by the compiled
-check, a function built from the schema at import.  It alone decides
+check, a function built from the schema on first use.  It alone decides
 acceptance and words a refusal: its message and path are those
 jsonschema.validate reports, except under a oneOf that no branch passes,
 where it reports the branch that failed deepest in the manifest, or,
@@ -40,6 +40,7 @@ written as null, next to a log10 twin where the value can read inf.
 """
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -350,17 +351,17 @@ def _compile(schema, root):
     return failure
 
 
-def _compiled_schema():
+@functools.cache
+def _manifest_failure():
+    """The compiled check of the packaged schema, read and built on first
+    use, so that importing the module opens no file."""
     schema = _schema()
     return _compile(schema, schema)
 
 
-_MANIFEST_FAILURE = _compiled_schema()
-
-
 def _MANIFEST_CHECK(obj):
     """Whether obj passes the packaged schema."""
-    return _MANIFEST_FAILURE(obj) is None
+    return _manifest_failure()(obj) is None
 
 
 def _refuse_constant(token):
@@ -389,7 +390,7 @@ def _load_manifest(path, expect_mode):
                          parse_float=_finite_float, parse_int=_finite_int)
     except ValueError as exc:
         _fail(2, "schema", "manifest is not valid JSON: %s" % exc)
-    failure = _MANIFEST_FAILURE(obj)
+    failure = _manifest_failure()(obj)
     if failure is not None:
         message, path = failure
         _fail(2, "schema", message, path=[str(p) for p in path])

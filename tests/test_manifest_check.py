@@ -303,7 +303,7 @@ def test_refusal_ranks_failures_as_jsonschema(manifest, message, path):
         jsonschema.validate(manifest, SCHEMA)
     assert (info.value.message, list(info.value.absolute_path)) == (
         message, path)
-    assert cli._MANIFEST_FAILURE(manifest) == (message, path)
+    assert cli._manifest_failure()(manifest) == (message, path)
 
 PROFILE = ("correlate", "profiles", 0)
 ACTION = ("schedule", "action")
@@ -354,4 +354,4 @@ def _none_of(instance):
      "'one' is not of type 'number'", ("correlate", "family", "t_step")),
 ])
 def test_one_of_wording(manifest, message, path):
-    assert cli._MANIFEST_FAILURE(manifest) == (message, list(path))
+    assert cli._manifest_failure()(manifest) == (message, list(path))
