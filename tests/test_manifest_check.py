@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Runner
-from equidist import cli
+from equidist import _draft7, cli
 
 SCHEMA = cli._schema()
 REFERENCE = jsonschema.Draft7Validator(SCHEMA)
@@ -211,7 +211,7 @@ def test_compiled_check_agrees_with_jsonschema(manifest):
     ({"not": {"type": "array"}}, []),
 ])
 def test_draft7_semantics(schema, instance):
-    assert (cli._compile(schema, schema)(instance) is None) == \
+    assert (_draft7.compile_schema(schema, schema)(instance) is None) == \
         jsonschema.Draft7Validator(schema).is_valid(instance)
 
 
@@ -228,7 +228,7 @@ def test_draft7_semantics(schema, instance):
 def test_unknown_keyword_raises(schema):
     with pytest.raises(ValueError, match="has no compiled check|have no "
                        "compiled check"):
-        cli._compile(schema, schema)
+        _draft7.compile_schema(schema, schema)
 
 
 @settings(max_examples=150, deadline=None)
