@@ -278,6 +278,11 @@ def _edited(manifest, path, value=None):
 LEDGER, SCHEDULE, CORRELATE = VALID[0], VALID[3], VALID[5]
 GROWTH = ("ledger", "params", "growth")
 EVALUATE = LEDGER["ledger"]["evaluate"]
+PROFILE = ("correlate", "profiles", 0)
+ACTION = ("schedule", "action")
+BLOCK = CORRELATE["correlate"]
+BOTH = dict(BLOCK, times=[[2.0, 3.0]])
+NEITHER = {k: v for k, v in BLOCK.items() if k != "family"}
 
 
 # manifests that fail in several places, refused as jsonschema ranks
@@ -304,12 +309,6 @@ def test_refusal_ranks_failures_as_jsonschema(manifest, message, path):
     assert (info.value.message, list(info.value.absolute_path)) == (
         message, path)
     assert cli._manifest_failure()(manifest) == (message, path)
-
-PROFILE = ("correlate", "profiles", 0)
-ACTION = ("schedule", "action")
-BLOCK = CORRELATE["correlate"]
-BOTH = dict(BLOCK, times=[[2.0, 3.0]])
-NEITHER = {k: v for k, v in BLOCK.items() if k != "family"}
 
 
 def _none_of(instance):
