@@ -1,22 +1,29 @@
-"""The compiled check of a draft-7 JSON schema, as the manifest schema
-uses it.
+"""The manifest boundary: parse(text) returns the manifest in text, or
+raises Refusal with the message and path that jsonschema.validate gives.
 
-A schema compiles to one function over parsed JSON: None when the
-instance passes, else the failure that jsonschema.validate would report.
-Each keyword becomes a check that passes every instance its keyword does
-not apply to, as in draft 7, and words a failure as jsonschema does.
+The text is parsed as strict JSON: NaN, Infinity and number literals
+past the float range, such as 1e400 or a 400-digit integer, are refused
+naming the token.  The manifest is then checked by the check compiled
+from the packaged draft-7 schema on first use.
 
-A failure is (path, weak, off_type, message, tail): path leads from the
-checked instance to the one that failed, weak marks a oneOf, off_type a
-schema whose "type" the instance does not match, and message stands at
-path + tail.  Failures rank as in jsonschema's best_match: the shallowest
-path, then the greatest, then not weak, then off type, and the first of
-equals wins.  A oneOf that no branch passes reports, at its own rank,
-the failure of the branch that failed deepest; when two branches tie for
-deepest it reports that no branch passed.
+A compiled check returns every failure of an instance, as jsonschema's
+iter_errors yields them, or an empty tuple when it passes.  A failure
+is (path, weak, off_type, message, tail): path leads from the checked
+instance to the one that failed, weak marks a oneOf, off_type a schema
+whose "type" the instance does not match, and message stands at path +
+tail.  The reported failure is jsonschema's best_match: the greatest
+rank, which is the shallowest path, then the greatest, then not weak,
+then off type, the first of equals winning.  A oneOf that no branch
+passes descends as best_match does: at its own rank it reports the
+least-ranked failure of all its branches, or that no branch passed
+when the two least share a rank.
 """
 
+import functools
+import json
+import math
 import operator
+from importlib import resources
 
 
 def _is_number(x):
@@ -49,11 +56,12 @@ def _equal(a, b):
     return a == b
 
 
-def _failure(schema, x, message, weak=False, tail=()):
-    """The failure of a keyword of schema at x itself."""
+def _failed(schema, x, message, weak=False, tail=()):
+    """The one failure of a keyword of schema at x itself, as a tuple of
+    failures."""
     off_type = (not isinstance(schema, dict) or "type" not in schema
                 or not _TYPES[schema["type"]](x))
-    return (), weak, off_type, message, tail
+    return ((), weak, off_type, message, tail),
 
 
 def _rank(failure):
@@ -61,13 +69,8 @@ def _rank(failure):
     return -len(path), path, not weak, off_type
 
 
-def _first(failures):
-    """The failure of failures that jsonschema reports, or None."""
-    return max(failures, key=_rank) if failures else None
-
-
-def _under(key, failure):
-    return ((key,) + failure[0],) + failure[1:]
+def _under(key, failures):
+    return tuple(((key,) + f[0],) + f[1:] for f in failures)
 
 
 def _all(checks):
@@ -75,47 +78,45 @@ def _all(checks):
         return checks[0]
 
     def check(x):
-        failures = []
+        failures = ()
         for c in checks:
-            if (f := c(x)) is not None:
-                failures.append(f)
-        return _first(failures)
+            failures += c(x)
+        return failures
     return check
 
 
 def _type_check(name, schema, sub):
     test = _TYPES[name]
-    return lambda x: None if test(x) else _failure(
+    return lambda x: () if test(x) else _failed(
         schema, x, "%r is not of type %r" % (x, name))
 
 
 def _enum_check(values, schema, sub):
-    return lambda x: None if any(_equal(x, v) for v in values) else (
-        _failure(schema, x, "%r is not one of %r" % (x, values)))
+    return lambda x: () if any(_equal(x, v) for v in values) else (
+        _failed(schema, x, "%r is not one of %r" % (x, values)))
 
 
 def _const_check(value, schema, sub):
-    return lambda x: None if _equal(x, value) else _failure(
+    return lambda x: () if _equal(x, value) else _failed(
         schema, x, "%r was expected" % (value,))
 
 
 def _required_check(names, schema, sub):
-    def check(x):
-        if isinstance(x, dict):
-            for name in names:
-                if name not in x:
-                    return _failure(schema, x,
-                                    "%r is a required property" % name)
-    return check
+    return lambda x: tuple(
+        f for n in names if isinstance(x, dict) and n not in x
+        for f in _failed(schema, x, "%r is a required property" % n))
 
 
 def _properties_check(props, schema, sub):
     checks = [(name, sub(s)) for name, s in props.items()]
 
     def check(x):
+        failures = ()
         if isinstance(x, dict):
-            return _first([_under(name, f) for name, c in checks
-                           if name in x and (f := c(x[name])) is not None])
+            for name, c in checks:
+                if name in x and (f := c(x[name])):
+                    failures += _under(name, f)
+        return failures
     return check
 
 
@@ -128,10 +129,11 @@ def _additional_check(extra, schema, sub):
     def check(x):
         if isinstance(x, dict) and not known.issuperset(x):
             names = sorted(set(x) - known, key=str)
-            return _failure(schema, x, "Additional properties are not "
-                            "allowed (%s %s unexpected)"
-                            % (", ".join(map(repr, names)),
-                               "was" if len(names) == 1 else "were"))
+            return _failed(schema, x, "Additional properties are not "
+                           "allowed (%s %s unexpected)"
+                           % (", ".join(map(repr, names)),
+                              "was" if len(names) == 1 else "were"))
+        return ()
     return check
 
 
@@ -141,26 +143,27 @@ def _items_check(items, schema, sub):
     each = sub(items)
 
     def check(x):
-        # a failure is a non-empty tuple: the loop stays in C until one
+        # passing is an empty tuple: the loop stays in C until a failure
         if isinstance(x, list) and any(map(each, x)):
-            return _first([_under(k, f) for k, f in enumerate(map(each, x))
-                           if f is not None])
+            return tuple(f for k, found in enumerate(map(each, x))
+                         for f in _under(k, found))
+        return ()
     return check
 
 
 def _length_check(fails, words):
     """minItems or maxItems; words(n) says how a list fails bound n."""
     return lambda n, schema, sub: (
-        lambda x: _failure(schema, x, "%r %s" % (x, words(n)))
-        if isinstance(x, list) and fails(len(x), n) else None)
+        lambda x: _failed(schema, x, "%r %s" % (x, words(n)))
+        if isinstance(x, list) and fails(len(x), n) else ())
 
 
 def _bound_check(fails, words):
     """A numeric bound; fails is the comparison that refuses, as in
     jsonschema."""
     return lambda bound, schema, sub: (
-        lambda x: _failure(schema, x, "%r is %s %r" % (x, words, bound))
-        if _is_number(x) and fails(x, bound) else None)
+        lambda x: _failed(schema, x, "%r is %s %r" % (x, words, bound))
+        if _is_number(x) and fails(x, bound) else ())
 
 
 def _one_of_check(schemas, schema, sub):
@@ -168,30 +171,32 @@ def _one_of_check(schemas, schema, sub):
 
     def check(x):
         failures = [c(x) for c in checks]
-        passed = [s for s, f in zip(schemas, failures) if f is None]
+        passed = [s for s, f in zip(schemas, failures) if not f]
         if len(passed) == 1:
-            return None
+            return ()
         if passed:
-            return _failure(schema, x, "%r is valid under each of %s" % (
+            return _failed(schema, x, "%r is valid under each of %s" % (
                 x, ", ".join(map(repr, passed[1:] + passed[:1]))), weak=True)
-        depths = [len(f[0]) + len(f[4]) for f in failures]
-        if depths.count(max(depths)) == 1:
-            path, _, _, message, tail = failures[depths.index(max(depths))]
-            return _failure(schema, x, message, weak=True, tail=path + tail)
-        return _failure(schema, x, "%r is not valid under any of the given "
-                        "schemas" % (x,), weak=True)
+        # best_match's descent: the least rank over every branch's
+        # failures, unless two failures share it
+        best, *rest = sorted(sum(failures, ()), key=_rank)
+        if rest and _rank(rest[0]) == _rank(best):
+            return _failed(schema, x, "%r is not valid under any of the "
+                           "given schemas" % (x,), weak=True)
+        path, _, _, message, tail = best
+        return _failed(schema, x, message, weak=True, tail=path + tail)
     return check
 
 
 def _not_check(negated, schema, sub):
     check = sub(negated)
-    return lambda x: None if check(x) is not None else _failure(
+    return lambda x: () if check(x) else _failed(
         schema, x, "%r should not be valid under %r" % (x, negated))
 
 
 def _if_check(cond, schema, sub):
     test, then = sub(cond), sub(schema.get("then", True))
-    return lambda x: None if test(x) is not None else then(x)
+    return lambda x: () if test(x) else then(x)
 
 
 _KEYWORDS = {
@@ -222,15 +227,15 @@ _KEYWORDS = {
 
 
 def _check(schema, root):
-    """The check of schema, a subschema of root, that returns a failure
-    tuple or None.  $ref takes a local JSON pointer, such as
+    """The check of schema, a subschema of root, that returns the tuple
+    of its failures.  $ref takes a local JSON pointer, such as
     #/definitions/params; a keyword outside _KEYWORDS raises ValueError,
     so no check is skipped unseen."""
     if schema is True:
-        return lambda x: None
+        return lambda x: ()
     if schema is False:
-        return lambda x: _failure(schema, x,
-                                  "False schema does not allow %r" % (x,))
+        return lambda x: _failed(schema, x,
+                                 "False schema does not allow %r" % (x,))
     if "$ref" in schema:
         # draft 7 ignores the siblings of $ref
         ref = schema["$ref"]
@@ -253,14 +258,58 @@ def _check(schema, root):
 def compile_schema(schema, root):
     """The compiled check of schema, a subschema of root: a function that
     returns None when an instance passes, else (message, path) of the
-    failure jsonschema.validate reports, path a list of keys and indices.
-    A failure under a oneOf is worded as the branch that failed deepest
-    words it, or as no branch passing when two tie."""
+    failure jsonschema.validate reports, path a list of keys and indices."""
     check = _check(schema, root)
 
     def failure(x):
-        found = check(x)
-        if found is not None:
-            path, _, _, message, tail = found
+        failures = check(x)
+        if failures:
+            path, _, _, message, tail = max(failures, key=_rank)
             return message, [*path, *tail]
     return failure
+
+
+class Refusal(ValueError):
+    """A refused manifest; its args are the message and, for a schema
+    refusal, the path of the refused value as a list of str."""
+
+
+def _refuse_constant(token):
+    raise ValueError("%s is not a JSON number" % token)
+
+
+def _finite_float(token):
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError("%s is past the float range" % token)
+    return value
+
+
+def _finite_int(token):
+    _finite_float(token)
+    return int(token)
+
+
+def packaged_schema():
+    return json.loads(resources.files("equidist").joinpath(
+        "manifest_schema.json").read_text(encoding="utf-8"))
+
+
+@functools.cache
+def packaged_check():
+    """The compiled check of the packaged schema, built on first use."""
+    schema = packaged_schema()
+    return compile_schema(schema, schema)
+
+
+def parse(text):
+    """The manifest in text, parsed as strict JSON with every number
+    finite and checked once against the packaged schema; else Refusal."""
+    try:
+        obj = json.loads(text, parse_constant=_refuse_constant,
+                         parse_float=_finite_float, parse_int=_finite_int)
+    except ValueError as exc:
+        raise Refusal("manifest is not valid JSON: %s" % exc) from None
+    if (failure := packaged_check()(obj)) is not None:
+        raise Refusal(failure[0], [str(p) for p in failure[1]])
+    return obj

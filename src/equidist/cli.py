@@ -12,14 +12,10 @@ into --out and echoes its summary lines.  A body only computes; it
 returns its files as text, or, as schedule does, as chunks that format
 its columns one tuple at a time.
 
-A manifest is parsed as strict JSON (NaN, Infinity and number literals
-past the float range, such as 1e400 or a 400-digit integer, are refused)
-and checked against the packaged draft-7 JSON schema by the check that
-equidist._draft7 compiles from it on first use.  It alone decides
-acceptance and words a refusal: its message and path are those
-jsonschema.validate reports, except under a oneOf that no branch passes,
-where it reports the branch that failed deepest in the manifest, or,
-when two branches tie, that the manifest is valid under none.
+A manifest is read as UTF-8 text and handed to equidist._draft7.parse,
+which parses strict JSON and checks it against the packaged schema; the
+driver then matches its mode to the subcommand.  A refusal exits 2.
+_draft7 is imported on the first manifest load, not with this module.
 
 The module imports none of the layers: each body imports the layers it
 runs when it is called.  A ledger run loads the constant ledger and no
@@ -40,12 +36,10 @@ written as null, next to a log10 twin where the value can read inf.
 """
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
-from importlib import resources
 from itertools import islice
 
 from . import __version__
@@ -60,17 +54,12 @@ _MAX_FAMILY_ROWS = 100000
 _ECHO_LINES = 1024
 
 
-def _fail(code, kind, message, **extra):
+def _fail(code, kind, message, path=None):
     payload = {"error": kind, "message": str(message)}
-    payload.update(extra)
+    if path is not None:
+        payload["path"] = path
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     sys.exit(code)
-
-
-def _schema():
-    with resources.files("equidist").joinpath(
-            "manifest_schema.json").open("r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _read_text(path, what):
@@ -86,52 +75,15 @@ def _read_text(path, what):
               % (what, path, exc))
 
 
-@functools.cache
-def _manifest_failure():
-    """The compiled check of the packaged schema, which returns None or a
-    refusal's (message, path).  Read and built on first use, so that
-    importing the module opens no file and compiles no check."""
-    from ._draft7 import compile_schema
-
-    schema = _schema()
-    return compile_schema(schema, schema)
-
-
-def _MANIFEST_CHECK(obj):
-    """Whether obj passes the packaged schema."""
-    return _manifest_failure()(obj) is None
-
-
-def _refuse_constant(token):
-    raise ValueError("%s is not a JSON number" % token)
-
-
-def _finite_float(token):
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError("%s is past the float range" % token)
-    return value
-
-
-def _finite_int(token):
-    _finite_float(token)
-    return int(token)
-
-
 def _load_manifest(path, expect_mode):
-    """The manifest, parsed as strict JSON with every number finite, and
-    checked against the packaged schema once, by the compiled check; a
-    refusal exits 2 with the check's message and path."""
-    text = _read_text(path, "manifest")
+    """The manifest at path, as equidist._draft7.parse accepts it; a
+    refusal, or a mode other than expect_mode, exits 2."""
+    from ._draft7 import Refusal, parse
+
     try:
-        obj = json.loads(text, parse_constant=_refuse_constant,
-                         parse_float=_finite_float, parse_int=_finite_int)
-    except ValueError as exc:
-        _fail(2, "schema", "manifest is not valid JSON: %s" % exc)
-    failure = _manifest_failure()(obj)
-    if failure is not None:
-        message, path = failure
-        _fail(2, "schema", message, path=[str(p) for p in path])
+        obj = parse(_read_text(path, "manifest"))
+    except Refusal as exc:
+        _fail(2, "schema", *exc.args)
     if obj["mode"] != expect_mode:
         _fail(2, "schema", "manifest mode %r does not match subcommand %r"
               % (obj["mode"], expect_mode))

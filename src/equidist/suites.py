@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import (AssumptionParams, ConstantGrowth, PowerLawGrowth,
                         TabulatedGrowth, build_ledger)
-from .geometry import (DirectionSelection, RootAction, TranslationTuple,
+from .geometry import (DirectionSelection, RootAction, TupleStack,
                        select_direction, star_norm, tuple_stats)
 from .modular import (BumpProfile, EisensteinObservable,
                       check_integral_estimate, reduce_arrays)
@@ -111,20 +111,19 @@ def _window_fails(sel, theta):
 def _suite_window(rng, trials):
     """Windows for a random u_mn(1, 2) tuple of 2 to 6 entries at theta =
     1/M_r, and for a pigeonhole instance's betas scaled to end at 1.  The
-    tuples of all trials share one tuple_stats and one select_direction
-    call."""
+    tuples of all trials are stacked once, for one tuple_stats and one
+    select_direction call."""
     action = RootAction.u_mn(1, 2)
     tuples, gap_cases = [], []
     for _ in range(trials):
         a = rng.uniform(0.0, 6.0, size=int(rng.integers(2, 7)))
         b = rng.uniform(0.0, a)
-        tuples.append(TranslationTuple(
-            np.stack([a, b, a - b], axis=1).tolist(),
-            domain_tag=action.cone_tag))
+        tuples.append(np.stack([a, b, a - b], axis=1).tolist())
         betas, theta = _gap_instance(rng)
         gap_cases.append(
             [(_selection([v / betas[-1] for v in betas]), theta)]
             if betas[-1] > 0.0 else [])
+    tuples = TupleStack(tuples, domain_tag=action.cone_tag)
     failures = 0
     for sel, stats, gap in zip(select_direction(action, tuples),
                                tuple_stats(action, tuples), gap_cases):

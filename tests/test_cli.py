@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from equidist import cli, modular
+from equidist import _draft7, cli, modular
 from equidist.cli import _csv_text, _finite_or_null, _json_text, main
 from equidist.geometry import (RootAction, TranslationTuple,
                                select_direction, tuple_stats)
@@ -348,7 +348,7 @@ class TestManifestErrors:
 
     def test_integer_inside_the_float_range_is_an_int(self):
         text = '{"r_max": 2, "D_o": 1%s, "m": -7}' % ("0" * 300)
-        obj = json.loads(text, parse_int=cli._finite_int)
+        obj = json.loads(text, parse_int=_draft7._finite_int)
         assert obj == {"r_max": 2, "D_o": 10 ** 300, "m": -7}
         assert all(type(v) is int for v in obj.values())
 

@@ -4,10 +4,11 @@ The check compiled from the packaged schema is the CLI's only validator:
 it accepts a manifest or refuses it with a message and path, and the
 runtime never imports jsonschema.  These tests hold it to jsonschema's
 draft-7 verdict on valid manifests of all five modes and on single
-mutations of them, and to jsonschema.validate's wording on every refusal
-that does not pass through a oneOf.  Under a oneOf the check reports the
-branch that failed deepest, or no branch passing when two tie; a table
-fixes that wording for each oneOf of the schema.
+mutations of them, and to jsonschema.validate's wording on every
+refusal, through a oneOf too: there it reports the failure of least
+rank among all its branches' failures, as best_match descends, or no
+branch passing when two share that rank.  Tables fix the wording of
+refusals that fail in several places and of each oneOf of the schema.
 """
 
 import copy
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 from conftest import Runner
 from equidist import _draft7, cli
 
-SCHEMA = cli._schema()
+SCHEMA = _draft7.packaged_schema()
+CHECK = _draft7.packaged_check()
 REFERENCE = jsonschema.Draft7Validator(SCHEMA)
 
 POWER_LAW = {"d_o": 1, "D_o": 1.0, "delta_o": 1.0, "C": 1.0, "c": 0.4,
@@ -173,13 +175,13 @@ def mutants(draw):
 @pytest.mark.parametrize("manifest", VALID)
 def test_valid_manifests_pass(manifest):
     assert REFERENCE.is_valid(manifest)
-    assert cli._MANIFEST_CHECK(manifest)
+    assert CHECK(manifest) is None
 
 
 @settings(max_examples=1500, deadline=None)
 @given(mutants())
 def test_compiled_check_agrees_with_jsonschema(manifest):
-    assert cli._MANIFEST_CHECK(manifest) == REFERENCE.is_valid(manifest)
+    assert (CHECK(manifest) is None) == REFERENCE.is_valid(manifest)
 
 
 @pytest.mark.parametrize("schema,instance", [
@@ -234,9 +236,7 @@ def test_unknown_keyword_raises(schema):
 @settings(max_examples=150, deadline=None)
 @given(mutants())
 def test_refusal_is_worded_by_jsonschema(manifest):
-    # exit 2 with jsonschema.validate's message and path, byte for byte,
-    # unless the refusal passes through a oneOf; then the reported path
-    # extends the oneOf's
+    # exit 2 with jsonschema.validate's message and path, byte for byte
     try:
         jsonschema.validate(manifest, SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -249,18 +249,10 @@ def test_refusal_is_worded_by_jsonschema(manifest):
             json.dump(manifest, fh)
         res = Runner.invoke(cli.main, ["verify", "--manifest", mpath])
     assert res.exit_code == 2
-    if "oneOf" not in error.absolute_schema_path:
-        assert res.stderr == json.dumps(
-            {"error": "schema", "message": error.message,
-             "path": [str(p) for p in error.absolute_path]},
-            sort_keys=True) + "\n"
-        return
-    while error.parent is not None:
-        error = error.parent
-    one_of = [str(p) for p in error.absolute_path]
-    report = json.loads(res.stderr)
-    assert report["error"] == "schema"
-    assert report["path"][:len(one_of)] == one_of
+    assert res.stderr == json.dumps(
+        {"error": "schema", "message": error.message,
+         "path": [str(p) for p in error.absolute_path]},
+        sort_keys=True) + "\n"
 
 
 def _edited(manifest, path, value=None):
@@ -285,6 +277,16 @@ BOTH = dict(BLOCK, times=[[2.0, 3.0]])
 NEITHER = {k: v for k, v in BLOCK.items() if k != "family"}
 
 
+def _refused_as(manifest, message, path):
+    """Assert that jsonschema.validate and the compiled check both refuse
+    manifest with message at path."""
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(manifest, SCHEMA)
+    assert (info.value.message, list(info.value.absolute_path)) == (
+        message, list(path))
+    assert CHECK(manifest) == (message, list(path))
+
+
 # manifests that fail in several places, refused as jsonschema ranks
 # their failures: the shallowest path, then the greatest, then a schema
 # whose type the value does not match, then schema order
@@ -302,13 +304,19 @@ NEITHER = {k: v for k, v in BLOCK.items() if k != "family"}
     (_edited(LEDGER, ("ledger", "evaluate"),
              [dict(EVALUATE[0], r=0)] * 2),
      "0 is less than the minimum of 1", ["ledger", "evaluate", 1, "r"]),
+    # under a oneOf, branches failing equally deep are ranked on: the
+    # bound of the branch whose type the value matches before the const
+    # of the other, and the smallest path ('B' before 'M' and 'kind')
+    (_edited(SCHEDULE, ("schedule", "theta"), 1.0),
+     "1.0 is greater than or equal to the maximum of 1",
+     ["schedule", "theta"]),
+    (_edited(SCHEDULE, ("schedule", "theta"), 0),
+     "0 is less than or equal to the minimum of 0", ["schedule", "theta"]),
+    (_edited(VALID[1], GROWTH + ("B",), 2.0),
+     "2.0 is not of type 'array'", [*GROWTH, "B"]),
 ])
 def test_refusal_ranks_failures_as_jsonschema(manifest, message, path):
-    with pytest.raises(jsonschema.ValidationError) as info:
-        jsonschema.validate(manifest, SCHEMA)
-    assert (info.value.message, list(info.value.absolute_path)) == (
-        message, path)
-    assert cli._manifest_failure()(manifest) == (message, path)
+    _refused_as(manifest, message, path)
 
 
 def _none_of(instance):
@@ -316,21 +324,24 @@ def _none_of(instance):
 
 
 # each oneOf refused for a wrong kind, a field missing under the right
-# kind and a wrong type: the branch that failed deepest words the
-# refusal, and two branches failing equally deep make it the oneOf's own
+# kind and a wrong type: the failure of least rank among all branches'
+# failures words the refusal, and two failures sharing it make it the
+# oneOf's own
 @pytest.mark.parametrize("manifest,message,path", [
+    # 'kind' fails alike in every branch
     (_edited(LEDGER, GROWTH + ("kind",), "power"),
-     "'power-law' was expected", GROWTH + ("kind",)),
+     _none_of({"kind": "power", "L1": 1.0, "ell": 1.0, "L2": 1.0}), GROWTH),
     (_edited(LEDGER, GROWTH + ("L2",)),
      _none_of({"kind": "power-law", "L1": 1.0, "ell": 1.0}), GROWTH),
     (_edited(LEDGER, GROWTH + ("L1",), "one"),
      "'one' is not of type 'number'", GROWTH + ("L1",)),
     (_edited(CORRELATE, PROFILE + ("kind",), "spike"),
-     "'spike' is not one of ['indicator', 'bump']", PROFILE + ("kind",)),
+     _none_of({"kind": "spike", "y_lo": 1.5, "y_hi": 3.0}), PROFILE),
+    # the constant branch's 'kind' is the only failure one level down
     (_edited(CORRELATE, PROFILE + ("y_hi",)),
-     _none_of({"kind": "bump", "y_lo": 1.5}), PROFILE),
+     "'constant' was expected", PROFILE + ("kind",)),
     (_edited(CORRELATE, PROFILE + ("y_lo",), "low"),
-     "'low' is not of type 'number'", PROFILE + ("y_lo",)),
+     "'constant' was expected", PROFILE + ("kind",)),
     (_edited(SCHEDULE, ACTION + ("builtin",), "u_nm"),
      "'u_mn' was expected", ACTION + ("builtin",)),
     (_edited(SCHEDULE, ACTION + ("n",)),
@@ -340,7 +351,8 @@ def _none_of(instance):
     (_edited(SCHEDULE, ("schedule", "theta"), "manual"),
      _none_of("manual"), ("schedule", "theta")),
     (_edited(SCHEDULE, ("schedule", "theta"), 1.0),
-     _none_of(1.0), ("schedule", "theta")),
+     "1.0 is greater than or equal to the maximum of 1",
+     ("schedule", "theta")),
     (_edited(SCHEDULE, ("schedule", "theta"), True),
      _none_of(True), ("schedule", "theta")),
     (_edited(CORRELATE, ("correlate",), BOTH), _none_of(BOTH),
@@ -353,4 +365,4 @@ def _none_of(instance):
      "'one' is not of type 'number'", ("correlate", "family", "t_step")),
 ])
 def test_one_of_wording(manifest, message, path):
-    assert cli._manifest_failure()(manifest) == (message, list(path))
+    _refused_as(manifest, message, path)
