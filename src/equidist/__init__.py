@@ -22,8 +22,7 @@ _EXPORTS = {
         "AssumptionParams", "LedgerRow", "BoundLedger", "BoundValue",
         "base_case", "build_ledger", "bound_evaluate"),
     "geometry": (
-        "RootAction", "TranslationTuple", "TupleStack", "TupleStats",
-        "StatsColumns", "DirectionSelection", "SelectionColumns",
+        "RootAction", "TupleStack", "StatsColumns", "SelectionColumns",
         "star_norm", "log_star_norm", "tuple_stats", "select_direction"),
     "modular": (
         "BumpProfile", "EisensteinObservable", "ConstantObservable",

@@ -351,8 +351,8 @@ def _schedule_columns(action, tuples, theta_spec):
     columns = ("theta", "p", "q", "log_L") + tuple(
         "%s_%s" % (part, name) for name in _CHECKS
         for part in ("lhs", "rhs", "ok")) + ("L",)
-    stack = TupleStack(tuples, domain_tag=action.cone_tag)
-    stats = tuple_stats(action, stack)
+    stack = TupleStack(action, tuples)
+    stats = tuple_stats(stack)
     log_M = stats.log_M_r.tolist()
     M = [_exp(v) for v in log_M]
     if math.inf in M:
@@ -360,7 +360,7 @@ def _schedule_columns(action, tuples, theta_spec):
                          "1/M_r underflows and the image norms overflow; "
                          "no window is computed"
                          % log_M[M.index(math.inf)])
-    sel = select_direction(action, stack)
+    sel = select_direction(stack)
     if sel.degenerate.any():
         raise ValueError("degenerate (all entries coincide); no window "
                          "exists")
@@ -494,10 +494,6 @@ def correlate(blk, seed, threads, nodes, **_):
         for p in blk["profiles"]]
     r = len(observables)
     time_rows = _expand_times(blk)
-    for row in time_rows:
-        if len(row) != r:
-            raise ValueError("time row %r does not match the %d "
-                             "declared profiles" % (row, r))
     n_nodes = int(nodes if nodes is not None else blk.get("nodes", 2 ** 14))
     # one refusal names the nodes that admit every row's Farey set
     _check_rows(observables, time_rows, n_nodes)

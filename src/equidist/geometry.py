@@ -8,14 +8,14 @@ the correlation bounds, and the choice of a direction in V that one
 translation expands maximally relative to the others.
 
 Multiplicative quantities overflow quickly for large translations, so
-every statistic is returned together with its natural logarithm and all
-internal comparisons happen in log space; past the float range the
-statistic itself reads inf while its logarithm stays exact.
+every statistic is kept as its natural logarithm and all comparisons
+happen in log space; past the float range a statistic's exponential
+reads inf while its logarithm stays exact.
 
-Tuples are checked and stacked by shape (TupleStack), and each stacked
-pass returns arrays, so the results are columns with one value, or r
-values, per tuple (StatsColumns, SelectionColumns); indexing one gives
-the per-tuple TupleStats or DirectionSelection.
+TupleStack checks tuples against their action and stacks them by shape.
+tuple_stats and select_direction run stacked passes over a TupleStack
+and return records of arrays with one value, or r values, per tuple
+(StatsColumns, SelectionColumns).
 """
 
 import math
@@ -25,15 +25,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .constants import _exp
-
 __all__ = [
     "RootAction",
-    "TranslationTuple",
     "TupleStack",
-    "TupleStats",
     "StatsColumns",
-    "DirectionSelection",
     "SelectionColumns",
     "star_norm",
     "log_star_norm",
@@ -60,8 +55,10 @@ class RootAction:
         Declare that log star_norm vanishes only at t = 0.  When set,
         the roots are required to span the dual space.
     cone_tag : str
-        Default domain predicate for tuples built against this action
-        ("free", or "u_mn:m,n" for the nonnegative balanced cone).
+        Domain predicate for the tuples of this action: "free" (none),
+        or "u_mn:m,n" with m, n >= 1 and m + n = dim_t (all coordinates
+        nonnegative and the first m sum to the same value as the last
+        n).  Any other tag is refused.
     """
 
     def __init__(self, dim_t, roots, multiplicities=None, basis_labels=None,
@@ -105,6 +102,7 @@ class RootAction:
         self.basis_labels = tuple(tuple(lbl) for lbl in basis_labels)
         self.proper = bool(proper)
         self.cone_tag = str(cone_tag)
+        self._cone = _cone(self.cone_tag, dim_t)
 
     @property
     def n_roots(self):
@@ -186,53 +184,20 @@ def _matrix(rows, width, message):
         raise
 
 
-def _cone_check(entries, tag):
-    """Refuse a stack of tuples, shape (N, r, dim_t), of which one leaves
-    the domain named by tag; each tuple is scaled by its own entries."""
+def _cone(tag, dim_t):
+    """The block sizes (m, n) of a "u_mn:m,n" tag, or None for "free"."""
     if tag == "free":
-        return
+        return None
     if tag.startswith("u_mn:"):
         try:
             m, n = (int(s) for s in tag[5:].split(","))
-        except Exception:
-            raise ValueError("malformed cone tag %r" % tag) from None
-        if entries.shape[2] != m + n:
-            raise ValueError("cone %r expects %d coordinates" % (tag, m + n))
-        scale = 1.0 + np.max(np.abs(entries), axis=(1, 2))[:, None]
-        if np.any(entries < -1e-12 * scale[:, :, None]):
-            raise ValueError("cone %r requires nonnegative coordinates" % tag)
-        left = entries[:, :, :m].sum(axis=2)
-        right = entries[:, :, m:].sum(axis=2)
-        if np.any(np.abs(left - right) > 1e-9 * scale):
-            raise ValueError("cone %r requires balanced block sums" % tag)
-        return
-    raise ValueError("unknown cone tag %r" % tag)
-
-
-class TranslationTuple:
-    """An r-tuple of translations in additive coordinates.
-
-    domain_tag names the predicate the entries must satisfy: "free"
-    (none) or "u_mn:m,n" (all coordinates nonnegative and the first m
-    sum to the same value as the last n).
-    """
-
-    def __init__(self, entries, domain_tag="free"):
-        mat = _matrix(entries, None,
-                      "entry %d has %d coordinates, expected %d")
-        if mat.ndim != 2 or mat.shape[0] < 1:
-            raise ValueError("entries must be a nonempty sequence of "
-                             "coordinate vectors")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("entries must be finite")
-        _cone_check(mat[None], domain_tag)
-        self.entries = mat
-        self.entries.setflags(write=False)
-        self.domain_tag = str(domain_tag)
-
-    @property
-    def r(self):
-        return self.entries.shape[0]
+        except ValueError:
+            pass
+        else:
+            if m >= 1 and n >= 1 and m + n == dim_t:
+                return m, n
+    raise ValueError("cone tag %r is neither 'free' nor 'u_mn:m,n' with "
+                     "m, n >= 1 and m + n = dim_t = %d" % (tag, dim_t))
 
 
 def log_star_norm(action, t):
@@ -249,26 +214,6 @@ def star_norm(action, t):
     return math.exp(log_star_norm(action, t))
 
 
-@dataclass(frozen=True)
-class TupleStats:
-    """Multiplicative statistics of a tuple with their logarithms.
-
-    m_r is the smallest pairwise star norm (infinite for r = 1), M_r
-    the largest over all ordered pairs, rho_r the smallest growth value
-    and Delta_r the decay parameter min(rho_r, m_r) (just rho(t_1) for
-    r = 1).
-    """
-    r: int
-    rho_r: float
-    m_r: float
-    M_r: float
-    Delta_r: float
-    log_rho_r: float
-    log_m_r: float
-    log_M_r: float
-    log_Delta_r: float
-
-
 # tuples per stacked pass: the passes hold a few (N, n_roots, r, r) and
 # (N, pairs, n_roots) arrays, so N is capped to keep their memory from
 # growing with the number of tuples
@@ -283,21 +228,20 @@ def _shape(entries):
 
 
 class TupleStack(Sequence):
-    """Translation tuples, checked as TranslationTuple checks one, and
-    stacked by shape.
+    """Translation tuples of one action, checked and stacked by shape.
 
-    tuples holds TranslationTuples, whose checks have run, or entry
-    lists, checked here against domain_tag; item k is the read-only
-    (r, dim_t) entry array of tuple k.  groups lists, per shape in order
-    of first appearance, the increasing input positions of its tuples
-    and their read-only (N, r, dim_t) entries.  r gives each tuple's
-    length in input order, and offsets its first row in a column that
-    holds r values per tuple: tuple k owns rows offsets[k] to
-    offsets[k + 1].
+    tuples is a sequence of entry lists, each a nonempty sequence of
+    finite coordinate vectors of the action's length that lie in its
+    cone (RootAction's cone_tag).  item k is the read-only (r, dim_t)
+    entry array of tuple k.  groups lists, per shape in order of first
+    appearance, the increasing input positions of its tuples and their
+    read-only (N, r, dim_t) entries.  r gives each tuple's length in
+    input order, and offsets its first row in a column that holds r
+    values per tuple: tuple k owns rows offsets[k] to offsets[k + 1].
     """
 
-    def __init__(self, tuples, domain_tag="free"):
-        tuples = [getattr(tup, "entries", tup) for tup in tuples]
+    def __init__(self, action, tuples):
+        self.action = action
         shapes = {}
         for pos, entries in enumerate(tuples):
             shapes.setdefault(_shape(entries), []).append(pos)
@@ -313,12 +257,15 @@ class TupleStack(Sequence):
             if entries is None or entries.ndim != 3:
                 # refused as the first malformed tuple alone is refused
                 for member in members:
-                    TranslationTuple(member, domain_tag)
+                    mat = _matrix(member, None,
+                                  "entry %d has %d coordinates, expected %d")
+                    if mat.ndim != 2 or mat.shape[0] < 1:
+                        raise ValueError("entries must be a nonempty "
+                                         "sequence of coordinate vectors")
+                    self._check(mat[None])
                 raise ValueError("tuples of shape %r do not stack"
                                  % (_shape(members[0]),))
-            if not np.all(np.isfinite(entries)):
-                raise ValueError("entries must be finite")
-            _cone_check(entries, domain_tag)
+            self._check(entries)
             entries.setflags(write=False)
             positions = np.array(positions, dtype=np.intp)
             self.groups.append((positions, entries))
@@ -328,6 +275,29 @@ class TupleStack(Sequence):
         self.offsets = np.zeros(len(tuples) + 1, dtype=np.intp)
         np.cumsum(self.r, out=self.offsets[1:])
 
+    def _check(self, entries):
+        """Refuse a stack of tuples, shape (N, r, d), of which one is not
+        finite, has d other than dim_t or leaves the action's cone; each
+        tuple is scaled by its own entries."""
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("entries must be finite")
+        action = self.action
+        if action._cone is None:
+            if entries.shape[2] != action.dim_t:
+                raise ValueError("expected length-%d coordinate vectors, "
+                                 "got %d" % (action.dim_t, entries.shape[2]))
+            return
+        tag, (m, n) = action.cone_tag, action._cone
+        if entries.shape[2] != m + n:
+            raise ValueError("cone %r expects %d coordinates" % (tag, m + n))
+        scale = 1.0 + np.max(np.abs(entries), axis=(1, 2))[:, None]
+        if np.any(entries < -1e-12 * scale[:, :, None]):
+            raise ValueError("cone %r requires nonnegative coordinates" % tag)
+        left = entries[:, :, :m].sum(axis=2)
+        right = entries[:, :, m:].sum(axis=2)
+        if np.any(np.abs(left - right) > 1e-9 * scale):
+            raise ValueError("cone %r requires balanced block sums" % tag)
+
     def __len__(self):
         return len(self.r)
 
@@ -336,79 +306,52 @@ class TupleStack(Sequence):
         return self.groups[g][1][row]
 
 
-def _as_stack(tuples):
-    return tuples if isinstance(tuples, TupleStack) else TupleStack(tuples)
-
-
-def _by_length(action, stack, stacked, columns):
+def _by_length(stack, stacked, columns):
     """Fill columns, in input order, from stacked(action, E) for each
     group of a TupleStack, E a C-contiguous (N, r, dim_t) stack of at
     most _CHUNK of its tuples.  stacked returns one array per column: an
     (N,) array fills a column of one value per tuple, an (N, r) array
     one of r values per tuple, at the stack's offsets."""
-    for _, entries in stack.groups:
-        if entries.shape[2] != action.dim_t:
-            raise ValueError("expected length-%d coordinate vectors, got %d"
-                             % (action.dim_t, entries.shape[2]))
     for positions, entries in stack.groups:
         for k in range(0, len(positions), _CHUNK):
             chunk = positions[k:k + _CHUNK]
             # values past the float range read +-inf or NaN, and the
             # stacked passes handle both, so numpy need not warn about them
             with np.errstate(over="ignore", invalid="ignore"):
-                arrays = stacked(action, entries[k:k + _CHUNK])
+                arrays = stacked(stack.action, entries[k:k + _CHUNK])
             rows = stack.offsets[chunk, None] + np.arange(entries.shape[1])
             for col, arr in zip(columns, arrays):
                 col[chunk if arr.ndim == 1 else rows] = arr
 
 
 @dataclass(eq=False)
-class StatsColumns(Sequence):
-    """The statistics of a stack of tuples: item k is tuple k's
-    TupleStats.  Each field is an array with one value per tuple, in
-    input order; the multiplicative statistics are computed from the
-    logs per item."""
+class StatsColumns:
+    """The statistics of a TupleStack's tuples, as logarithms: each field
+    is an array with one value per tuple, in input order.
+
+    r is the tuple length, rho_r the smallest growth value, m_r the
+    smallest pairwise star norm (infinite for r = 1), M_r the largest
+    over all ordered pairs, and Delta_r the decay parameter
+    min(rho_r, m_r) (just rho(t_1) for r = 1).
+    """
     r: np.ndarray
     log_rho_r: np.ndarray
     log_m_r: np.ndarray
     log_M_r: np.ndarray
     log_Delta_r: np.ndarray
 
-    def __len__(self):
-        return len(self.r)
 
-    def __getitem__(self, k):
-        k = range(len(self))[k]
-        log_rho_r, log_m, log_M, log_delta = (
-            float(col[k]) for col in (self.log_rho_r, self.log_m_r,
-                                      self.log_M_r, self.log_Delta_r))
-        return TupleStats(
-            r=int(self.r[k]),
-            rho_r=_exp(log_rho_r),
-            m_r=_exp(log_m),
-            M_r=_exp(log_M),
-            Delta_r=_exp(log_delta),
-            log_rho_r=log_rho_r,
-            log_m_r=log_m,
-            log_M_r=log_M,
-            log_Delta_r=log_delta,
-        )
+def tuple_stats(stack):
+    """Statistics (rho_r, m_r, M_r, Delta_r) of each tuple of a TupleStack.
 
-
-def tuple_stats(action, tuples):
-    """Statistics (rho_r, m_r, M_r, Delta_r) of each translation tuple.
-
-    Takes a TupleStack or a sequence of TranslationTuple and returns
-    StatsColumns: one TupleStats per tuple, in input order, kept as
-    columns of logarithms.  Tuples of one length are computed together,
+    Returns StatsColumns.  Tuples of one length are computed together,
     in stacked passes of up to _CHUNK tuples.  The growth value of one
     entry is rho(t) = exp(min coordinate), evaluated in log space so
     large translations cannot overflow.  A root value that is NaN (an
     overflowing inf - inf) never sets m_r or M_r.
     """
-    stack = _as_stack(tuples)
     cols = [np.empty(len(stack)) for _ in range(4)]
-    _by_length(action, stack, _stats_stack, cols)
+    _by_length(stack, _stats_stack, cols)
     return StatsColumns(stack.r, *cols)
 
 
@@ -437,44 +380,21 @@ def _stats_stack(action, entries):
     return log_rho_r, log_m, log_M, log_delta
 
 
-@dataclass(frozen=True)
-class DirectionSelection:
-    """Outcome of the maximally-expanded-direction choice.
-
-    The direction w is the basis vector of the chosen root's weight
-    space scaled by exp(-alpha(t_j)), so its image under t_i has norm
-    M_r and its image under t_j has norm exactly 1.  Indices are
-    1-based.  norms lists the image norms sorted in decreasing order;
-    relabeling gives the original 1-based entry index of each sorted
-    position.  degenerate is set when all entries coincide (M_r = 1)
-    and no direction is preferred.
-    """
-    degenerate: bool
-    chosen_root: int | None
-    i: int | None
-    j: int | None
-    l: int | None
-    relabeling: tuple
-    log_norms: tuple
-    norms: tuple
-
-    @property
-    def r(self):
-        return len(self.norms)
-
-    @property
-    def log_M(self):
-        return self.log_norms[0]
-
-
 @dataclass(eq=False)
-class SelectionColumns(Sequence):
-    """The direction selections of a stack of tuples: item k is tuple
-    k's DirectionSelection.  degenerate, chosen_root, i, j and l hold
-    one value per tuple, in input order (the indices read 0 where
-    degenerate); relabeling and log_norms hold r values per tuple, tuple
-    k's at rows offsets[k] to offsets[k + 1].  The norms are computed
-    from log_norms per item."""
+class SelectionColumns:
+    """The maximally-expanded-direction choices of a TupleStack's tuples.
+
+    A tuple's direction w is the basis vector of the chosen root's
+    weight space scaled by exp(-alpha(t_j)), so its image under t_i has
+    norm M_r and its image under t_j has norm exactly 1.  degenerate,
+    chosen_root, i, j and l hold one value per tuple, in input order;
+    the indices are 1-based, l is where the j-image sorts, and they read
+    0 where degenerate is set: all entries coincide (M_r = 1) and no
+    direction is preferred.  relabeling and log_norms hold r values per
+    tuple, tuple k's at rows offsets[k] to offsets[k + 1]: the logs of
+    the image norms in decreasing order, and the 1-based entry index of
+    each sorted position.
+    """
     offsets: np.ndarray
     degenerate: np.ndarray
     chosen_root: np.ndarray
@@ -484,42 +404,22 @@ class SelectionColumns(Sequence):
     relabeling: np.ndarray
     log_norms: np.ndarray
 
-    def __len__(self):
-        return len(self.degenerate)
 
-    def __getitem__(self, k):
-        k = range(len(self))[k]
-        lo, hi = self.offsets[k], self.offsets[k + 1]
-        log_norms = tuple(self.log_norms[lo:hi].tolist())
-        degenerate = bool(self.degenerate[k])
-        return DirectionSelection(
-            degenerate,
-            *((None,) * 4 if degenerate else
-              (int(col[k]) for col in (self.chosen_root, self.i, self.j,
-                                       self.l))),
-            relabeling=tuple(self.relabeling[lo:hi].tolist()),
-            log_norms=log_norms,
-            norms=tuple(map(_exp, log_norms)),
-        )
-
-
-def select_direction(action, tuples):
+def select_direction(stack):
     """Pick (i, j, root) attaining M_r and return the sorted image data.
 
-    Takes a TupleStack or a sequence of TranslationTuple, each with r >=
-    2, and returns SelectionColumns: one DirectionSelection per tuple, in
-    input order, kept as columns.  Tuples of one length are computed
-    together, in stacked passes of up to _CHUNK tuples.  Ties in the
-    argmax are broken by smallest (root index, i, j).  A tuple with all
-    entries equal yields a degenerate selection instead of an arbitrary
+    Takes a TupleStack whose tuples have r >= 2 and returns
+    SelectionColumns.  Tuples of one length are computed together, in
+    stacked passes of up to _CHUNK tuples.  Ties in the argmax are
+    broken by smallest (root index, i, j).  A tuple with all entries
+    equal yields a degenerate selection instead of an arbitrary
     direction.
     """
-    stack = _as_stack(tuples)
     n, rows = len(stack), stack.offsets[-1]
     cols = [np.empty(n, dtype=bool), *(np.empty(n, dtype=np.intp)
                                        for _ in range(4)),
             np.empty(rows, dtype=np.intp), np.empty(rows)]
-    _by_length(action, stack, _selection_stack, cols)
+    _by_length(stack, _selection_stack, cols)
     return SelectionColumns(stack.offsets, *cols)
 
 

@@ -437,16 +437,19 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
 def _check_rows(observables, time_rows, nodes):
     """Each row of times as (times, constant factors, (profile, y)
     factors), the latter None when a factor reaches no coset and the row
-    is 0.  Checks every row before any is computed: a time outside
-    [0, _TIME_CAP] or a row of the wrong length first, in row order,
+    is 0.  Checks every row before any is computed: a row of the wrong
+    length or a time outside [0, _TIME_CAP] first, in row order,
     then the row with the largest Farey set 1/(e^-t y_lo), the first
     such, is refused when it passes nodes, so the nodes it names admit
     every row."""
     rows, need, worst = [], 0, None
     for times in time_rows:
         times = [float(t) for t in times]
-        if len(observables) < 1 or len(observables) != len(times):
+        if len(observables) < 1:
             raise ValueError("need r >= 1 observables with matching times")
+        if len(times) != len(observables):
+            raise ValueError("time row %r does not match the %d declared "
+                             "profiles" % (times, len(observables)))
         for t in times:
             if not 0.0 <= t <= _TIME_CAP:
                 raise ValueError(

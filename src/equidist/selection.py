@@ -12,13 +12,13 @@ the r-th power they become comparisons of integers, so the selected pair
 (p, q) carries no rounding uncertainty.
 
 choose_window wraps one row of a core, _window_row, that a caller with
-many selections writes straight into columns.
+many selections writes straight into columns.  Both take one tuple's
+decreasing image norms, as logs and as values: its rows of
+geometry.SelectionColumns.log_norms and their exponentials.
 """
 
 import math
 from dataclasses import dataclass
-
-from .geometry import DirectionSelection
 
 __all__ = ["pigeonhole", "choose_window", "WindowChoice"]
 
@@ -76,7 +76,7 @@ def pigeonhole(betas, theta):
 
 @dataclass(frozen=True)
 class WindowChoice:
-    """Window length L for a direction selection.
+    """Window length L for one selection's image norms.
 
     L = norm_1^(-1) * theta^(-(q + 1/2)/r).  checks maps a condition
     name to (lhs, rhs, ok):
@@ -92,20 +92,19 @@ class WindowChoice:
     checks: dict
 
 
-def choose_window(selection, theta):
-    """Run the pigeonhole step on a direction selection and compute L.
+def choose_window(log_norms, norms, theta):
+    """Run the pigeonhole step on one selection's decreasing image norms,
+    given as logs and as values, and compute L.
 
     theta must lie in [1/M_r, 1); the default choice theta = 1/M_r makes
-    the hypothesis beta_r <= beta_1 * theta an equality.  Degenerate
-    selections (all image norms equal) admit no window.
+    the hypothesis beta_r <= beta_1 * theta an equality.  All-zero logs
+    (a degenerate selection, whose image norms all equal 1) admit no
+    window.
     """
-    if not isinstance(selection, DirectionSelection):
-        raise TypeError("expected a DirectionSelection")
-    if selection.degenerate:
+    if not any(log_norms):
         raise ValueError("degenerate selection: all image norms are equal, "
                          "no separating window exists")
-    p, q, log_L, *checks = _window_row(selection.log_norms, selection.norms,
-                                       theta)
+    p, q, log_L, *checks = _window_row(log_norms, norms, theta)
     return WindowChoice(p=p, q=q, L=math.exp(log_L), log_L=log_L,
                         checks=dict(zip(_CHECKS, checks)))
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import (AssumptionParams, ConstantGrowth, PowerLawGrowth,
-                        TabulatedGrowth, build_ledger)
-from .geometry import (DirectionSelection, RootAction, TupleStack,
-                       select_direction, star_norm, tuple_stats)
+                        TabulatedGrowth, _exp, build_ledger)
+from .geometry import (RootAction, TupleStack, select_direction, star_norm,
+                       tuple_stats)
 from .modular import (BumpProfile, EisensteinObservable,
                       check_integral_estimate, reduce_arrays)
 from .selection import choose_window, pigeonhole
@@ -83,36 +83,34 @@ def _suite_pigeonhole(rng, trials):
         for inst in (_gap_instance(rng) for _ in range(trials))))
 
 
-def _selection(norms):
-    """A direction selection with the given decreasing image norms."""
-    return DirectionSelection(
-        degenerate=False, chosen_root=1, i=1, j=len(norms), l=len(norms),
-        relabeling=tuple(range(1, len(norms) + 1)),
-        log_norms=tuple(math.log(v) for v in norms),
-        norms=tuple(float(v) for v in norms))
+def _row(norms):
+    """Decreasing image norms as choose_window takes them: (logs,
+    norms)."""
+    return (tuple(math.log(v) for v in norms),
+            tuple(float(v) for v in norms))
 
 
-def _window_fails(sel, theta):
+def _window_fails(log_norms, norms, theta):
     """Whether the window breaks a check, differs from the brute force's
     (p, q), misses L = norm_1^-1 theta^(-(q+1/2)/r) or fails to separate
     the norms at theta^(-+1/(2r)), the last two to 1e-9."""
-    win = choose_window(sel, theta)
-    r = sel.r
-    length = sel.norms[0] ** -1.0 * theta ** (-(win.q + 0.5) / r)
+    win = choose_window(log_norms, norms, theta)
+    r = len(norms)
+    length = norms[0] ** -1.0 * theta ** (-(win.q + 0.5) / r)
     return (not all(ok for _, _, ok in win.checks.values())
-            or _brute_force_pq(sel.norms, theta) != (win.p, win.q)
+            or _brute_force_pq(norms, theta) != (win.p, win.q)
             or abs(win.L - length) > 1e-9 * length
             or any(win.L * v < theta ** (-1 / (2 * r)) * (1 - 1e-9)
-                   for v in sel.norms[:win.p])
+                   for v in norms[:win.p])
             or any(win.L * v > theta ** (1 / (2 * r)) * (1 + 1e-9)
-                   for v in sel.norms[win.p:]))
+                   for v in norms[win.p:]))
 
 
 def _suite_window(rng, trials):
     """Windows for a random u_mn(1, 2) tuple of 2 to 6 entries at theta =
     1/M_r, and for a pigeonhole instance's betas scaled to end at 1.  The
     tuples of all trials are stacked once, for one tuple_stats and one
-    select_direction call."""
+    select_direction call, whose columns give each tuple's norms."""
     action = RootAction.u_mn(1, 2)
     tuples, gap_cases = [], []
     for _ in range(trials):
@@ -121,14 +119,16 @@ def _suite_window(rng, trials):
         tuples.append(np.stack([a, b, a - b], axis=1).tolist())
         betas, theta = _gap_instance(rng)
         gap_cases.append(
-            [(_selection([v / betas[-1] for v in betas]), theta)]
+            [(*_row([v / betas[-1] for v in betas]), theta)]
             if betas[-1] > 0.0 else [])
-    tuples = TupleStack(tuples, domain_tag=action.cone_tag)
+    stack = TupleStack(action, tuples)
+    stats, sel = tuple_stats(stack), select_direction(stack)
+    logs, offsets = sel.log_norms.tolist(), sel.offsets.tolist()
     failures = 0
-    for sel, stats, gap in zip(select_direction(action, tuples),
-                               tuple_stats(action, tuples), gap_cases):
-        cases = [(sel, math.exp(-stats.log_M_r))] + gap
-        failures += any(_window_fails(s, th) for s, th in cases)
+    for k, (log_M, gap) in enumerate(zip(stats.log_M_r.tolist(), gap_cases)):
+        row = logs[offsets[k]:offsets[k + 1]]
+        cases = [(row, [_exp(v) for v in row], math.exp(-log_M))] + gap
+        failures += any(_window_fails(*case) for case in cases)
     return trials, float(failures)
 
 

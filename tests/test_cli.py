@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from equidist import _draft7, cli, modular
 from equidist.cli import _csv_text, _finite_or_null, _json_text, main
-from equidist.geometry import (RootAction, TranslationTuple,
-                               select_direction, tuple_stats)
+from equidist.constants import _exp
+from equidist.geometry import (RootAction, TupleStack, select_direction,
+                               tuple_stats)
 from equidist.modular import (BumpProfile, EisensteinObservable,
                               HorocycleMeasure)
 from equidist.selection import choose_window, pigeonhole
@@ -78,13 +79,19 @@ def rebuilt_schedule_csv(block):
     action = RootAction.u_mn(block["action"]["m"], block["action"]["n"])
     rows = []
     for idx, entries in enumerate(block["tuples"]):
-        tup = TranslationTuple(entries, domain_tag=action.cone_tag)
-        (stats,) = tuple_stats(action, [tup])
-        (sel,) = select_direction(action, [tup])
-        theta = math.exp(-stats.log_M_r)
-        win = choose_window(sel, theta)
-        rows.append((idx, tup.r, stats.rho_r, stats.m_r, stats.M_r,
-                     stats.Delta_r, sel.chosen_root, sel.i, sel.j, sel.l,
+        stack = TupleStack(action, [entries])
+        stats = tuple_stats(stack)
+        sel = select_direction(stack)
+        log_M_r = float(stats.log_M_r[0])
+        theta = math.exp(-log_M_r)
+        log_norms = sel.log_norms.tolist()
+        win = choose_window(log_norms, [_exp(v) for v in log_norms], theta)
+        rows.append((idx, int(stack.r[0]),
+                     *(_exp(float(col[0])) for col in (
+                         stats.log_rho_r, stats.log_m_r, stats.log_M_r,
+                         stats.log_Delta_r)),
+                     *(int(col[0]) for col in (sel.chosen_root, sel.i, sel.j,
+                                               sel.l)),
                      theta, win.p, win.q, win.L, win.log_L,
                      *(ok for _, _, ok in win.checks.values())))
     return _csv_text(
@@ -717,6 +724,32 @@ class TestScheduleCommand:
         assert json.loads(res.stderr)["message"] == (
             "root 1 has 1 coefficients, expected 2")
 
+    @pytest.mark.parametrize("dim_t,tag", [
+        (2, "u_mn:0,2"),  # a block size below 1
+        (3, "u_mn:x"),    # malformed
+        (3, "u_mn:1,1"),  # m + n other than dim_t
+        (3, "cone"),      # unknown
+    ])
+    def test_bad_cone_tag_is_refused_for_the_action(self, tmp_path, runner,
+                                                     dim_t, tag):
+        # the tag is parsed once, when the action is built, so the refusal
+        # names the tag and no tuple
+        mpath = write_manifest(
+            tmp_path / "s.json",
+            {"mode": "schedule",
+             "schedule": {"action": {"dim_t": dim_t,
+                                     "roots": np.eye(dim_t).tolist(),
+                                     "cone_tag": tag},
+                          "tuples": [[[1.0] * dim_t, [2.0] * dim_t]]}})
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        assert res.stderr == (
+            '{"error": "numerical", "message": "cone tag \'%s\' is neither '
+            '\'free\' nor \'u_mn:m,n\' with m, n >= 1 and m + n = dim_t = '
+            '%d"}\n' % (tag, dim_t))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("action,message,path", [
         # u_mn(10^5, 1) would build a 0.8 GB root table
         ({"builtin": "u_mn", "m": 100000, "n": 1},
@@ -789,6 +822,25 @@ class TestCorrelateCommand:
         assert echo["nodes"] == 1024
         assert len(echo["times"]) == 4
         assert "threads" not in echo
+
+    @pytest.mark.parametrize("rows,row", [
+        ({"times": [[2.0], [2.0, 3.0]]}, "[2.0, 3.0]"),
+        ({"family": {"t_start": 2.0, "t_stop": 3.0, "t_step": 1.0,
+                     "pattern": [1.0, 2.0]}}, "[2.0, 4.0]"),
+    ])
+    def test_time_row_of_the_wrong_length_is_refused(self, tmp_path, runner,
+                                                     rows, row):
+        # one profile; the first row whose length differs is named
+        blk = {k: v for k, v in CORRELATE_BLOCK.items() if k != "family"}
+        mpath = write_manifest(tmp_path / "c.json", {
+            "mode": "correlate", "correlate": dict(blk, **rows)})
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        assert res.stderr == (
+            '{"error": "numerical", "message": "time row %s does not match '
+            'the 1 declared profiles"}\n' % row)
+        assert not (tmp_path / "out").exists()
 
     def test_pair_header_lists_both_times(self, tmp_path, runner):
         mpath = self.manifest(

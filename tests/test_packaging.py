@@ -100,6 +100,37 @@ def test_sources_import_only_the_standard_library_and_numpy():
     assert found == set(IMPORT_EXCEPTIONS)
 
 
+# (module file, sibling module it must not import): the layering of the
+# exact half, where selection works on plain rows and geometry on logs
+FORBIDDEN_IMPORTS = {("selection.py", "geometry"), ("geometry.py", "constants")}
+
+
+def _package_imports(name):
+    """The names that a package module imports from the package, at any
+    depth: its sibling modules among them."""
+    with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=name)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "equidist." * bool(node.level) + (node.module or "")
+            targets = [base] + [base.rstrip(".") + "." + alias.name
+                                for alias in node.names]
+        else:
+            continue
+        found |= {t.split(".")[1] for t in targets
+                  if t.startswith("equidist.")}
+    return found
+
+
+def test_exact_half_layering():
+    found = {(name, module) for name, module in FORBIDDEN_IMPORTS
+             if module in _package_imports(name)}
+    assert found == set()
+
+
 def _without_jsonschema(argv):
     """A fresh interpreter on the package sources in which jsonschema
     cannot be imported, running the CLI with argv."""

@@ -1,8 +1,8 @@
 """The columnar schedule against the record-based one it replaced.
 
 reference_schedule is the schedule subcommand as it was when it built
-one record dict per tuple and encoded the whole schedule.json document
-at once.  The columnar schedule must give the same schedule.csv,
+one record dict per tuple, one tuple at a time, and encoded the whole
+schedule.json document at once.  The columnar schedule must give the same schedule.csv,
 schedule.json and stdout bytes, and the same refusals, on every
 manifest; and its memory must not grow back to the records' size.
 """
@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from conftest import Runner
 from equidist import __version__, geometry
 from equidist.cli import _NUMERIC_ERRORS, _gnuplot, main
-from equidist.geometry import (RootAction, TranslationTuple,
-                               select_direction, tuple_stats)
+from equidist.constants import _exp
+from equidist.geometry import (RootAction, TupleStack, select_direction,
+                               tuple_stats)
 from equidist.selection import choose_window
 
 _SCHEDULE_COLUMNS = (
@@ -57,54 +58,53 @@ def _json_text(payload):
                       allow_nan=False) + "\n"
 
 
-def _schedule_records(action, tuples, theta_spec):
-    tuples = [TranslationTuple(entries, domain_tag=action.cone_tag)
-              for entries in tuples]
-    stats = list(tuple_stats(action, tuples))
-    for st_ in stats:
-        if st_.M_r == math.inf:
-            raise ValueError("log M_r = %r is past the float range, so "
-                             "theta = 1/M_r underflows and the image "
-                             "norms overflow; no window is computed"
-                             % st_.log_M_r)
-    records = []
-    for idx, (tup, st_, sel) in enumerate(
-            zip(tuples, stats, select_direction(action, tuples))):
-        if sel.degenerate:
-            raise ValueError("degenerate (all entries coincide); no "
-                             "window exists")
-        theta = (math.exp(-st_.log_M_r) if theta_spec == "auto"
-                 else float(theta_spec))
-        win = choose_window(sel, theta)
-        records.append(dict(
-            tuple_index=idx, r=tup.r, rho_r=st_.rho_r, m_r=st_.m_r,
-            M_r=st_.M_r, Delta_mult=st_.Delta_r,
-            chosen_root=sel.chosen_root, i=sel.i, j=sel.j, l=sel.l,
-            theta=theta, p=win.p, q=win.q, L=win.L, log_L=win.log_L,
-            **{"ok_" + name: ok for name, (_, _, ok) in win.checks.items()},
-            entries=tup.entries.tolist(), log_Delta_r=st_.log_Delta_r,
-            relabeling=sel.relabeling, log_norms=sel.log_norms,
-            checks={name: {"lhs": lhs, "rhs": rhs}
-                    for name, (lhs, rhs, _) in win.checks.items()}))
-    return records
+def _schedule_record(action, idx, entries, theta_spec):
+    """The record of one tuple, from a stack of one; a refusal raises."""
+    stack = TupleStack(action, [entries])
+    (r,) = stack.r.tolist()
+    stats = tuple_stats(stack)
+    log_rho_r, log_m_r, log_M_r, log_Delta_r = (
+        float(getattr(stats, name)[0])
+        for name in ("log_rho_r", "log_m_r", "log_M_r", "log_Delta_r"))
+    if _exp(log_M_r) == math.inf:
+        raise ValueError("log M_r = %r is past the float range, so theta = "
+                         "1/M_r underflows and the image norms overflow; "
+                         "no window is computed" % log_M_r)
+    sel = select_direction(stack)
+    if sel.degenerate[0]:
+        raise ValueError("degenerate (all entries coincide); no window "
+                         "exists")
+    theta = (math.exp(-log_M_r) if theta_spec == "auto"
+             else float(theta_spec))
+    log_norms = sel.log_norms.tolist()
+    win = choose_window(log_norms, [_exp(v) for v in log_norms], theta)
+    return dict(
+        tuple_index=idx, r=r, rho_r=_exp(log_rho_r), m_r=_exp(log_m_r),
+        M_r=_exp(log_M_r), Delta_mult=_exp(log_Delta_r),
+        **{name: int(getattr(sel, name)[0])
+           for name in ("chosen_root", "i", "j", "l")},
+        theta=theta, p=win.p, q=win.q, L=win.L, log_L=win.log_L,
+        **{"ok_" + name: ok for name, (_, _, ok) in win.checks.items()},
+        entries=stack[0].tolist(), log_Delta_r=log_Delta_r,
+        relabeling=sel.relabeling.tolist(), log_norms=log_norms,
+        checks={name: {"lhs": lhs, "rhs": rhs}
+                for name, (lhs, rhs, _) in win.checks.items()})
 
 
 def reference_schedule(blk, seed):
     """(files, stdout lines, failure) of the record-based schedule body;
-    a refusal raises."""
+    a refusal raises, naming the first failing tuple."""
     theta_spec = blk.get("theta", "auto")
     spec = blk["action"]
     action = (RootAction.u_mn(spec["m"], spec["n"]) if "builtin" in spec
               else RootAction.from_json(spec))
-    try:
-        records = _schedule_records(action, blk["tuples"], theta_spec)
-    except _NUMERIC_ERRORS:
-        for idx, entries in enumerate(blk["tuples"]):
-            try:
-                _schedule_records(action, [entries], theta_spec)
-            except _NUMERIC_ERRORS as exc:
-                raise ValueError("tuple %d: %s" % (idx, exc)) from None
-        raise
+    records = []
+    for idx, entries in enumerate(blk["tuples"]):
+        try:
+            records.append(_schedule_record(action, idx, entries,
+                                            theta_spec))
+        except _NUMERIC_ERRORS as exc:
+            raise ValueError("tuple %d: %s" % (idx, exc)) from None
     ok_all = all(rec["ok_scale_cap"] and rec["ok_group_lower"]
                  and rec["ok_group_upper"] for rec in records)
     lines = ["schedule: %d tuples, window checks %s"

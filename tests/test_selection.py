@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.geometry import DirectionSelection
 from equidist.selection import choose_window, pigeonhole
-from equidist.suites import _selection, _suite_pigeonhole, _suite_window
+from equidist.suites import _row, _suite_pigeonhole, _suite_window
 
 
 class TestPigeonhole:
@@ -76,22 +75,19 @@ class TestPigeonhole:
 
 class TestChooseWindow:
     def test_pair_window_length(self):
-        sel = _selection([8.0, 1.0])
-        win = choose_window(sel, 1.0 / 8.0)
+        win = choose_window(*_row([8.0, 1.0]), 1.0 / 8.0)
         assert (win.p, win.q) == (1, 0)
         assert win.L == pytest.approx(8.0 ** -0.75, rel=1e-12)
         assert all(ok for _, _, ok in win.checks.values())
 
     def test_triple_window_length(self):
-        sel = _selection([8.0, 2.0, 1.0])
-        win = choose_window(sel, 1.0 / 8.0)
+        win = choose_window(*_row([8.0, 2.0, 1.0]), 1.0 / 8.0)
         assert (win.p, win.q) == (1, 0)
         assert win.L == pytest.approx(8.0 ** (-5.0 / 6.0), rel=1e-12)
         assert all(ok for _, _, ok in win.checks.values())
 
     def test_check_values(self):
-        sel = _selection([8.0, 1.0])
-        win = choose_window(sel, 1.0 / 8.0)
+        win = choose_window(*_row([8.0, 1.0]), 1.0 / 8.0)
         lhs, rhs, ok = win.checks["scale_cap"]
         assert lhs == pytest.approx(8.0 * win.L) and rhs == pytest.approx(8.0)
         lhs, rhs, ok = win.checks["group_lower"]
@@ -100,23 +96,23 @@ class TestChooseWindow:
         assert rhs == pytest.approx(8.0 ** -0.25)
 
     def test_degenerate_rejected(self):
-        sel = DirectionSelection(
-            degenerate=True, chosen_root=None, i=None, j=None, l=None,
-            relabeling=(1, 2), log_norms=(0.0, 0.0), norms=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            choose_window(sel, 0.5)
+        # a degenerate selection's images all sit at norm 1
+        with pytest.raises(ValueError, match="^degenerate selection: all "
+                           "image norms are equal, no separating window "
+                           "exists$"):
+            choose_window((0.0, 0.0), (1.0, 1.0), 0.5)
 
     def test_theta_below_inverse_m_rejected(self):
-        sel = _selection([8.0, 1.0])
+        row = _row([8.0, 1.0])
         with pytest.raises(ValueError):
-            choose_window(sel, 1.0 / 64.0)
+            choose_window(*row, 1.0 / 64.0)
 
     def test_theta_range_validated(self):
-        sel = _selection([8.0, 1.0])
+        row = _row([8.0, 1.0])
         with pytest.raises(ValueError):
-            choose_window(sel, 0.0)
+            choose_window(*row, 0.0)
         with pytest.raises(ValueError):
-            choose_window(sel, 1.0)
+            choose_window(*row, 1.0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 9))
