@@ -395,12 +395,25 @@ def schedule(blk, seed, **_):
         stack, stats, sel, M, window = _schedule_columns(
             action, blk["tuples"], theta_spec)
     except _NUMERIC_ERRORS:
-        # refuse for the first failing tuple in manifest order, by index
-        for idx, entries in enumerate(blk["tuples"]):
+        # refuse for the first failing tuple in manifest order, by index.
+        # Every check is per tuple, so a range fails when a tuple in it
+        # fails alone: halve [lo, hi) until that tuple is left, and word
+        # the refusal from its own run
+        tuples = blk["tuples"]
+        lo, hi = 0, len(tuples)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                _schedule_columns(action, [entries], theta_spec)
+                _schedule_columns(action, tuples[lo:mid], theta_spec)
+            except _NUMERIC_ERRORS:
+                hi = mid
+            else:
+                lo = mid
+        if tuples:
+            try:
+                _schedule_columns(action, tuples[lo:lo + 1], theta_spec)
             except _NUMERIC_ERRORS as exc:
-                raise ValueError("tuple %d: %s" % (idx, exc)) from None
+                raise ValueError("tuple %d: %s" % (lo, exc)) from None
         raise
     oks = [window["ok_" + name] for name in _CHECKS]
     ok_all = all(all(ok) for ok in oks)

@@ -12,14 +12,12 @@ checks.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .constants import (AssumptionParams, ConstantGrowth, PowerLawGrowth,
                         TabulatedGrowth, _exp, build_ledger)
-from .geometry import (RootAction, TupleStack, select_direction, star_norm,
-                       tuple_stats)
+from .geometry import RootAction, TupleStack, select_direction, tuple_stats
 from .modular import (BumpProfile, EisensteinObservable,
                       check_integral_estimate, reduce_arrays)
 from .selection import choose_window, pigeonhole
@@ -29,15 +27,22 @@ from .wiener import (TorusMeasure, TorusObservable, character_expansion_check,
 
 def _brute_force_pq(betas, theta):
     """First (p, q) in lexicographic order satisfying the gap sandwich,
-    decided in exact rationals: beta_{p+1} < beta_1 theta^((q+1)/r) is
-    equivalent to beta_{p+1}^r < beta_1^r theta^(q+1)."""
+    decided exactly: beta_{p+1} < beta_1 theta^((q+1)/r) is equivalent
+    to beta_{p+1}^r < beta_1^r theta^(q+1), and with beta_k = n_k / d_k
+    and theta = a / b as integer ratios (positive denominators) to
+    n_{p+1}^r d_1^r b^(q+1) < n_1^r d_{p+1}^r a^(q+1)."""
     r = len(betas)
-    pows = [Fraction(float(b)) ** r for b in betas]
-    thetas = [Fraction(float(theta)) ** k for k in range(r)]
+    ratios = [float(v).as_integer_ratio() for v in betas]
+    n_1, d_1 = (v ** r for v in ratios[0])
+    # beta_k^r / beta_1^r = below[k] / above[k]
+    below = [n ** r * d_1 for n, d in ratios]
+    above = [n_1 * d ** r for n, d in ratios]
+    a, b = float(theta).as_integer_ratio()
+    a_pow, b_pow = [a ** k for k in range(r)], [b ** k for k in range(r)]
     for p in range(1, r):
         for q in range(0, r - 1):
-            if (pows[p] < pows[0] * thetas[q + 1]
-                    and pows[0] * thetas[q] <= pows[p - 1]):
+            if (below[p] * b_pow[q + 1] < above[p] * a_pow[q + 1]
+                    and above[p - 1] * a_pow[q] <= below[p - 1] * b_pow[q]):
                 return p, q
     return None
 
@@ -176,16 +181,27 @@ def _suite_wiener(rng, trials):
 
 def _suite_geometry(rng, trials):
     """Star norms are submultiplicative and even, as relative defects,
-    for u_mn(2, 1) and u_mn(1, 2) on [-5, 5]^3."""
-    worst = 0.0
+    for u_mn(2, 1) and u_mn(1, 2) on [-5, 5]^3.  Each trial's (s, t) is
+    drawn per action in turn; each action's norms then come from one
+    stacked root_values call per operand, which gives a point the values
+    it has alone."""
     actions = (RootAction.u_mn(2, 1), RootAction.u_mn(1, 2))
-    for _ in range(trials):
-        for action in actions:
-            s, t = rng.uniform(-5.0, 5.0, size=(2, 3))
-            norm_s = star_norm(action, s)
-            rhs = norm_s * star_norm(action, t)
-            worst = max(worst, (star_norm(action, s + t) - rhs) / rhs,
-                        abs(norm_s - star_norm(action, -s)) / norm_s)
+    draws = np.array([rng.uniform(-5.0, 5.0, size=(2, 3))
+                      for _ in range(trials) for _ in actions]
+                     ).reshape(trials, len(actions), 2, 3)
+    norms = []
+    for k, action in enumerate(actions):
+        s, t = draws[:, k, 0], draws[:, k, 1]
+        norms.append(zip(*(
+            [math.exp(v) for v in
+             np.max(np.abs(action.root_values(pts)), axis=-1).tolist()]
+            for pts in (s, t, s + t, -s))))
+    worst = 0.0
+    for trial in zip(*norms):
+        for norm_s, norm_t, norm_sum, norm_neg in trial:
+            rhs = norm_s * norm_t
+            worst = max(worst, (norm_sum - rhs) / rhs,
+                        abs(norm_s - norm_neg) / norm_s)
     return 2 * trials, worst
 
 

@@ -7,12 +7,24 @@ finitely supported coefficient maps; the only floating point error is
 rounding.  The Wiener norm is sum |c_chi|, which dominates the sup norm
 of the density.
 
+The map is kept twice, both in sorted character order and built once:
+the public dict coeffs, and the columns chis (a read-only (K, dim) float
+array) and amps (a read-only complex array) that evaluation and
+translation read.  Every sum runs left to right in that order, per
+point and with each product on the shape a per-coefficient loop gives
+it, so results are bit-reproducible and equal to such a loop bit for
+bit.
+
 Conventions: sigma_hat(chi) = c_chi (the density coefficient), and the
 character psi_xi(x) = e^(2 pi i <xi, x>).  Integration against the
 measure gives sigma(e^(2 pi i <eta, .>)) = c_{-eta}.
 """
 
+import cmath
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -26,10 +38,16 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * math.pi
+# a tuple or list of ints alone is a character as it stands
+_SEQUENCES, _INT = (tuple, list), {int}
 
 
 def _norm_key(chi, dim):
-    if isinstance(chi, (int, np.integer)):
+    if type(chi) in _SEQUENCES and set(map(type, chi)) <= _INT:
+        chi = tuple(chi)
+    elif type(chi) is np.ndarray and chi.ndim == 1 and chi.dtype.kind == "i":
+        chi = tuple(chi.tolist())
+    elif isinstance(chi, (int, np.integer)):
         chi = (int(chi),)
     else:
         chi = tuple(int(v) for v in chi)
@@ -45,7 +63,14 @@ def _norm_coeffs(coeffs, dim):
     for chi, amp in items:
         key = _norm_key(chi, dim)
         out[key] = out.get(key, 0j) + complex(amp)
-    return {k: v for k, v in sorted(out.items())}
+    if not all(map(cmath.isfinite, out.values())):
+        raise ValueError("coefficients must be finite")
+    return dict(sorted(out.items()))
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 class _FourierData:
@@ -55,46 +80,68 @@ class _FourierData:
         dim = int(dim)
         if dim < 1:
             raise ValueError("dim must be a positive integer")
-        self.dim = dim
-        self.coeffs = _norm_coeffs(coeffs, dim)
-        for amp in self.coeffs.values():
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise ValueError("coefficients must be finite")
+        coeffs = _norm_coeffs(coeffs, dim)
+        self._set(dim, coeffs, np.fromiter(
+            itertools.chain.from_iterable(coeffs), float,
+            len(coeffs) * dim).reshape(-1, dim))
+
+    @classmethod
+    def _from_columns(cls, dim, coeffs, chis):
+        """An instance with the sorted, checked map coeffs, whose support
+        the rows chis already hold."""
+        self = cls.__new__(cls)
+        self._set(dim, coeffs, chis)
+        return self
+
+    def _set(self, dim, coeffs, chis):
+        self.dim, self.coeffs = dim, coeffs
+        self.chis = _read_only(chis)
+        self.amps = _read_only(np.fromiter(coeffs.values(), complex,
+                                           len(coeffs)))
 
     def coeff(self, chi):
         return self.coeffs.get(_norm_key(chi, self.dim), 0j)
 
     def bandwidth(self):
         """Per-axis maximum |chi_i| over the support."""
-        bw = [0] * self.dim
-        for chi in self.coeffs:
-            for i, v in enumerate(chi):
-                bw[i] = max(bw[i], abs(v))
-        return tuple(bw)
+        return tuple(map(int, np.abs(self.chis).max(axis=0, initial=0.0)
+                         .tolist()))
 
     def value(self, x):
         """Pointwise evaluation sum_chi c_chi e^(2 pi i <chi, x>).
 
         Accepts a scalar (dim 1), a 1-D array of points (dim 1), or an
         array of shape (..., dim).  Returns complex values of matching
-        shape.  Summation order is fixed (sorted support) so results are
-        bit-reproducible.
+        shape.  The (K, N) waves come from one exponential; the sum runs
+        over the sorted support, one coefficient row at a time, so
+        results are bit-reproducible.
         """
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
         if self.dim == 1 and arr.ndim <= 1:
-            pts = np.atleast_1d(arr)[:, None]
-            shape = np.atleast_1d(arr).shape
+            shape = arr.shape
         else:
             if arr.shape[-1] != self.dim:
                 raise ValueError("points must have %d coordinates" % self.dim)
             shape = arr.shape[:-1]
-            pts = arr.reshape(-1, self.dim)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for chi, amp in self.coeffs.items():
-            out += amp * np.exp(_TWO_PI_I * (pts @ np.array(chi, dtype=float)))
+        pts = arr.reshape(-1, self.dim)
+        if not self.coeffs:
+            out = np.zeros(len(pts), dtype=complex)
+        else:
+            if self.dim == 1:
+                phase = self.chis * pts.reshape(-1)
+            else:
+                # one gemv per coefficient: a (N, d) @ (d, K) product
+                # rounds otherwise
+                phase = np.array([pts @ np.array(chi, dtype=float)
+                                  for chi in self.coeffs])
+            # amp * wave into a new array: numpy's complex product rounds
+            # otherwise with the operands swapped or written in place
+            terms = self.amps[:, None] * np.exp(_TWO_PI_I * phase)
+            # the running sum, as a loop adding each row to zeros would
+            # take it; + 0.0 turns a -0.0 part into that loop's 0.0
+            out = np.add.accumulate(terms, out=terms)[-1] + 0.0
         out = out.reshape(shape)
-        return complex(out[()]) if scalar else out
+        return complex(out[()]) if arr.ndim == 0 else out
 
     def to_json(self):
         return {"dim": self.dim,
@@ -114,13 +161,17 @@ class TorusMeasure(_FourierData):
 
     def __init__(self, dim, coeffs):
         super().__init__(dim, coeffs)
-        if abs(self.coeff((0,) * self.dim) - 1.0) > 1e-12:
+        if abs(self.coeffs.get((0,) * self.dim, 0j) - 1.0) > 1e-12:
             raise ValueError("probability measure needs coefficient 1 at "
                              "the zero character")
 
     @classmethod
     def haar(cls, dim=1):
-        return cls(dim, {(0,) * dim: 1.0})
+        dim = int(dim)
+        if dim < 1:
+            raise ValueError("dim must be a positive integer")
+        return cls._from_columns(dim, {(0,) * dim: 1 + 0j},
+                                 np.zeros((1, dim)))
 
     @classmethod
     def from_json(cls, obj):
@@ -140,9 +191,15 @@ class TorusObservable(_FourierData):
         w = np.atleast_1d(np.asarray(w, dtype=float))
         if w.shape != (self.dim,):
             raise ValueError("translation needs %d coordinates" % self.dim)
-        return TorusObservable(self.dim, {
-            chi: amp * complex(np.exp(_TWO_PI_I * float(np.dot(chi, w))))
-            for chi, amp in self.coeffs.items()})
+        # a stack of (1, d) @ (d,) products takes np.dot(chi, w) per row;
+        # the phases multiply in Python, as the complex scalars they are
+        phases = np.exp(_TWO_PI_I * (self.chis[:, None, :] @ w)[:, 0])
+        amps = [0j + amp * phase for amp, phase in zip(self.coeffs.values(),
+                                                       phases.tolist())]
+        if not all(map(cmath.isfinite, amps)):
+            raise ValueError("coefficients must be finite")
+        return TorusObservable._from_columns(
+            self.dim, dict(zip(self.coeffs, amps)), self.chis)
 
 
 def character_twist(m, xi, eta):
@@ -152,7 +209,9 @@ def character_twist(m, xi, eta):
 
     xi = 0 integrates eta against m.  For Haar this reads eta_hat at
     -xi; in particular the twist of the constant 1 is 1 for xi = 0 and 0
-    otherwise.
+    otherwise.  Only the overlap of the two supports is summed, in
+    eta's order: a term off it is a signed zero, which leaves a sum
+    that starts at 0j unchanged.
     """
     if not isinstance(m, TorusMeasure):
         raise TypeError("expected a TorusMeasure")
@@ -161,10 +220,25 @@ def character_twist(m, xi, eta):
         raise TypeError("expected a TorusObservable")
     if eta.dim != m.dim:
         raise ValueError("dimension mismatch")
+    return _pairing(m.coeffs, xi, eta.coeffs)
+
+
+def _pairing(sigma, xi, phi):
+    """sum_chi phi[chi] * sigma[-xi - chi] over the overlap of the two
+    sorted coefficient maps, in phi's order."""
+    neg_xi = [-x for x in xi]
     total = 0j
-    for chi, amp in eta.coeffs.items():
-        key = tuple(-x - c for x, c in zip(xi, chi))
-        total += amp * m.coeffs.get(key, 0j)
+    if len(sigma) < len(phi):
+        for chi, amp in sorted(
+                (chi, amp) for chi, amp in (
+                    (tuple(map(operator.sub, neg_xi, key)), amp)
+                    for key, amp in sigma.items()) if chi in phi):
+            total += phi[chi] * amp
+    else:
+        for chi, amp in phi.items():
+            other = sigma.get(tuple(map(operator.sub, neg_xi, chi)))
+            if other is not None:
+                total += amp * other
     return total
 
 
@@ -179,10 +253,18 @@ def equivariance_check(m, xi, w, eta):
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     lhs = character_twist(m, xi, eta.translate(w))
-    phase = complex(np.exp(-_TWO_PI_I * float(np.dot(_norm_key(xi, m.dim),
-                                                     w))))
+    xi = _norm_key(xi, m.dim)
+    phase = complex(np.exp(-_TWO_PI_I * float(np.dot(xi, w))))
     rhs = phase * character_twist(m, xi, eta)
     return lhs, rhs, abs(lhs - rhs)
+
+
+@functools.lru_cache(maxsize=8)
+def _midpoint_mesh(n_axes):
+    """The read-only midpoint mesh with n_axes[i] points on axis i, as
+    (..., len(n_axes)) coordinates."""
+    axes = [(np.arange(n) + 0.5) / n for n in n_axes]
+    return _read_only(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
 
 
 def character_expansion_check(sigma, phi):
@@ -202,13 +284,16 @@ def character_expansion_check(sigma, phi):
         raise TypeError("expected a TorusObservable")
     if phi.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    haar = TorusMeasure.haar(sigma.dim)
     expanded = 0j
     for chi, amp in sigma.coeffs.items():
-        expanded += amp * character_twist(haar, chi, phi)
-    n_axes = [max(a + b + 1, 64) for a, b in zip(sigma.bandwidth(),
-                                                 phi.bandwidth())]
-    axes = [(np.arange(n) + 0.5) / n for n in n_axes]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    direct = complex(np.mean(sigma.value(mesh) * phi.value(mesh)))
+        # nu_chi(Phi) under Haar, as character_twist sums it: 0j +
+        # phi_hat(-chi) * 1 when -chi is in the support of Phi, else 0j
+        hat = phi.coeffs.get(tuple(-c for c in chi))
+        expanded += amp * (0j if hat is None else 0j + hat * (1 + 0j))
+    mesh = _midpoint_mesh(tuple(
+        max(a + b + 1, 64) for a, b in zip(sigma.bandwidth(),
+                                           phi.bandwidth())))
+    prod = sigma.value(mesh) * phi.value(mesh)
+    # np.mean's own sum and division
+    direct = complex(np.add.reduce(prod, axis=None) / prod.size)
     return direct, expanded, abs(direct - expanded)

@@ -61,6 +61,14 @@ def test_cli_import_loads_no_jsonschema():
     assert _loaded_after("import equidist.cli", "jsonschema") == []
 
 
+def test_suites_import_loads_no_fractions():
+    # the battery's brute force decides its inequalities in integers;
+    # fractions and the decimal module it imports cost a verify process
+    # milliseconds
+    assert _loaded_after("import equidist.suites", "fractions",
+                         "decimal") == []
+
+
 def _toml_list(text, name):
     """The strings of the TOML array `name = [...]` in text."""
     body = re.search(r"^%s = \[(.*?)\]" % name, text, re.M | re.S).group(1)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Runner
-from equidist import __version__, geometry
+from equidist import __version__, cli, geometry
 from equidist.cli import _NUMERIC_ERRORS, _gnuplot, main
 from equidist.constants import _exp
 from equidist.geometry import (RootAction, TupleStack, select_direction,
@@ -289,3 +289,18 @@ def test_schedule_memory_stays_columnar():
             tracemalloc.stop()
     assert res.exit_code == 0, res.output
     assert peak / 2 ** 20 < _PEAK_BOUND_MB, peak / 2 ** 20
+
+
+def test_refusal_halves_to_the_failing_tuple():
+    # only the last of 3000 tuples fails alone (a negative entry leaves
+    # the cone): the refusal finds it in about log2(n) stacked passes,
+    # not one single-tuple pass per tuple before it
+    manifest = _bench_manifest(np.random.default_rng(3), 3000)
+    tuples = manifest["schedule"]["tuples"]
+    tuples[-1] = [[-v for v in row] for row in tuples[-1]]
+    with mock.patch.object(cli, "_schedule_columns",
+                           wraps=cli._schedule_columns) as passes:
+        got = cli_run(manifest)
+    assert got[0] == 3 and "tuple 2999: " in got[3], got[3]
+    assert got == reference_run(manifest)
+    assert passes.call_count <= 2 * math.ceil(math.log2(len(tuples))) + 2

@@ -1,4 +1,6 @@
+import copy
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equidist.selection import choose_window, pigeonhole
-from equidist.suites import _row, _suite_pigeonhole, _suite_window
+from equidist.suites import (_brute_force_pq, _gap_instance, _row,
+                             _suite_pigeonhole, _suite_window)
 
 
 class TestPigeonhole:
@@ -68,9 +71,49 @@ class TestPigeonhole:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_sandwich_holds(self, seed):
-        # the verify battery's suite: pigeonhole picks the exact Fraction
-        # brute force's pair, so the sandwich holds with no tolerance
+        # the verify battery's suite: pigeonhole picks the exact brute
+        # force's pair, so the sandwich holds with no tolerance
         assert _suite_pigeonhole(np.random.default_rng(seed), 4) == (4, 0.0)
+
+
+def fraction_brute_force(betas, theta):
+    """The suites' brute force in exact rationals: the first (p, q) with
+    beta_{p+1}^r < beta_1^r theta^(q+1) and beta_1^r theta^q <= beta_p^r."""
+    r = len(betas)
+    pows = [Fraction(float(b)) ** r for b in betas]
+    thetas = [Fraction(float(theta)) ** k for k in range(r)]
+    for p in range(1, r):
+        for q in range(0, r - 1):
+            if (pows[p] < pows[0] * thetas[q + 1]
+                    and pows[0] * thetas[q] <= pows[p - 1]):
+                return p, q
+    return None
+
+
+class TestBruteForce:
+    def test_matches_fractions_on_gap_instances(self):
+        # every family of the battery's draws: dyadic near 1, shifted by
+        # up to 2^+-200, theta at its bound, and a zero last beta
+        rng = np.random.default_rng(24)
+        families, zero_last = set(), 0
+        for _ in range(3000):
+            peek = copy.deepcopy(rng)
+            peek.integers(2, 9)
+            families.add(int(peek.integers(0, 4)))
+            betas, theta = _gap_instance(rng)
+            zero_last += betas[-1] == 0.0
+            assert _brute_force_pq(betas, theta) == fraction_brute_force(
+                betas, theta), (betas, theta)
+        assert families == {0, 1, 2, 3} and zero_last > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1e300),
+                              st.sampled_from([0.0, 5e-324, 2.0 ** 200])),
+                    min_size=2, max_size=8),
+           st.floats(5e-324, 1.0, exclude_max=True))
+    def test_matches_fractions_on_any_floats(self, betas, theta):
+        assert _brute_force_pq(betas, theta) == fraction_brute_force(
+            betas, theta)
 
 
 class TestChooseWindow:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from equidist.suites import _suite_wiener
 from equidist.wiener import (TorusMeasure, TorusObservable,
                              character_expansion_check, character_twist,
-                             wiener_norm)
+                             equivariance_check, wiener_norm)
 
 
 def random_observable(rng, dim=1, degree=4):
@@ -193,3 +195,171 @@ class TestExpansion:
     def test_needs_an_observable(self):
         with pytest.raises(TypeError):
             character_expansion_check(TorusMeasure.haar(1), lambda chi: 0.0)
+
+
+# Per-coefficient loops, summing in the sorted support order as the
+# columnar code must: the references for bit identity.
+
+def loop_value(eta, x):
+    arr = np.asarray(x, dtype=float)
+    if eta.dim == 1 and arr.ndim <= 1:
+        pts, shape = np.atleast_1d(arr)[:, None], arr.shape
+    else:
+        pts, shape = arr.reshape(-1, eta.dim), arr.shape[:-1]
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for chi, amp in eta.coeffs.items():
+        out += amp * np.exp(2j * math.pi * (pts @ np.array(chi, dtype=float)))
+    return out.reshape(shape)
+
+
+def loop_translate(eta, w):
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    return {chi: 0j + amp * complex(np.exp(2j * math.pi
+                                           * float(np.dot(chi, w))))
+            for chi, amp in eta.coeffs.items()}
+
+
+def loop_twist(m, xi, eta):
+    total = 0j
+    for chi, amp in eta.coeffs.items():
+        total += amp * m.coeffs.get(tuple(-x - c for x, c in zip(xi, chi)),
+                                    0j)
+    return total
+
+
+def loop_bandwidth(eta):
+    bw = [0] * eta.dim
+    for chi in eta.coeffs:
+        for i, v in enumerate(chi):
+            bw[i] = max(bw[i], abs(v))
+    return tuple(bw)
+
+
+def loop_expansion(sigma, phi):
+    haar = TorusMeasure.haar(sigma.dim)
+    expanded = 0j
+    for chi, amp in sigma.coeffs.items():
+        expanded += amp * loop_twist(haar, chi, phi)
+    axes = [(np.arange(n) + 0.5) / n for n in (
+        max(a + b + 1, 64) for a, b in zip(loop_bandwidth(sigma),
+                                           loop_bandwidth(phi)))]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    direct = complex(np.mean(loop_value(sigma, mesh) * loop_value(phi, mesh)))
+    return direct, expanded, abs(direct - expanded)
+
+
+# signed zeros, subnormals and exact integers, where a sum's sign of
+# zero and its rounding are easiest to get wrong
+_reals = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                   st.floats(-1e6, 1e6))
+_amps = st.builds(complex, _reals, _reals)
+
+
+def _chis(dim, degree=9):
+    return st.tuples(*[st.integers(-degree, degree)] * dim)
+
+
+@st.composite
+def _observable(draw, dim, min_size=0, max_size=12, degree=9):
+    return TorusObservable(dim, draw(st.lists(
+        st.tuples(_chis(dim, degree), _amps), min_size=min_size,
+        max_size=max_size)))
+
+
+@st.composite
+def _measure(draw, dim, max_size=8, degree=9):
+    coeffs = dict(draw(st.lists(st.tuples(_chis(dim, degree), _amps),
+                                max_size=max_size)))
+    coeffs[(0,) * dim] = 1.0
+    return TorusMeasure(dim, coeffs)
+
+
+_points = st.floats(-10.0, 10.0)
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestLoopIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(_observable(1), _points)
+    def test_value_dim1_scalar(self, eta, x):
+        got = eta.value(x)
+        assert isinstance(got, complex)
+        assert repr(got) == repr(complex(loop_value(eta, x)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_observable(1), st.lists(_points, max_size=40),
+           st.booleans())
+    def test_value_dim1_array(self, eta, xs, column):
+        x = np.array(xs)[:, None] if column else np.array(xs)
+        assert _same(eta.value(x), loop_value(eta, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_observable(2), st.lists(st.tuples(_points, _points),
+                                    min_size=1, max_size=40))
+    def test_value_dim2(self, eta, xs):
+        for x in (np.array(xs), np.array(xs[0])):
+            assert _same(eta.value(x), loop_value(eta, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2).flatmap(
+        lambda dim: st.tuples(_observable(dim),
+                              st.lists(_points, min_size=dim,
+                                       max_size=dim))))
+    def test_translate(self, case):
+        eta, w = case
+        got = eta.translate(w)
+        assert repr(list(got.coeffs.items())) == repr(
+            list(loop_translate(eta, w).items()))
+        assert _same(got.chis, eta.chis)
+        assert _same(got.amps, list(got.coeffs.values()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+        _measure(dim), _chis(dim), _observable(dim, max_size=14),
+        st.sampled_from(["any", "overlap", "disjoint", "single"]))),
+        st.data())
+    def test_character_twist(self, case, data):
+        m, xi, eta, kind = case
+        dim = m.dim
+        if kind == "overlap":
+            # eta also holds the partner -xi - key of every key of m
+            eta = TorusObservable(dim, [*eta.coeffs.items(), *(
+                (tuple(-x - k for x, k in zip(xi, key)), data.draw(_amps))
+                for key in m.coeffs)])
+        elif kind == "disjoint":
+            # m within [-9, 9]^dim, eta's partners beyond it
+            eta = TorusObservable(dim, [
+                ((c + 30, *rest), amp) for (c, *rest), amp in
+                eta.coeffs.items()])
+        elif kind == "single":
+            eta = data.draw(_observable(dim, min_size=1, max_size=1))
+        got = character_twist(m, xi, eta)
+        assert repr(got) == repr(loop_twist(m, xi, eta))
+        if kind == "disjoint":
+            assert got == 0j
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(_observable))
+    def test_bandwidth(self, eta):
+        got = eta.bandwidth()
+        assert got == loop_bandwidth(eta)
+        assert all(type(v) is int for v in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+        _measure(dim, degree=6), _observable(dim, degree=6))))
+    def test_checks(self, case):
+        sigma, phi = case
+        assert repr(character_expansion_check(sigma, phi)) == repr(
+            loop_expansion(sigma, phi))
+        xi, w = (2,) * sigma.dim, [0.3] * sigma.dim
+        haar = TorusMeasure.haar(sigma.dim)
+        lhs = loop_twist(haar, xi, TorusObservable(
+            phi.dim, loop_translate(phi, w)))
+        rhs = complex(np.exp(-2j * math.pi * float(np.dot(xi, w)))) \
+            * loop_twist(haar, xi, phi)
+        assert repr(equivariance_check(haar, xi, w, phi)) == repr(
+            (lhs, rhs, abs(lhs - rhs)))
