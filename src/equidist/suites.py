@@ -34,16 +34,18 @@ def _brute_force_pq(betas, theta):
     r = len(betas)
     ratios = [float(v).as_integer_ratio() for v in betas]
     n_1, d_1 = (v ** r for v in ratios[0])
-    # beta_k^r / beta_1^r = below[k] / above[k]
-    below = [n ** r * d_1 for n, d in ratios]
-    above = [n_1 * d ** r for n, d in ratios]
     a, b = float(theta).as_integer_ratio()
     a_pow, b_pow = [a ** k for k in range(r)], [b ** k for k in range(r)]
+    # beta_k^r / beta_1^r as (numerator, denominator), for k = p - 1, p
+    upper = n_1 * d_1, n_1 * d_1
     for p in range(1, r):
+        n, d = ratios[p]
+        lower = n ** r * d_1, n_1 * d ** r
         for q in range(0, r - 1):
-            if (below[p] * b_pow[q + 1] < above[p] * a_pow[q + 1]
-                    and above[p - 1] * a_pow[q] <= below[p - 1] * b_pow[q]):
+            if (lower[0] * b_pow[q + 1] < lower[1] * a_pow[q + 1]
+                    and upper[1] * a_pow[q] <= upper[0] * b_pow[q]):
                 return p, q
+        upper = lower
     return None
 
 
