@@ -220,20 +220,16 @@ def character_twist(m, xi, eta):
         raise TypeError("expected a TorusObservable")
     if eta.dim != m.dim:
         raise ValueError("dimension mismatch")
-    return _pairing(m.coeffs, xi, eta.coeffs)
-
-
-def _pairing(sigma, xi, phi):
-    """sum_chi phi[chi] * sigma[-xi - chi] over the overlap of the two
-    sorted coefficient maps, in phi's order."""
+    sigma, phi = m.coeffs, eta.coeffs
     neg_xi = [-x for x in xi]
     total = 0j
     if len(sigma) < len(phi):
-        for chi, amp in sorted(
-                (chi, amp) for chi, amp in (
-                    (tuple(map(operator.sub, neg_xi, key)), amp)
-                    for key, amp in sigma.items()) if chi in phi):
-            total += phi[chi] * amp
+        # walk the smaller support of m; sorted, its partners chi come
+        # in eta's order
+        for chi, amp in sorted((tuple(map(operator.sub, neg_xi, key)), amp)
+                               for key, amp in sigma.items()):
+            if chi in phi:
+                total += phi[chi] * amp
     else:
         for chi, amp in phi.items():
             other = sigma.get(tuple(map(operator.sub, neg_xi, chi)))
@@ -284,12 +280,10 @@ def character_expansion_check(sigma, phi):
         raise TypeError("expected a TorusObservable")
     if phi.dim != sigma.dim:
         raise ValueError("dimension mismatch")
+    haar = TorusMeasure.haar(sigma.dim)
     expanded = 0j
     for chi, amp in sigma.coeffs.items():
-        # nu_chi(Phi) under Haar, as character_twist sums it: 0j +
-        # phi_hat(-chi) * 1 when -chi is in the support of Phi, else 0j
-        hat = phi.coeffs.get(tuple(-c for c in chi))
-        expanded += amp * (0j if hat is None else 0j + hat * (1 + 0j))
+        expanded += amp * character_twist(haar, chi, phi)
     mesh = _midpoint_mesh(tuple(
         max(a + b + 1, 64) for a, b in zip(sigma.bandwidth(),
                                            phi.bandwidth())))
