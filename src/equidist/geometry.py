@@ -201,9 +201,13 @@ def _cone(tag, dim_t):
 
 
 def log_star_norm(action, t):
-    """log of the star norm: max over roots alpha of |alpha(t)|."""
-    vals = action.root_values(t)
-    return float(np.max(np.abs(vals)))
+    """log of the star norm: max over roots alpha of |alpha(t)|.
+
+    A float for one point; for a stack of points (..., dim_t), the array
+    of their logs, each the value its point has alone.
+    """
+    logs = np.max(np.abs(action.root_values(t)), axis=-1)
+    return float(logs) if logs.ndim == 0 else logs
 
 
 def star_norm(action, t):

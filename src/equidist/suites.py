@@ -17,7 +17,8 @@ import numpy as np
 
 from .constants import (AssumptionParams, ConstantGrowth, PowerLawGrowth,
                         TabulatedGrowth, _exp, build_ledger)
-from .geometry import RootAction, TupleStack, select_direction, tuple_stats
+from .geometry import (RootAction, TupleStack, log_star_norm,
+                       select_direction, tuple_stats)
 from .modular import (BumpProfile, EisensteinObservable,
                       check_integral_estimate, reduce_arrays)
 from .selection import choose_window, pigeonhole
@@ -185,8 +186,8 @@ def _suite_geometry(rng, trials):
     """Star norms are submultiplicative and even, as relative defects,
     for u_mn(2, 1) and u_mn(1, 2) on [-5, 5]^3.  Each trial's (s, t) is
     drawn per action in turn; each action's norms then come from one
-    stacked root_values call per operand, which gives a point the values
-    it has alone."""
+    stacked log_star_norm call per operand, which gives a point the
+    value it has alone, and math.exp per value, as star_norm takes it."""
     actions = (RootAction.u_mn(2, 1), RootAction.u_mn(1, 2))
     draws = np.array([rng.uniform(-5.0, 5.0, size=(2, 3))
                       for _ in range(trials) for _ in actions]
@@ -195,8 +196,7 @@ def _suite_geometry(rng, trials):
     for k, action in enumerate(actions):
         s, t = draws[:, k, 0], draws[:, k, 1]
         norms.append(zip(*(
-            [math.exp(v) for v in
-             np.max(np.abs(action.root_values(pts)), axis=-1).tolist()]
+            [math.exp(v) for v in log_star_norm(action, pts).tolist()]
             for pts in (s, t, s + t, -s))))
     worst = 0.0
     for trial in zip(*norms):

@@ -167,11 +167,7 @@ class TorusMeasure(_FourierData):
 
     @classmethod
     def haar(cls, dim=1):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
-        return cls._from_columns(dim, {(0,) * dim: 1 + 0j},
-                                 np.zeros((1, dim)))
+        return cls(dim, {(0,) * dim: 1.0})
 
     @classmethod
     def from_json(cls, obj):
@@ -220,21 +216,14 @@ def character_twist(m, xi, eta):
         raise TypeError("expected a TorusObservable")
     if eta.dim != m.dim:
         raise ValueError("dimension mismatch")
-    sigma, phi = m.coeffs, eta.coeffs
+    phi = eta.coeffs
     neg_xi = [-x for x in xi]
     total = 0j
-    if len(sigma) < len(phi):
-        # walk the smaller support of m; sorted, its partners chi come
-        # in eta's order
-        for chi, amp in sorted((tuple(map(operator.sub, neg_xi, key)), amp)
-                               for key, amp in sigma.items()):
-            if chi in phi:
-                total += phi[chi] * amp
-    else:
-        for chi, amp in phi.items():
-            other = sigma.get(tuple(map(operator.sub, neg_xi, chi)))
-            if other is not None:
-                total += amp * other
+    # m's partners chi = -xi - key, sorted, come in eta's order
+    for chi, amp in sorted((tuple(map(operator.sub, neg_xi, key)), amp)
+                           for key, amp in m.coeffs.items()):
+        if chi in phi:
+            total += phi[chi] * amp
     return total
 
 

@@ -141,6 +141,21 @@ def test_star_norm_submultiplicative(seed):
     assert worst < 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([(1,), (7,), (3, 4)]))
+def test_log_star_norm_stacked(seed, lead):
+    # a stack gives each point the log it has alone, bit for bit
+    pts = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(*lead, 3))
+    for action in (RootAction.u_mn(2, 1), RootAction.u_mn(1, 2)):
+        logs = log_star_norm(action, pts)
+        assert logs.shape == lead
+        alone = [log_star_norm(action, p) for p in pts.reshape(-1, 3)]
+        assert all(type(v) is float for v in alone)
+        assert logs.reshape(-1).tolist() == alone
+        assert [star_norm(action, p) for p in pts.reshape(-1, 3)] == [
+            math.exp(v) for v in alone]
+
+
 def test_rho_is_exp_of_min_coordinate():
     act = RootAction.u_mn(1, 2)
     stats = tuple_stats(TupleStack(act, [[[5.0, 2.0, 3.0], [9.0, 4.0, 5.0]]]))
