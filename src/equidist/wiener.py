@@ -45,8 +45,6 @@ _SEQUENCES, _INT = (tuple, list), {int}
 def _norm_key(chi, dim):
     if type(chi) in _SEQUENCES and set(map(type, chi)) <= _INT:
         chi = tuple(chi)
-    elif type(chi) is np.ndarray and chi.ndim == 1 and chi.dtype.kind == "i":
-        chi = tuple(chi.tolist())
     elif isinstance(chi, (int, np.integer)):
         chi = (int(chi),)
     else:
