@@ -15,7 +15,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each module's __all__, in module order; tests hold the two equal
+# the public names of each module, in module order; the modules keep
+# no __all__ of their own
 _EXPORTS = {
     "constants": (
         "PowerLawGrowth", "TabulatedGrowth", "ConstantGrowth",

@@ -4,7 +4,8 @@ Five subcommands: ledger (constant tables), schedule (direction and
 window selection for translation tuples), correlate (horocycle
 correlation experiments), fit (decay-exponent fits on existing CSVs),
 and verify (a seeded self-check battery).  Each takes --manifest, --out,
---seed and --threads; correlate also takes --nodes.
+--seed and --threads; correlate also takes --nodes.  Only correlate uses
+--threads: its rows run on that many worker threads.
 
 One driver runs every subcommand: it checks the manifest, resolves the
 seed, calls the subcommand's body, writes the files the body returns
@@ -25,14 +26,15 @@ integer arithmetic; schedule and correlate import numpy and their
 layers, and verify imports its suites from equidist.suites.  The front
 end is the standard library's argparse, which words usage errors.
 
-Exit codes: 0 success, 2 manifest or file problems, 3 numerical
-failures, failed window checks and failed verify suites.  Errors are
-emitted as one-line JSON on stderr so wrappers can parse them.  All CSV
-output uses 17-significant-digit scientific notation and fixed row
-order, so re-running a manifest reproduces the bytes exactly,
-regardless of the thread count.  Every JSON output file is one line of
-strict JSON (RFC 8259) with sorted keys; a NaN or infinite float is
-written as null, next to a log10 twin where the value can read inf.
+Exit codes: 0 success, 2 manifest or file problems (a file that cannot
+be read or written included), 3 numerical failures, failed window checks
+and failed verify suites.  Errors are emitted as one-line JSON on stderr
+so wrappers can parse them.  All CSV output uses 17-significant-digit
+scientific notation and fixed row order, so re-running a manifest
+reproduces the bytes exactly, regardless of the thread count.  Every
+JSON output file is one line of strict JSON (RFC 8259) with sorted keys;
+a NaN or infinite float is written as null, next to a log10 twin where
+the value can read inf.
 """
 
 import argparse
@@ -63,8 +65,8 @@ def _fail(code, kind, message, path=None):
 
 
 def _read_text(path, what):
-    """The file's text; exit 2 naming the file if it is missing or not
-    UTF-8."""
+    """The file's text; exit 2 naming the file if it is missing, cannot
+    be read or is not UTF-8."""
     if not os.path.isfile(path):
         _fail(2, "file-missing", "%s not found: %s" % (what, path))
     try:
@@ -73,6 +75,9 @@ def _read_text(path, what):
     except ValueError as exc:
         _fail(2, "file-encoding", "%s is not UTF-8 text: %s (%s)"
               % (what, path, exc))
+    except OSError as exc:
+        _fail(2, "file-read", "%s cannot be read: %s (%s)"
+              % (what, path, exc.strerror or exc))
 
 
 def _load_manifest(path, expect_mode):
@@ -101,21 +106,6 @@ def __getattr__(name):
     if name in equidist.__all__:
         return getattr(equidist, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def _resolve_threads(threads):
-    if threads is None:
-        threads = os.environ.get("EQUIDIST_THREADS", "1")
-    try:
-        threads = int(threads)
-    except ValueError:
-        _fail(2, "schema", "thread count must be an integer, got %r"
-              % threads)
-    if threads < 1:
-        _fail(2, "schema", "thread count must be at least 1, got %d; pass "
-              "--threads 1 or set EQUIDIST_THREADS to a positive integer"
-              % threads)
-    return threads
 
 
 def _write(path, text):
@@ -176,14 +166,11 @@ def _csv_lines(header, rows):
                        for v in row) + "\n"
 
 
-def _csv_text(header, rows):
-    """The comma-separated table of _csv_lines as one text."""
-    return "".join(_csv_lines(header, rows))
-
-
 # {subcommand: (body, its (flag, floor, help) options)}, in help order
 _COMMANDS = {}
 _SEED = ("--seed", 0, "Override the manifest seed.")
+_THREADS = ("--threads", 1, "Worker threads; only correlate uses them "
+            "(default 1).")
 
 
 def _subcommand(*flags):
@@ -236,9 +223,7 @@ def _parser(prog):
         sub.add_argument("--out", dest="out_dir", default=".",
                          type=_directory, metavar="DIR",
                          help="Output directory.")
-        sub.add_argument("--threads", type=int, metavar="N", help=(
-            "Worker threads (default: EQUIDIST_THREADS or 1)."))
-        for flag, _, text in (*flags, _SEED):
+        for flag, _, text in (_THREADS, *flags, _SEED):
             sub.add_argument(flag, type=int, metavar="N", help=text)
     return top
 
@@ -249,11 +234,11 @@ def main(args=None, prog_name=None):
     argparse's usage message or one JSON error line on stderr."""
     opts = vars(_parser(prog_name or "equidist").parse_args(args))
     body, flags = _COMMANDS[opts.pop("command")]
-    for flag, floor, _ in (*flags, _SEED):
+    for flag, floor, _ in (*flags, _SEED, _THREADS):
         if (value := opts[flag[2:]]) is not None and value < floor:
             _fail(2, "schema", "%s must be at least %d, got %d"
                   % (flag, floor, value))
-    threads = _resolve_threads(opts.pop("threads"))
+    threads = opts.pop("threads") or 1
     seed = opts.pop("seed")
     mode = body.__name__
     manifest = _load_manifest(opts["manifest_path"], mode)
@@ -265,10 +250,15 @@ def main(args=None, prog_name=None):
     except _NUMERIC_ERRORS as exc:
         # a bare MemoryError has no message: name it
         _fail(3, "numerical", str(exc) or type(exc).__name__)
-    out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in files.items():
-        _write(os.path.join(out_dir, name), text)
+    path = out_dir = opts["out_dir"]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files.items():
+            path = os.path.join(out_dir, name)
+            _write(path, text)
+    except OSError as exc:
+        _fail(2, "file-write", "output cannot be written: %s (%s)"
+              % (path, exc.strerror or exc))
     lines = iter(lines)
     while block := list(islice(lines, _ECHO_LINES)):
         print("\n".join(block))
@@ -317,7 +307,7 @@ def ledger(blk, seed, **_):
               % (ev["r"], ev["Delta"], ev["bound"], ev["threshold_ok"])
               for ev in evaluations]
     return {
-        "ledger.csv": _csv_text(
+        "ledger.csv": _csv_lines(
             ("r", "d_r", "D_r", "log10_D_r", "delta_r", "eps_r",
              "threshold"),
             [(row.r, row.d_r, row.D_r, row.log_D_r / _LOG10, row.delta_r,
@@ -576,7 +566,7 @@ def correlate(blk, seed, threads, nodes, **_):
         lines.append("  fit: exponent=%.6g prefactor=%.6g residual=%.6g"
                      % (fit.exponent, fit.prefactor, fit.residual))
     return {
-        "correlate.csv": _csv_text(
+        "correlate.csv": _csv_lines(
             ["r"] + ["t_%d" % (k + 1) for k in range(r)]
             + ["Delta_add", "Delta_mult", "value_re", "value_im",
                "mu_product", "abs_error", "N_nodes"],

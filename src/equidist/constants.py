@@ -20,20 +20,7 @@ lambda.
 
 import math
 import sys
-from dataclasses import dataclass
-
-__all__ = [
-    "PowerLawGrowth",
-    "TabulatedGrowth",
-    "ConstantGrowth",
-    "AssumptionParams",
-    "LedgerRow",
-    "BoundLedger",
-    "BoundValue",
-    "base_case",
-    "build_ledger",
-    "bound_evaluate",
-]
+from dataclasses import dataclass, fields
 
 _LOG10 = math.log(10.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -54,7 +41,8 @@ def _logaddexp(x, y):
 
 # Growth profiles share the accessor triple (log_B_d, b_exp, log_M_d);
 # the b accessor is not named plain "b" to keep the tabulated fields
-# B, b, M available under their natural names.
+# B, b, M available under their natural names.  A profile's JSON is its
+# class attribute kind and its fields.
 
 @dataclass(frozen=True)
 class PowerLawGrowth:
@@ -138,6 +126,11 @@ class ConstantGrowth:
         return math.log(self.M)
 
 
+# {kind: growth class}
+_GROWTH = {g.kind: g for g in (PowerLawGrowth, TabulatedGrowth,
+                                ConstantGrowth)}
+
+
 @dataclass(frozen=True)
 class AssumptionParams:
     """Input constants for the correlation bound recursion.
@@ -171,8 +164,7 @@ class AssumptionParams:
             raise ValueError("A >= 1 is required")
         if not self.a > 0.0:
             raise ValueError("a > 0 is required")
-        if not isinstance(self.growth,
-                          (PowerLawGrowth, TabulatedGrowth, ConstantGrowth)):
+        if not isinstance(self.growth, tuple(_GROWTH.values())):
             raise ValueError("growth must be a PowerLawGrowth, "
                              "TabulatedGrowth, or ConstantGrowth")
 
@@ -183,41 +175,24 @@ class AssumptionParams:
                              % (d, v))
         return v
 
-    def log_B(self, d):
-        return self.growth.log_B_d(d)
-
-    def log_M(self, d):
-        return self.growth.log_M_d(d)
-
     def to_json(self):
-        g = self.growth
-        if g.kind == "power-law":
-            gd = {"kind": "power-law", "L1": g.L1, "ell": g.ell, "L2": g.L2}
-        elif g.kind == "tabulated":
-            gd = {"kind": "tabulated", "B": list(g.B), "b": list(g.b),
-                  "M": list(g.M)}
-        else:
-            gd = {"kind": "constant", "B": g.B, "b": g.b, "M": g.M}
+        growth = {"kind": self.growth.kind}
+        for name, value in vars(self.growth).items():
+            growth[name] = list(value) if isinstance(value, tuple) else value
         return {"d_o": self.d_o, "D_o": self.D_o, "delta_o": self.delta_o,
                 "C": self.C, "c": self.c, "A": self.A, "a": self.a,
-                "growth": gd}
+                "growth": growth}
 
     @classmethod
     def from_json(cls, obj):
         """Build from the dict that to_json writes."""
         gd = obj["growth"]
-        kind = gd["kind"]
-        if kind == "power-law":
-            g = PowerLawGrowth(float(gd["L1"]), float(gd["ell"]),
-                               float(gd["L2"]))
-        elif kind == "tabulated":
-            g = TabulatedGrowth(tuple(gd["B"]), tuple(gd["b"]),
-                                tuple(gd["M"]))
-        elif kind == "constant":
-            g = ConstantGrowth(float(gd["B"]), float(gd["b"]),
-                               float(gd["M"]))
-        else:
-            raise ValueError("unknown growth kind %r" % kind)
+        kind = _GROWTH.get(gd["kind"])
+        if kind is None:
+            raise ValueError("unknown growth kind %r" % gd["kind"])
+        # floats, so integer JSON echoes as 2.0; a table becomes a tuple
+        g = kind(*(tuple(map(float, v)) if isinstance(v, list) else float(v)
+                   for v in (gd[f.name] for f in fields(kind))))
         return cls(d_o=int(obj["d_o"]), D_o=float(obj["D_o"]),
                    delta_o=float(obj["delta_o"]), C=float(obj["C"]),
                    c=float(obj["c"]), A=float(obj["A"]), a=float(obj["a"]),
@@ -226,8 +201,9 @@ class AssumptionParams:
 
 def _log_P(params, d):
     """P_d = (M_d B_{d+d_o}^2 + 2 B_d^2)^(1/(2 b_{d+d_o})), in log."""
-    num = _logaddexp(params.log_M(d) + 2.0 * params.log_B(d + params.d_o),
-                     math.log(2.0) + 2.0 * params.log_B(d))
+    g = params.growth
+    num = _logaddexp(g.log_M_d(d) + 2.0 * g.log_B_d(d + params.d_o),
+                     math.log(2.0) + 2.0 * g.log_B_d(d))
     return num / (2.0 * params.b(d + params.d_o))
 
 
@@ -241,9 +217,10 @@ def base_case(params):
     past the float range, row.log_D_r keeps the value.
     """
     d1 = 2 * params.d_o
+    g = params.growth
     log_Bprime = _logaddexp(
-        params.log_M(params.d_o) + 2.0 * params.log_B(2 * params.d_o),
-        math.log(2.0) + params.log_B(params.d_o))
+        g.log_M_d(params.d_o) + 2.0 * g.log_B_d(2 * params.d_o),
+        math.log(2.0) + g.log_B_d(params.d_o))
     log_D1p = math.log(5.0) + 0.5 * max(math.log(params.C),
                                         math.log(params.D_o) + log_Bprime)
     log_D1 = max(math.log(params.D_o), log_D1p)

@@ -25,17 +25,6 @@ from itertools import combinations
 
 import numpy as np
 
-__all__ = [
-    "RootAction",
-    "TupleStack",
-    "StatsColumns",
-    "SelectionColumns",
-    "star_norm",
-    "log_star_norm",
-    "tuple_stats",
-    "select_direction",
-]
-
 
 class RootAction:
     """Weight data for a diagonalizable action of R^dim_t.
@@ -368,8 +357,7 @@ def _stats_stack(action, entries):
     i, j = np.array(list(combinations(range(r), 2)),
                     dtype=np.intp).reshape(-1, 2).T
     # log star norm of every pair t_i - t_j, i < j
-    pair = np.max(np.abs(action.root_values(entries[:, i] - entries[:, j])),
-                  axis=2)
+    pair = log_star_norm(action, entries[:, i] - entries[:, j])
     # the first smallest minimum, as a left fold keeps it (0.0 and -0.0
     # tie)
     log_rho_r = np.take_along_axis(mins, np.argmin(mins, axis=1)[:, None],

@@ -20,8 +20,6 @@ geometry.SelectionColumns.log_norms and their exponentials.
 import math
 from dataclasses import dataclass
 
-__all__ = ["pigeonhole", "choose_window", "WindowChoice"]
-
 _TOL = 1e-12
 
 

@@ -28,15 +28,6 @@ import operator
 
 import numpy as np
 
-__all__ = [
-    "TorusMeasure",
-    "TorusObservable",
-    "wiener_norm",
-    "character_twist",
-    "equivariance_check",
-    "character_expansion_check",
-]
-
 _TWO_PI_I = 2j * math.pi
 # a tuple or list of ints alone is a character as it stands
 _SEQUENCES, _INT = (tuple, list), {int}

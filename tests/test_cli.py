@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from equidist import _draft7, cli, modular
-from equidist.cli import _csv_text, _finite_or_null, _json_text, main
+from equidist.cli import _csv_lines, _finite_or_null, _json_text, main
 from equidist.constants import _exp
 from equidist.geometry import (RootAction, TupleStack, select_direction,
                                tuple_stats)
@@ -94,10 +94,10 @@ def rebuilt_schedule_csv(block):
                                                sel.l)),
                      theta, win.p, win.q, win.L, win.log_L,
                      *(ok for _, _, ok in win.checks.values())))
-    return _csv_text(
+    return "".join(_csv_lines(
         ("tuple_index", "r", "rho_r", "m_r", "M_r", "Delta_mult",
          "chosen_root", "i", "j", "l", "theta", "p", "q", "L", "log_L",
-         "ok_scale_cap", "ok_group_lower", "ok_group_upper"), rows)
+         "ok_scale_cap", "ok_group_lower", "ok_group_upper"), rows))
 
 
 # the smallest value each flag accepts
@@ -396,21 +396,25 @@ class TestManifestErrors:
             "error": "schema", "message": "'three' is not of type 'integer'",
             "path": ["ledger", "r_max"]}
 
-    def test_garbage_thread_env_rejected(self, tmp_path, runner):
+    def test_thread_environment_variable_is_not_read(self, tmp_path,
+                                                     runner):
+        # --threads is the only thread setting; the retired
+        # EQUIDIST_THREADS variable neither refuses nor sets a count
         mpath = write_manifest(
             tmp_path / "m.json",
             {"mode": "correlate", "correlate": dict(CORRELATE_BLOCK)})
         res = runner.invoke(main, ["correlate", "--manifest", mpath,
                                    "--out", str(tmp_path)],
                             env={"EQUIDIST_THREADS": "many"})
-        assert res.exit_code == 2
-        err = json.loads(res.stderr)
-        assert "thread count" in err["message"]
+        assert res.exit_code == 0, res.stderr
+        assert (tmp_path / "correlate.csv").exists()
 
     @pytest.mark.parametrize("flag,env", [
         (["--threads", "0"], {}),
         (["--threads", "-2"], {}),
-        ([], {"EQUIDIST_THREADS": "-1"}),
+        # a valid count in the retired EQUIDIST_THREADS does not
+        # rescue the flag
+        (["--threads", "0"], {"EQUIDIST_THREADS": "2"}),
         # the schema's minimum for the manifest's nodes and seed
         (["--nodes", "8"], {}),
         (["--seed", "-1"], {}),
@@ -425,7 +429,7 @@ class TestManifestErrors:
         assert res.exit_code == 2
         err = json.loads(res.stderr)
         assert err["error"] == "schema"
-        name = flag[0] if flag else "--threads"
+        name = flag[0]
         assert name in err["message"]
         assert "at least %d" % FLAG_FLOORS[name] in err["message"]
         assert not (tmp_path / "correlate.csv").exists()
@@ -494,6 +498,51 @@ def test_out_naming_a_file_is_refused(tmp_path, runner):
     assert "argument --out: " in res.stderr
     assert taken.read_text(encoding="utf-8") == "kept\n"
     assert sorted(f.name for f in tmp_path.iterdir()) == ["m.json", "taken"]
+
+
+def test_out_that_cannot_be_made_exits_2(tmp_path, runner):
+    # a directory under a regular file
+    mpath = write_manifest(tmp_path / "m.json", {
+        "mode": "verify", "verify": {"trials": 10}})
+    (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+    out = tmp_path / "taken" / "sub"
+    res = runner.invoke(main, ["verify", "--manifest", mpath,
+                               "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.output == ""
+    err = json.loads(res.stderr)
+    assert err["error"] == "file-write"
+    assert str(out) in err["message"]
+
+
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, runner):
+    # ledger.csv taken by a directory
+    mpath = write_manifest(tmp_path / "m.json", {
+        "mode": "ledger", "ledger": {"params": GOLDEN_PARAMS, "r_max": 3}})
+    (tmp_path / "out" / "ledger.csv").mkdir(parents=True)
+    res = runner.invoke(main, ["ledger", "--manifest", mpath,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert res.output == ""
+    err = json.loads(res.stderr)
+    assert err["error"] == "file-write"
+    assert str(tmp_path / "out" / "ledger.csv") in err["message"]
+
+
+def test_file_that_cannot_be_read_exits_2(tmp_path, runner, monkeypatch):
+    # a file without read permission; simulated, since root reads any file
+    mpath = write_manifest(tmp_path / "m.json", {
+        "mode": "ledger", "ledger": {"params": GOLDEN_PARAMS, "r_max": 3}})
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    res = runner.invoke(main, ["ledger", "--manifest", mpath])
+    assert res.exit_code == 2
+    err = json.loads(res.stderr)
+    assert err == {"error": "file-read", "message": "manifest cannot be "
+                   "read: %s (Permission denied)" % mpath}
 
 
 def test_version_and_help(runner):

@@ -78,6 +78,22 @@ class TestAssumptionParams:
             back = AssumptionParams.from_json(
                 json.loads(json.dumps(p.to_json())))
             assert back == p
+        # integer JSON is read as floats and written back as 2.0; 2 == 2.0,
+        # so only the written bytes see a dropped conversion
+        for growth, written in (
+                ({"kind": "power-law", "L1": 2, "ell": 1, "L2": 3},
+                 '{"L1": 2.0, "L2": 3.0, "ell": 1.0, "kind": "power-law"}'),
+                ({"kind": "tabulated", "B": [1, 2], "b": [1, 2], "M": [3, 1]},
+                 '{"B": [1.0, 2.0], "M": [3.0, 1.0], "b": [1.0, 2.0], '
+                 '"kind": "tabulated"}'),
+                ({"kind": "constant", "B": 2, "b": 1, "M": 3},
+                 '{"B": 2.0, "M": 3.0, "b": 1.0, "kind": "constant"}')):
+            p = AssumptionParams.from_json(
+                {"d_o": 1, "D_o": 2, "delta_o": 1, "C": 1, "c": 0.25,
+                 "A": 1, "a": 1, "growth": growth})
+            assert json.dumps(p.to_json(), sort_keys=True) == (
+                '{"A": 1.0, "C": 1.0, "D_o": 2.0, "a": 1.0, "c": 0.25, '
+                '"d_o": 1, "delta_o": 1.0, "growth": %s}' % written)
 
 
 class TestBaseCase:
@@ -140,8 +156,9 @@ class TestRecursiveLedger:
             prev, row = led.row(r - 1), led.row(r)
             d = prev.d_r
             b = p.b(d + p.d_o)
-            P_d = (math.exp(p.log_M(d) + 2.0 * p.log_B(d + p.d_o))
-                   + 2.0 * math.exp(2.0 * p.log_B(d))) ** (1.0 / (2.0 * b))
+            g = p.growth
+            P_d = (math.exp(g.log_M_d(d) + 2.0 * g.log_B_d(d + p.d_o))
+                   + 2.0 * math.exp(2.0 * g.log_B_d(d))) ** (1.0 / (2.0 * b))
             eps_r = prev.delta_r / (2.0 * c1 / r + 2.0 * r * b)
             D_r = 2.0 * P1 * P_d ** (r * b) * math.sqrt(prev.D_r) + r * Q
             assert row.d_r == d + p.d_o

@@ -720,6 +720,18 @@ class TestGaussLegendre:
         val = correlation(haar, pair, [3.5, 7.0], nodes=2 ** 14)
         assert abs(val - _quad_oracle(pair, [3.5, 7.0])) <= 1e-12
 
+    @pytest.mark.parametrize("times", [(1.0, 2.0, 3.0), (2.0, 3.0, 4.0),
+                                       (3.0, 4.5, 6.0)])
+    def test_haar_triple_against_the_oracle(self, times):
+        # r = 3: three Eisenstein factors in one row
+        haar = HorocycleMeasure.haar()
+        triple = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
+                  EisensteinObservable(BumpProfile("bump", 2.0, 4.0)),
+                  EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
+        val = correlation(haar, triple, list(times), nodes=2 ** 14)
+        assert val != 0.0
+        assert abs(val - _quad_oracle(triple, list(times))) <= 1e-12
+
     @pytest.mark.parametrize("xi", [0, 3])
     def test_wiener_against_the_oracle(self, xi):
         sigma = _wiener()
