@@ -29,7 +29,7 @@ _EXPORTS = {
         "BumpProfile", "EisensteinObservable", "ConstantObservable",
         "HorocycleMeasure", "IntegralEstimate", "DecayFit", "reduce_arrays",
         "mu_integral", "correlation", "check_integral_estimate",
-        "fit_decay", "delta_statistics", "s_norm_surrogate"),
+        "fit_decay", "s_norm_surrogate"),
     "selection": ("pigeonhole", "choose_window", "WindowChoice"),
     "wiener": (
         "TorusMeasure", "TorusObservable", "wiener_norm", "character_twist",

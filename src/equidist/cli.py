@@ -22,9 +22,11 @@ The module imports none of the layers: each body imports the layers it
 runs when it is called.  A ledger run loads the constant ledger and no
 numpy; a fit run loads no layer at all, since its body imports
 equidist._fit, which reads the CSV with the csv module and fits in
-integer arithmetic; schedule and correlate import numpy and their
-layers, and verify imports its suites from equidist.suites.  The front
-end is the standard library's argparse, which words usage errors.
+integer arithmetic; schedule imports numpy, geometry, selection and
+constants; correlate imports numpy, modular, wiener and geometry, whose
+tuple_stats gives its decay parameter; and verify imports its suites
+from equidist.suites.  The front end is the standard library's
+argparse, which words usage errors.
 
 Exit codes: 0 success, 2 manifest or file problems (a file that cannot
 be read or written included), 3 numerical failures, failed window checks
@@ -42,6 +44,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from itertools import islice
 
 from . import __version__
@@ -482,10 +485,10 @@ def _expand_times(blk):
               "enumerate."))
 def correlate(blk, seed, threads, nodes, **_):
     """Run horocycle correlation experiments from a manifest."""
-    from .modular import (BumpProfile, ConstantObservable,
+    from .geometry import TupleStack, tuple_stats
+    from .modular import (_TIME_ACTION, BumpProfile, ConstantObservable,
                           EisensteinObservable, HorocycleMeasure, _check_rows,
-                          correlation, delta_statistics, fit_decay,
-                          s_norm_surrogate)
+                          correlation, fit_decay, s_norm_surrogate)
     from .wiener import TorusMeasure, wiener_norm
 
     sigma = TorusMeasure.from_json(blk["sigma"])
@@ -500,22 +503,23 @@ def correlate(blk, seed, threads, nodes, **_):
     n_nodes = int(nodes if nodes is not None else blk.get("nodes", 2 ** 14))
     # one refusal names the nodes that admit every row's Farey set
     _check_rows(observables, time_rows, n_nodes)
+    d_add = tuple_stats(TupleStack(
+        _TIME_ACTION, [[[t] for t in times] for times in time_rows]
+    )).log_Delta_r.tolist()
+    d_mult = [math.exp(d) for d in d_add]
     mu_product = 1.0
     for obs in observables:
         mu_product *= obs.mu
 
-    def run_row(times):
-        val = correlation(measure, observables, times, nodes=n_nodes)
-        d_add, d_mult = delta_statistics(times)
-        return val, d_add, d_mult, abs(val - mu_product)
-
+    row_value = partial(correlation, measure, observables, nodes=n_nodes)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_row, time_rows))
+            values = list(ex.map(row_value, time_rows))
     else:
-        results = [run_row(row) for row in time_rows]
+        values = list(map(row_value, time_rows))
+    errors = [abs(val - mu_product) for val in values]
 
     echo = {"mode": "correlate", "seed": seed, "version": __version__,
             "sigma": sigma.to_json(), "profiles": blk["profiles"],
@@ -527,14 +531,14 @@ def correlate(blk, seed, threads, nodes, **_):
 
         bparams = AssumptionParams.from_json(blk["bound"]["params"])
         bmode = "theorem-%s" % blk["bound"].get("theorem", "A")
-        bled = build_ledger(bparams, max(r, 1), mode=bmode)
+        bled = build_ledger(bparams, r, mode=bmode)
         d_r = bled.row(r).d_r
         surrogate_order = min(d_r, 4)
         s_norms = [s_norm_surrogate(obs, surrogate_order)
                    for obs in observables]
         w_norm = wiener_norm(sigma)
-        bounds = [bound_evaluate(bled, r, max(d_mult, 1.0), w_norm, s_norms)
-                  for _, _, d_mult, _ in results]
+        bounds = [bound_evaluate(bled, r, d, w_norm, s_norms)
+                  for d in d_mult]
         echo["bound"] = {"mode": bled.mode, "d_r": d_r,
                          "surrogate_order": surrogate_order,
                          "wiener_norm": w_norm, "s_norms": s_norms,
@@ -545,17 +549,16 @@ def correlate(blk, seed, threads, nodes, **_):
 
     lines = ["correlate: r=%d rows=%d nodes=%d mu_product=%.8g"
              % (r, len(time_rows), n_nodes, mu_product)]
-    for k, (times, (_, _, d_mult, err)) in enumerate(zip(time_rows,
-                                                         results)):
+    for k, (times, d, err) in enumerate(zip(time_rows, d_mult, errors)):
         lines.append("  t=(%s) Delta=%.6g measured_err=%.6g"
-                     % (",".join("%g" % t for t in times), d_mult, err))
+                     % (",".join("%g" % t for t in times), d, err))
         if bounds is not None:
             lines[-1] += " bound=%.6g" % bounds[k].value
     if bounds is not None:
-        exceeded = sum(b.value < res[3] for b, res in zip(bounds, results))
+        exceeded = sum(b.value < err for b, err in zip(bounds, errors))
         lines.append("  bound check (soft): %d of %d rows exceed the bound"
                      % (exceeded, len(time_rows)))
-    pos = [(d_mult, err) for _, _, d_mult, err in results if err > 0.0]
+    pos = [(d, err) for d, err in zip(d_mult, errors) if err > 0.0]
     try:
         fit = fit_decay([d for d, _ in pos], [e for _, e in pos])
     except ValueError:
@@ -570,10 +573,10 @@ def correlate(blk, seed, threads, nodes, **_):
             ["r"] + ["t_%d" % (k + 1) for k in range(r)]
             + ["Delta_add", "Delta_mult", "value_re", "value_im",
                "mu_product", "abs_error", "N_nodes"],
-            [(r, *times, d_add, d_mult, val.real, val.imag, mu_product,
-              err, n_nodes)
-             for times, (val, d_add, d_mult, err) in zip(time_rows,
-                                                         results)]),
+            [(r, *times, da, dm, val.real, val.imag, mu_product, err,
+              n_nodes)
+             for times, da, dm, val, err in zip(time_rows, d_add, d_mult,
+                                                values, errors)]),
         "correlate_manifest.json": _json_text(echo),
         # Delta_mult and abs_error are columns r + 3 and r + 7
         "correlate.gp": _gnuplot(

@@ -30,9 +30,15 @@ import numpy as np
 # the fit needs no numpy and lives apart, so a fit run loads none; the
 # root's export table and bench/spans.py reach both names through here
 from ._fit import DecayFit, fit_decay
+from .geometry import RootAction
 
 _Y_FLOOR = math.sqrt(3.0) / 2.0
 _TIME_CAP = 30.0
+# a correlate time t as a translation: the one root reads t, so
+# rho = e^t is how far the horocycle at height e^-t is expanded, and
+# geometry.tuple_stats over the entries [[t_1], ..., [t_r]] gives a
+# row's decay parameter Delta = min(t_i, pairwise gaps)
+_TIME_ACTION = RootAction(1, [[1.0]])
 
 
 def reduce_arrays(x, y):
@@ -492,22 +498,6 @@ def check_integral_estimate(R, c):
     rhs = 7.0 * R ** (-c) / (1.0 - c)
     return IntegralEstimate(lhs=lhs, rhs=rhs,
                             passed=bool(lhs <= rhs * (1.0 + 1e-12)))
-
-
-def delta_statistics(times):
-    """Additive and multiplicative decay parameter of a time tuple:
-    min over the times themselves and all pairwise gaps (the latter only
-    for r >= 2).
-    """
-    t = [float(v) for v in times]
-    if len(t) < 1:
-        raise ValueError("need at least one time")
-    cands = [min(t)]
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            cands.append(abs(t[i] - t[j]))
-    delta_add = min(cands)
-    return delta_add, math.exp(delta_add)
 
 
 # central difference stencils of accuracy order 4: offset -> coefficient

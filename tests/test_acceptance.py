@@ -19,9 +19,11 @@ from scipy.integrate import dblquad, quad
 
 from equidist.cli import main
 from equidist.constants import AssumptionParams, PowerLawGrowth, build_ledger
-from equidist.modular import (BumpProfile, EisensteinObservable,
-                              HorocycleMeasure, check_integral_estimate,
-                              correlation, delta_statistics, fit_decay)
+from equidist.geometry import TupleStack, tuple_stats
+from equidist.modular import (_TIME_ACTION, BumpProfile,
+                              EisensteinObservable, HorocycleMeasure,
+                              check_integral_estimate, correlation,
+                              fit_decay)
 from equidist.suites import (_sparse_observable, _suite_integral,
                              _suite_ledger, _suite_modular, _suite_pigeonhole,
                              _suite_wiener, _suite_window)
@@ -222,12 +224,14 @@ def test_criterion_6_equidistribution_trend():
     first = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
     second = EisensteinObservable(BumpProfile("bump", 2.0, 4.0))
     mu_prod = first.mu * second.mu
-    deltas, errs = [], []
-    for t in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
-        val = correlation(measure, [first, second], [t, 2.0 * t],
-                          nodes=2 ** 15)
-        errs.append(abs(val - mu_prod))
-        deltas.append(delta_statistics([t, 2.0 * t])[1])
+    rows = [[t, 2.0 * t] for t in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
+    errs = [abs(correlation(measure, [first, second], row, nodes=2 ** 15)
+                - mu_prod) for row in rows]
+    # Delta_mult as correlate writes it: tuple_stats under the declared
+    # action of correlate's times
+    stats = tuple_stats(TupleStack(_TIME_ACTION,
+                                   [[[t] for t in row] for row in rows]))
+    deltas = [math.exp(d) for d in stats.log_Delta_r.tolist()]
     fit2 = fit_decay(deltas, errs)
     assert fit2.exponent > 0.0
     # the exponent of the adaptive-quadrature oracle values at these rows

@@ -1,14 +1,24 @@
+import contextlib
+import csv
+import io
+import json
 import math
+import os
+import tempfile
 from collections import Counter
 from dataclasses import fields
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equidist import cli, geometry
 from equidist.geometry import (_CHUNK, RootAction, TupleStack, log_star_norm,
                                select_direction, star_norm, tuple_stats)
+from equidist.modular import _TIME_ACTION
 from equidist.suites import _suite_geometry
 
 
@@ -199,6 +209,74 @@ class TestTupleStats:
         assert math.exp(stats.log_M_r[0]) == pytest.approx(
             star_norm(act, np.subtract(*entries)), rel=1e-15)
         assert stats.log_Delta_r.tolist() == [min(4.0, log_pair)]
+
+
+def delta_oracle(times):
+    """Reference for correlate's additive Delta: the smallest of the times
+    and their pairwise gaps, the first such on a tie."""
+    return min([min(times)] + [abs(a - b) for a, b in combinations(times, 2)])
+
+
+def time_stats(*rows):
+    """tuple_stats of correlate time rows, each time t the entry [t] of
+    the declared action."""
+    return tuple_stats(TupleStack(_TIME_ACTION,
+                                  [[[t] for t in row] for row in rows]))
+
+
+class TestTimeAction:
+    def test_single_time(self):
+        stats = time_stats([3.0])
+        assert stats.log_rho_r.tolist() == stats.log_Delta_r.tolist() == [3.0]
+
+    def test_pairwise_gap_wins(self):
+        assert time_stats([5.0, 6.0]).log_Delta_r.tolist() == [1.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5))
+    def test_delta_is_the_smallest_time_or_gap(self, times):
+        log_delta = time_stats(times).log_Delta_r.tolist()[0]
+        assert log_delta <= min(times)
+        assert repr(log_delta) == repr(delta_oracle(times))
+
+    @pytest.mark.parametrize("times, declared, halves", [
+        ((3.0,), 3.0, 1.5), ((2.0, 5.0), 2.0, 1.0),
+        ((4.0, 4.5, 9.0), 0.5, 0.5), ((1.0, 7.0), 1.0, 0.5)])
+    def test_convention(self, times, declared, halves):
+        # the one root of the declared action reads t; so does the root
+        # of u_mn(1,1) on the entry (t/2, t/2), whose rho = e^(t/2)
+        # halves the time term while the pair gaps agree
+        assert time_stats(times).log_Delta_r.tolist() == [declared]
+        stack = one(u11(), [[t / 2.0, t / 2.0] for t in times])
+        assert tuple_stats(stack).log_Delta_r.tolist() == [halves]
+
+
+_TIMES = st.sampled_from([0.0, -0.0, 1.0, 2.5, 30.0]) | st.floats(0.0, 30.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda r: st.lists(
+    st.lists(_TIMES, min_size=r, max_size=r), min_size=1, max_size=6)))
+def test_correlate_writes_the_oracle_delta(rows):
+    # constant profiles run no kernel; one tuple_stats call gives every
+    # row's Delta_add and Delta_mult
+    block = {"sigma": {"dim": 1, "coeffs": [{"chi": [0], "re": 1.0}]},
+             "profiles": [{"kind": "constant"}] * len(rows[0]),
+             "times": rows}
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"mode": "correlate", "correlate": block}, fh)
+        with mock.patch.object(geometry, "tuple_stats",
+                               wraps=tuple_stats) as spy, \
+                contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["correlate", "--manifest", path, "--out", out])
+        with open(os.path.join(out, "correlate.csv"),
+                  encoding="utf-8") as fh:
+            table = list(csv.DictReader(fh))
+    assert spy.call_count == 1
+    assert [(row["Delta_add"], row["Delta_mult"]) for row in table] == [
+        ("%.16e" % d, "%.16e" % math.exp(d)) for d in map(delta_oracle, rows)]
 
 
 class TestSelectDirection:

@@ -14,8 +14,8 @@ from equidist import modular
 from equidist.modular import (BumpProfile, ConstantObservable,
                               EisensteinObservable, HorocycleMeasure,
                               check_integral_estimate, correlation,
-                              delta_statistics, fit_decay, mu_integral,
-                              reduce_arrays, s_norm_surrogate)
+                              fit_decay, mu_integral, reduce_arrays,
+                              s_norm_surrogate)
 from equidist.suites import _suite_modular
 from equidist.wiener import TorusMeasure
 
@@ -993,23 +993,6 @@ class TestFitDecay:
         fit = fit_decay([math.exp(t) for t in ts], errs)
         assert fit.exponent > 0.0
         assert fit.exponent == pytest.approx(0.7139361820696822, rel=0.20)
-
-
-class TestDeltaStatistics:
-    def test_single_time(self):
-        add, mult = delta_statistics([3.0])
-        assert add == 3.0 and mult == pytest.approx(math.exp(3.0))
-
-    def test_pairwise_gap_wins(self):
-        add, mult = delta_statistics([5.0, 6.0])
-        assert add == 1.0
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5))
-    def test_lower_bound(self, times):
-        add, mult = delta_statistics(times)
-        assert add <= min(times)
-        assert mult == pytest.approx(math.exp(add))
 
 
 class TestNormSurrogate:

@@ -242,7 +242,9 @@ def test_fit_path_loads_no_numpy(tmp_path):
 
 
 def test_correlate_at_one_thread_starts_no_pool(tmp_path):
-    # concurrent.futures is imported only for a thread pool
+    # concurrent.futures is imported only for a thread pool; correlate
+    # reads its decay parameter from geometry.tuple_stats and needs
+    # neither the window selection nor the verify suites
     block = readme_manifests()["correlate"]
     family = block["correlate"]["family"]
     family["t_stop"] = family["t_start"]
@@ -250,8 +252,10 @@ def test_correlate_at_one_thread_starts_no_pool(tmp_path):
     manifest.write_text(json.dumps(block), encoding="utf-8")
     assert _imported_by(["-m", "equidist", "correlate", "--manifest",
                          str(manifest), "--out", str(tmp_path), "--threads",
-                         "1"], "equidist.modular", "concurrent") == [
-        "equidist.modular"]
+                         "1"], "equidist.modular", "equidist.geometry",
+                        "equidist.selection", "equidist.suites",
+                        "concurrent") == [
+        "equidist.geometry", "equidist.modular"]
 
 
 def test_boundless_correlate_loads_no_constant_ledger(tmp_path):
