@@ -507,9 +507,11 @@ def correlate(blk, seed, threads, nodes, **_):
         _TIME_ACTION, [[[t] for t in times] for times in time_rows]
     )).log_Delta_r.tolist()
     d_mult = [math.exp(d) for d in d_add]
-    mu_product = 1.0
-    for obs in observables:
-        mu_product *= obs.mu
+    mu_product = math.prod(obs.mu for obs in observables)
+    if not math.isfinite(mu_product):
+        raise ValueError("mu_product, the product of the profiles' means "
+                         "(%s), is not finite" % ", ".join(
+                             "%g" % obs.mu for obs in observables))
 
     row_value = partial(correlation, measure, observables, nodes=n_nodes)
     if threads > 1:
@@ -519,7 +521,19 @@ def correlate(blk, seed, threads, nodes, **_):
             values = list(ex.map(row_value, time_rows))
     else:
         values = list(map(row_value, time_rows))
-    errors = [abs(val - mu_product) for val in values]
+    # a value that is not finite has an error that is not finite; abs
+    # raises on finite parts whose modulus is past the float range
+    errors = []
+    for times, val in zip(time_rows, values):
+        try:
+            errors.append(abs(val - mu_product))
+        except OverflowError:
+            errors.append(math.inf)
+        if not math.isfinite(errors[-1]):
+            raise ValueError("row t=(%s) is not finite: value %r, abs_error "
+                             "%r (mu_product %r)" % (",".join(
+                                 "%g" % t for t in times), val, errors[-1],
+                                 mu_product))
 
     echo = {"mode": "correlate", "seed": seed, "version": __version__,
             "sigma": sigma.to_json(), "profiles": blk["profiles"],

@@ -10,14 +10,15 @@ rho(x) dx, is pushed down to height e^(-t) by the contracting diagonal;
 the r-correlation integrates the product of r such translated
 observables against the density.
 
-A correlation row is integrated with a 64-point Gauss-Legendre rule on
-each piece between the merged arc endpoints of its factors: at height
-e^(-t) a coset (c, d) reaches the support of a profile only on an arc
-around -d/c inside its Ford circle, where the observable is that
-coset's single smooth term.  A factor's Farey set, about 1/(y y_lo)
-cosets, must fit in the row's node count, or the row is refused.  The
-tests' independent oracles are adaptive quadrature and the Eisenstein
-constant term.
+A row is linear in the density: row(rho, xi) = sum_k rho_k C(k + xi),
+where the twisted Haar row C(n) integrates e(n x) times the product of
+the observables with a 64-point Gauss-Legendre rule on each piece
+between the merged arc endpoints of its factors: at height e^(-t) a
+coset (c, d) reaches the support of a profile only on an arc around -d/c
+inside its Ford circle, where the observable is that coset's single
+smooth term.  A factor's Farey set, about 1/(y y_lo) cosets, must fit
+in the row's node count, or the row is refused.  The tests' independent
+oracles are adaptive quadrature and the Eisenstein constant term.
 """
 
 import functools
@@ -109,7 +110,9 @@ class BumpProfile:
             out = np.zeros_like(flat)
             inside = (v > 0.0) & (v < 1.0)
             vi = v[inside]
-            out[inside] = np.exp(4.0 - 1.0 / (vi * (1.0 - vi)))
+            # past y_hi ~ 1e308 the reciprocal overflows where exp gives 0
+            with np.errstate(over="ignore"):
+                out[inside] = np.exp(4.0 - 1.0 / (vi * (1.0 - vi)))
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -236,8 +239,10 @@ def mu_integral(profile):
     x, w = _legendre_rule(256)
     half = 0.5 * (profile.y_hi - profile.y_lo)
     y = profile.y_lo + half * (x + 1.0)
-    val = (3.0 / math.pi) * half * float(np.sum(w * profile.value(y)
-                                                / (y * y)))
+    # past y ~ 1.3e154 the square overflows and the node adds 0
+    with np.errstate(over="ignore"):
+        val = (3.0 / math.pi) * half * float(np.sum(w * profile.value(y)
+                                                    / (y * y)))
     if not math.isfinite(val):
         raise ArithmeticError("profile quadrature is not finite (%r)" % val)
     return val
@@ -247,7 +252,8 @@ class HorocycleMeasure:
     """Wiener density on the closed horocycle at height 1.
 
     density is a circle measure (dim 1) with total mass one; the point
-    of parameter x on the horocycle is x + i.
+    of parameter x on the horocycle is x + i.  A correlation row reads
+    the density only through its Fourier coefficients.
     """
 
     def __init__(self, density):
@@ -262,20 +268,6 @@ class HorocycleMeasure:
     def haar(cls):
         from .wiener import TorusMeasure
         return cls(TorusMeasure.haar(1))
-
-    def _weight_at(self, x, xi):
-        """The weight rho(x) e(xi x) at the points x, or None when it is
-        identically 1: one exponential z = e(x) per point, and the
-        integer powers z^(k + xi) of it (conjugated for negative
-        exponents) in the density's coefficient order."""
-        if not xi and self.density.coeffs == {(0,): 1.0}:
-            return None
-        z = np.exp(2j * math.pi * x)
-        w = 0.0
-        for (k,), amp in self.density.coeffs.items():
-            p = z ** abs(k + xi)
-            w = w + amp * (p if k + xi >= 0 else p.conj())
-        return w
 
 
 _GL_ORDER = 64
@@ -370,26 +362,37 @@ def _arc_term(profile, y, c, d, x):
 
 
 def _gauss_row(sigma, factors, nodes, xi, times):
-    """The 64-point Gauss-Legendre integral of the weight times the
-    (profile, y) factors over the row's pieces, evaluated nodes // 64
-    pieces (at least one) at a time.  The per-piece sums are added in
-    one pass, so without a weight the result does not depend on nodes;
-    a weighted row changes with it only in rounding."""
-    band = max(abs(k + xi) for (k,) in sigma.density.coeffs)
-    lo, hi, terms = _split(*_pieces(factors), band, nodes, times)
+    """The row sum_k rho_k C(k + xi), summed in the density's coefficient
+    order: C(n) = C_n + i sign(n) S_n, where C_n and S_n integrate
+    cos(2 pi n x) and sin(2 pi n x) times the real product of the
+    (profile, y) factors by Gauss-Legendre.  Points are evaluated
+    nodes // 64 pieces (at least one) at a time, and each sum is added
+    over the pieces in one pass, so the row does not depend on nodes."""
+    freqs = sorted({abs(k + xi) for (k,) in sigma.density.coeffs})
+    lo, hi, terms = _split(*_pieces(factors), freqs[-1], nodes, times)
     gx, gw = _legendre_rule(_GL_ORDER)
     half = (hi - lo) / 2.0
     step = max(nodes // _GL_ORDER, 1)
-    sums = []
+    # per-piece cosine and sine sums, filled one batch at a time
+    sums = {n: (np.zeros(lo.size), np.zeros(lo.size)) for n in freqs}
     for s in range(0, lo.size, step):
         part = slice(s, s + step)
         x = (lo[part] + half[part])[:, None] + half[part, None] * gx
-        prod = sigma._weight_at(x, xi)
-        prod = np.ones_like(x) if prod is None else prod
+        prod = np.ones_like(x)
         for (f, y), (c, d) in zip(factors, terms):
             prod = prod * _arc_term(f, y, c[part, None], d[part, None], x)
-        sums.append(np.sum(prod * gw, axis=1))
-    return complex(np.sum(half * np.concatenate(sums))) if sums else 0j
+        prod = prod * gw
+        for n, (cos, sin) in sums.items():
+            if n:
+                angle = (2.0 * math.pi * n) * x
+                cos[part] = np.sum(prod * np.cos(angle), axis=1)
+                sin[part] = np.sum(prod * np.sin(angle), axis=1)
+            else:
+                cos[part] = np.sum(prod, axis=1)
+    C = {n: complex(np.sum(half * cos), np.sum(half * sin))
+         for n, (cos, sin) in sums.items()}
+    return sum(amp * (C[k + xi] if k + xi >= 0 else C[-k - xi].conjugate())
+               for (k,), amp in sigma.density.coeffs.items())
 
 
 def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
@@ -400,8 +403,8 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
         e(xi x) * rho(x) * prod_i obs_i(x + i * e^(-t_i))
 
     over one period x in [0, 1); xi = 0 gives the plain correlation and
-    a non-integer xi is refused.  Deterministic: the row and nodes fix
-    the points, their batches and the summation order.
+    a non-integer xi is refused.  nodes only batches the points: the
+    row alone fixes its bytes.
 
     Every row is a `_gauss_row`.  Constant factors multiply in, and so
     does a nonzero cusp term f(y): it needs y >= y_lo >= 1, so y = y_lo

@@ -1051,6 +1051,85 @@ class TestCorrelateCommand:
         assert res.output == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("blk, message", [
+        # two means of 1e308 multiply past the float range
+        ({"profiles": [{"kind": "constant", "value": 1e308}] * 2,
+          "times": [[1.0, 2.0]]},
+         "mu_product, the product of the profiles' means (1e+308, 1e+308), "
+         "is not finite"),
+        # a finite mean, but a density of Wiener norm 2e5 carries the
+        # first row past it
+        ({"sigma": {"dim": 1, "coeffs": [
+            {"chi": [0], "re": 1.0}, {"chi": [1], "re": 1e5},
+            {"chi": [-1], "re": 1e5}]},
+          "profiles": [{"kind": "constant", "value": 1e308},
+                       {"kind": "bump", "y_lo": 1.5, "y_hi": 3.0}],
+          "times": [[1.0, 1.0], [1.0, 2.0]]},
+         "row t=(1,1) is not finite: value (inf+0j), abs_error inf "
+         "(mu_product 1.1146639430497644e+307)"),
+    ], ids=["mu_product", "row"])
+    def test_non_finite_results_are_refused(self, tmp_path, runner, blk,
+                                            message):
+        # exit 3 before any output, naming the row or the profiles' means,
+        # in place of inf and nan cells
+        base = {k: v for k, v in CORRELATE_BLOCK.items() if k != "family"}
+        mpath = write_manifest(tmp_path / "c.json", {
+            "mode": "correlate", "correlate": dict(base, **blk)})
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        assert json.loads(res.stderr) == {"error": "numerical",
+                                          "message": message}
+        assert res.output == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_wide_bump_runs_without_warnings(self, tmp_path, runner):
+        # y_hi = 1e308 overflows y * y in the mean's quadrature and the
+        # bump's reciprocal near y_lo, where both terms are 0; under the
+        # suite's warnings-as-errors a warning would raise here
+        mpath = self.manifest(tmp_path, profiles=[
+            {"kind": "bump", "y_lo": 1.5, "y_hi": 1e308}])
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        # the bump is below 1e-300 wherever y < 1e300, so both are ~0
+        assert 0.0 <= modular.mu_integral(BumpProfile("bump", 1.5,
+                                                      1e308)) < 1e-300
+        _, rows = read_csv_rows(tmp_path / "correlate.csv")
+        assert [float(row["value_re"]) for row in rows] == [0.0] * 4
+
+    def test_weighted_rows_do_not_depend_on_nodes(self, tmp_path, runner):
+        # the benchmark's r = 1 density (its seed-3 draw): every row is
+        # the same bytes at nodes N and 4N; only N_nodes differs
+        sigma = {"dim": 1, "coeffs": [
+            {"chi": [0], "re": 1.0, "im": 0.0},
+            {"chi": [1], "re": -0.08432505382684594,
+             "im": -0.04786112752706498},
+            {"chi": [-1], "re": -0.08432505382684594,
+             "im": 0.04786112752706498},
+            {"chi": [3], "re": 0.2850898272352675,
+             "im": 0.19147356157332773},
+            {"chi": [-3], "re": 0.2850898272352675,
+             "im": -0.19147356157332773}]}
+        mpath = self.manifest(
+            tmp_path, sigma=sigma,
+            profiles=[{"kind": "bump", "y_lo": 1.4933126940236474,
+                       "y_hi": 2.9979051298140833}],
+            family={"t_start": 0.5, "t_stop": 7.3, "t_step": 0.1,
+                    "pattern": [1.0]})
+        texts = []
+        for nodes in ("4096", "16384"):
+            res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                       "--out", str(tmp_path / nodes),
+                                       "--nodes", nodes])
+            assert res.exit_code == 0, res.output
+            lines = (tmp_path / nodes / "correlate.csv").read_text()
+            texts.append([ln.rsplit(",", 1)[0]
+                          for ln in lines.splitlines()])
+        assert len(texts[0]) == 70
+        assert texts[0] == texts[1]
+
     def test_nodes_flag_overrides_manifest(self, tmp_path, runner):
         mpath = self.manifest(tmp_path)
         res = runner.invoke(main, ["correlate", "--manifest", mpath,

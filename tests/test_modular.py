@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import re
 import warnings
@@ -429,14 +430,12 @@ def _bytes(val):
     return np.complex128(val).tobytes()
 
 
-def _same(sigma, xi, a, b):
-    """A row without weight is the same bytes however nodes batches its
-    points; numpy's complex products round differently at different
-    array lengths, so a weighted row agrees to rounding."""
-    if sigma._weight_at(np.zeros(1), xi) is None:
-        assert _bytes(a) == _bytes(b)
-    else:
-        assert abs(a - b) <= 1e-15
+def _same(a, b):
+    """Every row, weighted and twisted ones included, is the same bytes
+    however nodes batches its points: the kernel multiplies only float
+    arrays, adds each cosine and sine sum over the pieces in one pass and
+    combines the density's coefficients on Python scalars."""
+    assert _bytes(a) == _bytes(b)
 
 
 def _straddle(sigma, observables, times, xi=0):
@@ -451,8 +450,8 @@ def _straddle(sigma, observables, times, xi=0):
         with pytest.raises(ValueError, match=re.escape(named)):
             correlation(sigma, observables, times, nodes=need - 1, xi=xi)
     val = correlation(sigma, observables, times, nodes=need, xi=xi)
-    _same(sigma, xi, val, correlation(sigma, observables, times,
-                                      nodes=2 * need, xi=xi))
+    _same(val, correlation(sigma, observables, times, nodes=2 * need,
+                           xi=xi))
     return val
 
 
@@ -496,8 +495,7 @@ class TestKernelBytes:
         obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
         for t in (1.0, 2.5, 4.0):
             val = correlation(sigma, obs, [t], nodes=64, xi=xi)
-            _same(sigma, xi, val,
-                  correlation(sigma, obs, [t], nodes=2 ** 18, xi=xi))
+            _same(val, correlation(sigma, obs, [t], nodes=2 ** 18, xi=xi))
             assert abs(val - _quad_oracle(obs, [t], _coeffs(sigma), xi)) \
                 <= 1e-12
 
@@ -533,8 +531,8 @@ class TestKernelBytes:
 
     @pytest.mark.parametrize("first", [True, False])
     def test_constant_factor(self, first):
-        # the constant scales the row: the same bytes at 512 nodes, and
-        # at 64 (one piece at a time) the same to `_same`
+        # the constant scales the row: the same bytes at 512 nodes and at
+        # 64 (one piece at a time)
         obs = [ConstantObservable(2.5), _HAAR_PAIR[0]]
         if not first:
             obs.reverse()
@@ -544,7 +542,7 @@ class TestKernelBytes:
                                      nodes=512, xi=xi)
                 assert _bytes(2.5 * single) == _bytes(correlation(
                     sigma, obs, [2.0, 2.0], nodes=512, xi=xi))
-                _same(sigma, xi, 2.5 * single, correlation(
+                _same(2.5 * single, correlation(
                     sigma, obs, [2.0, 2.0], nodes=64, xi=xi))
                 assert abs(single - _quad_oracle(
                     _HAAR_PAIR[:1], [2.0], _coeffs(sigma), xi)) <= 1e-12
@@ -746,18 +744,18 @@ class TestGaussLegendre:
         (HorocycleMeasure.haar(),
          [EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))], [2.0])])
     def test_straddling_the_point_budget(self, sigma, obs, times):
-        # at pieces * 64 = budget nodes and above the row is one batch,
-        # the same bytes; below that it is evaluated nodes // 64 pieces
-        # at a time, the same to `_same` down to the fewest nodes that
-        # admit its Farey sets, and one node fewer is refused
+        # at pieces * 64 = budget nodes and above the row is one batch;
+        # below that it is evaluated nodes // 64 pieces at a time, the
+        # same bytes down to the fewest nodes that admit its Farey sets,
+        # and one node fewer is refused
         factors = [(o.profile, math.exp(-t)) for o, t in zip(obs, times)]
         budget = 64 * modular._pieces(factors)[0].size
         val = correlation(sigma, obs, times, nodes=budget)
         assert _bytes(val) == _bytes(
             correlation(sigma, obs, times, nodes=2 ** 18))
         for nodes in (budget - 1, budget - 64):
-            _same(sigma, 0, val, correlation(sigma, obs, times, nodes=nodes))
-        _same(sigma, 0, val, _straddle(sigma, obs, times))
+            _same(val, correlation(sigma, obs, times, nodes=nodes))
+        _same(val, _straddle(sigma, obs, times))
 
     def test_no_factor_evaluated_past_the_node_budget(self, monkeypatch):
         sizes = []
@@ -786,27 +784,39 @@ class TestGaussLegendre:
                     assert sizes == [1, 1, points, points]
 
     def test_rows_are_byte_stable(self):
+        # weighted r = 1 and r = 2 rows, and a twisted one, are the same
+        # bytes at the fewest nodes that admit them (twice over), at every
+        # power of four above that and at 2^18
         sigma = _wiener()
-        obs = _HAAR_PAIR
-        # in one batch (2^16 nodes) and in batches of 64 pieces
-        for nodes in (2 ** 16, 2 ** 12):
-            first = [correlation(sigma, obs, [t, 2.0 * t], nodes=nodes)
-                     for t in (1.5, 3.0, 4.1)]
-            again = [correlation(sigma, obs, [t, 2.0 * t], nodes=nodes)
-                     for t in (1.5, 3.0, 4.1)]
-            assert np.array(first).tobytes() == np.array(again).tobytes()
+        for (obs, xi), t in itertools.product(
+                [(_HAAR_PAIR[:1], 0), (_HAAR_PAIR, 0), (_HAAR_PAIR, -3)],
+                (1.5, 3.0, 4.1)):
+            times = [t * (k + 1) for k in range(len(obs))]
+            need = max(16, math.ceil(1.0 / (math.exp(-times[-1])
+                                            * obs[-1].profile.y_lo)))
+            counts = [need, need] + [4 ** k for k in range(2, 10)
+                                     if 4 ** k > need]
+            vals = {_bytes(correlation(sigma, obs, times, nodes=nodes, xi=xi))
+                    for nodes in counts}
+            assert len(vals) == 1
 
     @pytest.mark.parametrize("xi", [-4, -1, 0, 3])
-    def test_weight_from_powers_is_the_density(self, xi):
-        # the rows' integrands are even in x, so a weight with e(x) and
-        # e(-x) swapped would integrate the same: check it pointwise
+    def test_twist_sign_on_an_odd_integrand(self, xi, monkeypatch):
+        # every supported factor is even in x, so no row tells e(n x)
+        # from e(-n x); a factor patched to read x on its support is not
+        # even, and its row must be the integral of x rho(x) e(xi x)
+        # over the pieces, far from that of x rho(-x) e(-xi x)
+        monkeypatch.setattr(modular, "_arc_term", lambda f, y, c, d, x: x)
         sigma = _wiener()
-        x = np.random.default_rng(17).uniform(0.0, 1.0, size=(5, 64))
-        ref = sigma.density.value(x.ravel()).reshape(x.shape) \
-            * np.exp(2j * math.pi * xi * x)
-        np.testing.assert_allclose(sigma._weight_at(x, xi), ref,
-                                   rtol=0.0, atol=1e-14)
-        assert HorocycleMeasure.haar()._weight_at(x, 0) is None
+        lo, hi, _ = modular._pieces([(_HAAR_PAIR[0].profile,
+                                      math.exp(-2.0))])
+        val = correlation(sigma, _HAAR_PAIR[:1], [2.0], nodes=2 ** 12, xi=xi)
+        ref, mirror = (sum(quad(lambda x: x * sum(
+            a * cmath.exp(2j * math.pi * sign * (k + xi) * x)
+            for k, a in _coeffs(sigma).items()), a, b, complex_func=True)[0]
+            for a, b in zip(lo, hi)) for sign in (1, -1))
+        assert abs(val - ref) <= 1e-12
+        assert abs(val - mirror) > 1e-3
 
     def test_weight_band(self):
         # a piece spans at most 8 periods of the weight e((k + xi) x):
@@ -920,19 +930,24 @@ class TestTwistedCorrelation:
         assert mags[2] < mags[0]
 
     def test_expansion_consistency(self):
-        # measure with three coefficients: its correlation equals the
-        # coefficient-weighted sum of twisted Haar correlations
+        # the row is linear in the density: it equals the coefficient-
+        # weighted sum of twisted Haar rows, row(sigma, xi) = sum_k
+        # sigma_k row(Haar, k + xi), to rounding, since both sides add
+        # the same cosine and sine sums; r = 1 and r = 2, with and
+        # without a twist
         density = TorusMeasure(1, {(0,): 1.0, (1,): 0.3 + 0.1j,
-                                   (-1,): 0.3 - 0.1j})
-        sigma = HorocycleMeasure(density)
-        haar = HorocycleMeasure.haar()
-        obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
-        times = [2.5]
-        lhs = correlation(sigma, obs, times, nodes=2 ** 12)
-        rhs = sum(density.coeff(chi)
-                  * correlation(haar, obs, times, nodes=2 ** 12, xi=chi)
-                  for chi in (-1, 0, 1))
-        assert abs(lhs - rhs) < 1e-6
+                                   (-1,): 0.3 - 0.1j, (2,): 0.05 - 0.02j,
+                                   (-2,): 0.05 + 0.02j})
+        sigma, haar = HorocycleMeasure(density), HorocycleMeasure.haar()
+        for obs, times, xi in [(_HAAR_PAIR[:1], [2.5], 0),
+                               (_HAAR_PAIR, [2.0, 4.0], 0),
+                               (_HAAR_PAIR[:1], [3.0], 4),
+                               (_HAAR_PAIR, [1.5, 3.0], -2)]:
+            lhs = correlation(sigma, obs, times, nodes=2 ** 12, xi=xi)
+            rhs = sum(amp * correlation(haar, obs, times, nodes=2 ** 12,
+                                        xi=k + xi)
+                      for (k,), amp in density.coeffs.items())
+            assert abs(lhs - rhs) <= 1e-15 * abs(lhs)
 
 
 class TestIntegralEstimate:
