@@ -487,12 +487,11 @@ def correlate(blk, seed, threads, nodes, **_):
     """Run horocycle correlation experiments from a manifest."""
     from .geometry import TupleStack, tuple_stats
     from .modular import (_TIME_ACTION, BumpProfile, ConstantObservable,
-                          EisensteinObservable, HorocycleMeasure, _check_rows,
-                          correlation, fit_decay, s_norm_surrogate)
+                          EisensteinObservable, _check_rows, correlation,
+                          fit_decay, s_norm_surrogate)
     from .wiener import TorusMeasure, wiener_norm
 
     sigma = TorusMeasure.from_json(blk["sigma"])
-    measure = HorocycleMeasure(sigma)
     observables = [
         ConstantObservable(float(p.get("value", 1.0)))
         if p["kind"] == "constant" else EisensteinObservable(
@@ -513,7 +512,7 @@ def correlate(blk, seed, threads, nodes, **_):
                          "(%s), is not finite" % ", ".join(
                              "%g" % obs.mu for obs in observables))
 
-    row_value = partial(correlation, measure, observables, nodes=n_nodes)
+    row_value = partial(correlation, sigma, observables, nodes=n_nodes)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

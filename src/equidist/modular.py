@@ -12,13 +12,15 @@ observables against the density.
 
 A row is linear in the density: row(rho, xi) = sum_k rho_k C(k + xi),
 where the twisted Haar row C(n) integrates e(n x) times the product of
-the observables with a 64-point Gauss-Legendre rule on each piece
-between the merged arc endpoints of its factors: at height e^(-t) a
-coset (c, d) reaches the support of a profile only on an arc around -d/c
-inside its Ford circle, where the observable is that coset's single
-smooth term.  A factor's Farey set, about 1/(y y_lo) cosets, must fit
-in the row's node count, or the row is refused.  The tests' independent
-oracles are adaptive quadrature and the Eisenstein constant term.
+the observables.  Each is even in x (|c(-x) + d| = |cx - d|, and (c, d)
+is coprime exactly when (c, -d) is), so C(n) = C(-n) is a cosine
+integral, by a 64-point Gauss-Legendre rule on each piece between the
+merged arc endpoints of its factors: at height e^(-t) a coset (c, d)
+reaches the support of a profile only on an arc around -d/c inside its
+Ford circle, where the observable is that coset's single smooth term.
+A factor's Farey set, about 1/(y y_lo) cosets, must fit in the row's
+node count, or the row is refused.  The tests' independent oracles are
+adaptive quadrature and the Eisenstein constant term.
 """
 
 import functools
@@ -128,8 +130,6 @@ class EisensteinObservable:
     """
 
     def __init__(self, profile):
-        if profile.y_lo < 1.0:
-            raise ValueError("profile support must sit at heights >= 1")
         self.profile = profile
 
     def value(self, x, y):
@@ -248,28 +248,6 @@ def mu_integral(profile):
     return val
 
 
-class HorocycleMeasure:
-    """Wiener density on the closed horocycle at height 1.
-
-    density is a circle measure (dim 1) with total mass one; the point
-    of parameter x on the horocycle is x + i.  A correlation row reads
-    the density only through its Fourier coefficients.
-    """
-
-    def __init__(self, density):
-        if density.dim != 1:
-            raise ValueError("horocycle density must live on the circle")
-        if abs(density.coeff(0) - 1.0) > 1e-12:
-            raise ValueError("horocycle density must be a probability "
-                             "measure (unit zero coefficient)")
-        self.density = density
-
-    @classmethod
-    def haar(cls):
-        from .wiener import TorusMeasure
-        return cls(TorusMeasure.haar(1))
-
-
 _GL_ORDER = 64
 _GL_PERIODS = 8.0
 
@@ -362,19 +340,22 @@ def _arc_term(profile, y, c, d, x):
 
 
 def _gauss_row(sigma, factors, nodes, xi, times):
-    """The row sum_k rho_k C(k + xi), summed in the density's coefficient
-    order: C(n) = C_n + i sign(n) S_n, where C_n and S_n integrate
-    cos(2 pi n x) and sin(2 pi n x) times the real product of the
-    (profile, y) factors by Gauss-Legendre.  Points are evaluated
+    """The row sum_n w_n C_n in increasing n = |k + xi|, where w_n adds
+    the density's rho_k at that n and C_n integrates cos(2 pi n x) times
+    the real product of the (profile, y) factors by Gauss-Legendre: each
+    factor is even in x, so C(n) = C(-n) = C_n.  Points are evaluated
     nodes // 64 pieces (at least one) at a time, and each sum is added
     over the pieces in one pass, so the row does not depend on nodes."""
-    freqs = sorted({abs(k + xi) for (k,) in sigma.density.coeffs})
-    lo, hi, terms = _split(*_pieces(factors), freqs[-1], nodes, times)
+    weights = {}
+    for (k,), amp in sigma.coeffs.items():
+        n = abs(k + xi)
+        weights[n] = weights.get(n, 0) + amp
+    lo, hi, terms = _split(*_pieces(factors), max(weights), nodes, times)
     gx, gw = _legendre_rule(_GL_ORDER)
     half = (hi - lo) / 2.0
     step = max(nodes // _GL_ORDER, 1)
-    # per-piece cosine and sine sums, filled one batch at a time
-    sums = {n: (np.zeros(lo.size), np.zeros(lo.size)) for n in freqs}
+    # per-piece cosine sums, filled one batch at a time
+    sums = {n: np.zeros(lo.size) for n in sorted(weights)}
     for s in range(0, lo.size, step):
         part = slice(s, s + step)
         x = (lo[part] + half[part])[:, None] + half[part, None] * gx
@@ -382,29 +363,23 @@ def _gauss_row(sigma, factors, nodes, xi, times):
         for (f, y), (c, d) in zip(factors, terms):
             prod = prod * _arc_term(f, y, c[part, None], d[part, None], x)
         prod = prod * gw
-        for n, (cos, sin) in sums.items():
-            if n:
-                angle = (2.0 * math.pi * n) * x
-                cos[part] = np.sum(prod * np.cos(angle), axis=1)
-                sin[part] = np.sum(prod * np.sin(angle), axis=1)
-            else:
-                cos[part] = np.sum(prod, axis=1)
-    C = {n: complex(np.sum(half * cos), np.sum(half * sin))
-         for n, (cos, sin) in sums.items()}
-    return sum(amp * (C[k + xi] if k + xi >= 0 else C[-k - xi].conjugate())
-               for (k,), amp in sigma.density.coeffs.items())
+        for n, cos in sums.items():
+            cos[part] = np.sum(prod * np.cos((2.0 * math.pi * n) * x)
+                               if n else prod, axis=1)
+    return sum(weights[n] * float(np.sum(half * cos))
+               for n, cos in sums.items())
 
 
 def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
-    """r-correlation of translated observables against the horocycle
-    density, twisted by the character e(xi x) = e^(2 pi i xi x): the
-    integral of
+    """r-correlation of translated observables against the density rho
+    of sigma, a circle `TorusMeasure`, on the horocycle x + i, twisted
+    by the character e(xi x) = e^(2 pi i xi x): the integral of
 
         e(xi x) * rho(x) * prod_i obs_i(x + i * e^(-t_i))
 
     over one period x in [0, 1); xi = 0 gives the plain correlation and
-    a non-integer xi is refused.  nodes only batches the points: the
-    row alone fixes its bytes.
+    a non-integer xi or a density off the circle is refused.  nodes
+    only batches the points: the row alone fixes its bytes.
 
     Every row is a `_gauss_row`.  Constant factors multiply in, and so
     does a nonzero cusp term f(y): it needs y >= y_lo >= 1, so y = y_lo
@@ -413,6 +388,8 @@ def correlation(sigma, observables, times, nodes=2 ** 14, xi=0):
     is 0.  A Farey set 1/(y y_lo) or a count of weight cuts past nodes is
     refused with ValueError naming the nodes the row needs.
     """
+    if sigma.dim != 1:
+        raise ValueError("horocycle density must live on the circle")
     observables = list(observables)
     nodes = int(nodes)
     if nodes < 16:

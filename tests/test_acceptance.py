@@ -21,13 +21,12 @@ from equidist.cli import main
 from equidist.constants import AssumptionParams, PowerLawGrowth, build_ledger
 from equidist.geometry import TupleStack, tuple_stats
 from equidist.modular import (_TIME_ACTION, BumpProfile,
-                              EisensteinObservable, HorocycleMeasure,
-                              check_integral_estimate, correlation,
-                              fit_decay)
+                              EisensteinObservable, check_integral_estimate,
+                              correlation, fit_decay)
 from equidist.suites import (_sparse_observable, _suite_integral,
                              _suite_ledger, _suite_modular, _suite_pigeonhole,
                              _suite_wiener, _suite_window)
-from equidist.wiener import wiener_norm
+from equidist.wiener import TorusMeasure, wiener_norm
 
 from test_wiener import product_of, scaled, sum_of
 
@@ -199,7 +198,7 @@ def test_criterion_5_modular_geometry():
 # ------------------------------------------------------------ criterion 6
 
 def test_criterion_6_equidistribution_trend():
-    measure = HorocycleMeasure.haar()
+    measure = TorusMeasure.haar()
 
     # 2^17 nodes admit the Farey set at t = 12 (e^12 / 1.5 = 108504); a
     # row without a weight has the same bytes at every node count that

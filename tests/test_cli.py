@@ -24,8 +24,7 @@ from equidist.cli import _csv_lines, _finite_or_null, _json_text, main
 from equidist.constants import _exp
 from equidist.geometry import (RootAction, TupleStack, select_direction,
                                tuple_stats)
-from equidist.modular import (BumpProfile, EisensteinObservable,
-                              HorocycleMeasure)
+from equidist.modular import BumpProfile, EisensteinObservable
 from equidist.selection import choose_window, pigeonhole
 from equidist.suites import _brute_force_pq
 
@@ -965,7 +964,6 @@ class TestCorrelateCommand:
             assert res.exit_code == 0, res.output
             texts.append((tmp_path / name / "correlate.csv").read_bytes())
         assert texts[0] == texts[1] == texts[2]
-        haar = HorocycleMeasure.haar()
         pair = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
                 EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
         for k in range(7):
@@ -1099,10 +1097,9 @@ class TestCorrelateCommand:
         _, rows = read_csv_rows(tmp_path / "correlate.csv")
         assert [float(row["value_re"]) for row in rows] == [0.0] * 4
 
-    def test_weighted_rows_do_not_depend_on_nodes(self, tmp_path, runner):
-        # the benchmark's r = 1 density (its seed-3 draw): every row is
-        # the same bytes at nodes N and 4N; only N_nodes differs
-        sigma = {"dim": 1, "coeffs": [
+    # the benchmark's r = 1 density (its seed-3 draw), profile and family
+    R1_WIENER = {
+        "sigma": {"dim": 1, "coeffs": [
             {"chi": [0], "re": 1.0, "im": 0.0},
             {"chi": [1], "re": -0.08432505382684594,
              "im": -0.04786112752706498},
@@ -1111,13 +1108,16 @@ class TestCorrelateCommand:
             {"chi": [3], "re": 0.2850898272352675,
              "im": 0.19147356157332773},
             {"chi": [-3], "re": 0.2850898272352675,
-             "im": -0.19147356157332773}]}
-        mpath = self.manifest(
-            tmp_path, sigma=sigma,
-            profiles=[{"kind": "bump", "y_lo": 1.4933126940236474,
-                       "y_hi": 2.9979051298140833}],
-            family={"t_start": 0.5, "t_stop": 7.3, "t_step": 0.1,
-                    "pattern": [1.0]})
+             "im": -0.19147356157332773}]},
+        "profiles": [{"kind": "bump", "y_lo": 1.4933126940236474,
+                      "y_hi": 2.9979051298140833}],
+        "family": {"t_start": 0.5, "t_stop": 7.3, "t_step": 0.1,
+                   "pattern": [1.0]}}
+
+    def test_weighted_rows_do_not_depend_on_nodes(self, tmp_path, runner):
+        # every row is the same bytes at nodes N and 4N; only N_nodes
+        # differs
+        mpath = self.manifest(tmp_path, **self.R1_WIENER)
         texts = []
         for nodes in ("4096", "16384"):
             res = runner.invoke(main, ["correlate", "--manifest", mpath,
@@ -1129,6 +1129,18 @@ class TestCorrelateCommand:
                           for ln in lines.splitlines()])
         assert len(texts[0]) == 70
         assert texts[0] == texts[1]
+
+    def test_real_density_rows_are_real(self, tmp_path, runner):
+        # the density is real, so the coefficients at n and -n add to a
+        # real weight and every row's value_im is exactly 0
+        mpath = self.manifest(tmp_path, nodes=2 ** 16, **self.R1_WIENER)
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        _, rows = read_csv_rows(tmp_path / "correlate.csv")
+        assert len(rows) == 69
+        assert {row["value_im"] for row in rows} == {
+            "0.0000000000000000e+00"}
 
     def test_nodes_flag_overrides_manifest(self, tmp_path, runner):
         mpath = self.manifest(tmp_path)

@@ -13,10 +13,9 @@ from scipy.integrate import IntegrationWarning, quad
 
 from equidist import modular
 from equidist.modular import (BumpProfile, ConstantObservable,
-                              EisensteinObservable, HorocycleMeasure,
-                              check_integral_estimate, correlation,
-                              fit_decay, mu_integral, reduce_arrays,
-                              s_norm_surrogate)
+                              EisensteinObservable, check_integral_estimate,
+                              correlation, fit_decay, mu_integral,
+                              reduce_arrays, s_norm_surrogate)
 from equidist.suites import _suite_modular
 from equidist.wiener import TorusMeasure
 
@@ -249,7 +248,7 @@ class TestMuIntegral:
 
 class TestCorrelation:
     def test_constant_observables_give_mass(self):
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         val = correlation(haar, [ConstantObservable(), ConstantObservable()],
                           [3.0, 5.0], nodes=64)
         assert val == pytest.approx(1.0, abs=1e-14)
@@ -260,7 +259,7 @@ class TestCorrelation:
         # golden is the exact measure of the x whose coset heights land
         # in [2, 3], a_0(y) = f(y) + sum_{c <= (y y_lo)^(-1/2)} phi(c)
         # (2/c) (sqrt(y/y_lo - c^2 y^2) - sqrt(max(y/y_hi - c^2 y^2, 0)))
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         obs = EisensteinObservable(BumpProfile("indicator", 2.0, 3.0))
         val = correlation(haar, [obs], [6.0], nodes=2 ** 14)
         y = math.exp(-6.0)
@@ -274,12 +273,11 @@ class TestCorrelation:
         assert abs(val.real - 1.0 / (2.0 * math.pi)) < 2e-2
 
     def test_small_times_against_adaptive_quadrature(self):
-        sigma = HorocycleMeasure(TorusMeasure(
-            1, {(0,): 1.0, (1,): 0.25, (-1,): 0.25}))
+        sigma = TorusMeasure(1, {(0,): 1.0, (1,): 0.25, (-1,): 0.25})
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
 
         def integrand(x, y):
-            rho = float(np.real(sigma.density.value(np.array([x]))[0]))
+            rho = float(np.real(sigma.value(np.array([x]))[0]))
             return rho * float(obs.value_at(x, y))
 
         # at t = 0 the base horocycle never enters the support (every
@@ -302,7 +300,7 @@ class TestCorrelation:
         # the r = 1 Haar correlation is the Eisenstein constant term
         # a_0(y), which needs no quadrature; a row's value does not depend
         # on nodes, and 2^17 nodes admit the Farey set at t = 12
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         profile = BumpProfile("bump", 1.5, 3.0)
         obs = EisensteinObservable(profile)
         for t in range(1, 13):
@@ -313,7 +311,7 @@ class TestCorrelation:
         # a_0(y) - mu = O(y^(1/2)) unconditionally (Sarnak 1981, Zagier
         # 1981): on the kernel rows and on the oracle, |a_0(e^-t) - mu|
         # e^(t/2) stays below 0.25 (its maximum is 0.124, at t = 3)
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         profile = BumpProfile("bump", 1.5, 3.0)
         obs = EisensteinObservable(profile)
         for t in range(2, 13):
@@ -324,7 +322,7 @@ class TestCorrelation:
     def test_doubling_nodes_is_stable(self):
         # nodes sets how many points are evaluated at once, never the
         # points: the rows are the same bytes at 2^13 and 2^14 nodes
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
         for t in (2.0, 4.0, 6.0, 7.0):
             coarse = correlation(haar, [obs], [t], nodes=2 ** 13)
@@ -332,7 +330,7 @@ class TestCorrelation:
             assert coarse == fine
 
     def test_validation(self):
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
         with pytest.raises(ValueError):
             correlation(haar, [obs], [2.0], nodes=8)
@@ -345,6 +343,8 @@ class TestCorrelation:
             correlation(haar, [obs], [2.0, 3.0])
         with pytest.raises(ValueError):
             correlation(haar, [], [])
+        with pytest.raises(ValueError, match="circle"):
+            correlation(TorusMeasure.haar(2), [obs], [2.0])
 
 
 def _phi(c):
@@ -433,8 +433,8 @@ def _bytes(val):
 def _same(a, b):
     """Every row, weighted and twisted ones included, is the same bytes
     however nodes batches its points: the kernel multiplies only float
-    arrays, adds each cosine and sine sum over the pieces in one pass and
-    combines the density's coefficients on Python scalars."""
+    arrays, adds each cosine sum over the pieces in one pass and combines
+    the density's coefficients on Python scalars."""
     assert _bytes(a) == _bytes(b)
 
 
@@ -456,17 +456,19 @@ def _straddle(sigma, observables, times, xi=0):
 
 
 def _coeffs(sigma):
-    return {k: a for (k,), a in sigma.density.coeffs.items()}
+    return {k: a for (k,), a in sigma.coeffs.items()}
 
 
 _HAAR_PAIR = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
               EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
+_TRIPLE = [_HAAR_PAIR[0],
+           EisensteinObservable(BumpProfile("bump", 2.0, 4.0)), _HAAR_PAIR[1]]
 
 
 def _wiener():
-    return HorocycleMeasure(TorusMeasure(
+    return TorusMeasure(
         1, {(0,): 1.0, (1,): 0.2 + 0.1j, (-1,): 0.2 - 0.1j,
-            (2,): 0.05 - 0.02j, (-2,): 0.05 + 0.02j}))
+            (2,): 0.05 - 0.02j, (-2,): 0.05 + 0.02j})
 
 
 class TestKernelBytes:
@@ -481,7 +483,7 @@ class TestKernelBytes:
         # the rows need 68, 337 and 914 nodes for their Farey sets at 2t
         # and have 16, 64 and 186 pieces, so at those counts they run 1,
         # 5 and 14 pieces at a time
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         for t in (2.2, 3.0, 3.5):
             val = _straddle(haar, _HAAR_PAIR, [t, 2.0 * t])
             if t < 3.5:
@@ -536,7 +538,7 @@ class TestKernelBytes:
         obs = [ConstantObservable(2.5), _HAAR_PAIR[0]]
         if not first:
             obs.reverse()
-        for sigma in (HorocycleMeasure.haar(), self.wiener()):
+        for sigma in (TorusMeasure.haar(), self.wiener()):
             for xi in (0, 1):
                 single = correlation(sigma, _HAAR_PAIR[:1], [2.0],
                                      nodes=512, xi=xi)
@@ -653,7 +655,7 @@ class TestValuesOnGrid:
         t = -math.log(side / (y_lo * nodes))
         y = math.exp(-t)
         assert modular._pieces([(obs.profile, y)])[0].size * 64 > nodes
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         val = _straddle(haar, [obs], [t])
         if 1.0 / (y * y_lo) > nodes:
             with pytest.raises(ValueError, match="needs nodes >= 257 "):
@@ -669,7 +671,7 @@ class TestValuesOnGrid:
         # alone and beside a factor with pieces
         obs = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
         assert modular._pieces([(obs.profile, 1.0)])[0].size == 0
-        haar, sigma = HorocycleMeasure.haar(), _wiener()
+        haar, sigma = TorusMeasure.haar(), _wiener()
         one = ConstantObservable()
         assert _bytes(correlation(haar, [obs], [0.0], nodes=64)) \
             == _bytes(correlation(haar, [one], [0.0], nodes=64))
@@ -688,7 +690,7 @@ class TestValuesOnGrid:
         # point; the pieces [0, 1/2] and [1/2, 1] meet there, and their
         # Gauss points miss it
         obs = EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         t = math.log(2.0)
         x = (np.arange(17) + 0.5) / 17
         dense = obs.value_at(x, np.full(17, 0.5))
@@ -706,13 +708,13 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 3.0, 4.1])
     def test_haar_pair_against_the_oracle(self, t):
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         times = [t, 2.0 * t]
         val = correlation(haar, _HAAR_PAIR, times, nodes=2 ** 16)
         assert abs(val - _quad_oracle(_HAAR_PAIR, times)) <= 1e-12
 
     def test_criterion_6_pair_against_the_oracle(self):
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         pair = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
                 EisensteinObservable(BumpProfile("bump", 2.0, 4.0))]
         val = correlation(haar, pair, [3.5, 7.0], nodes=2 ** 14)
@@ -722,13 +724,10 @@ class TestGaussLegendre:
                                        (3.0, 4.5, 6.0)])
     def test_haar_triple_against_the_oracle(self, times):
         # r = 3: three Eisenstein factors in one row
-        haar = HorocycleMeasure.haar()
-        triple = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0)),
-                  EisensteinObservable(BumpProfile("bump", 2.0, 4.0)),
-                  EisensteinObservable(BumpProfile("bump", 1.2, 2.5))]
-        val = correlation(haar, triple, list(times), nodes=2 ** 14)
+        haar = TorusMeasure.haar()
+        val = correlation(haar, _TRIPLE, list(times), nodes=2 ** 14)
         assert val != 0.0
-        assert abs(val - _quad_oracle(triple, list(times))) <= 1e-12
+        assert abs(val - _quad_oracle(_TRIPLE, list(times))) <= 1e-12
 
     @pytest.mark.parametrize("xi", [0, 3])
     def test_wiener_against_the_oracle(self, xi):
@@ -739,9 +738,9 @@ class TestGaussLegendre:
             <= 1e-12
 
     @pytest.mark.parametrize("sigma, obs, times", [
-        (HorocycleMeasure.haar(), _HAAR_PAIR, [3.0, 6.0]),
+        (TorusMeasure.haar(), _HAAR_PAIR, [3.0, 6.0]),
         (_wiener(), _HAAR_PAIR[:1], [4.0]),
-        (HorocycleMeasure.haar(),
+        (TorusMeasure.haar(),
          [EisensteinObservable(BumpProfile("indicator", 1.0, 2.0))], [2.0])])
     def test_straddling_the_point_budget(self, sigma, obs, times):
         # at pieces * 64 = budget nodes and above the row is one batch;
@@ -766,7 +765,7 @@ class TestGaussLegendre:
             return value(self, u)
 
         monkeypatch.setattr(BumpProfile, "value", counted)
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         for t in (1.0, 2.0, 3.0, 4.1):
             times = [t, 2.0 * t]
             factors = [(o.profile, math.exp(-s))
@@ -800,28 +799,50 @@ class TestGaussLegendre:
                     for nodes in counts}
             assert len(vals) == 1
 
+    @pytest.mark.parametrize("obs, times", [
+        (_HAAR_PAIR[:1], [5.0]), (_HAAR_PAIR, [2.0, 4.0]),
+        (_TRIPLE, [1.0, 2.0, 3.0])])
+    def test_factors_are_even(self, obs, times):
+        # the kernel keeps cosine sums only: the product of the factors
+        # is even in x, so its sine integrals vanish (the oracle's
+        # imaginary part at twist n is the integral against sin(2 pi n x))
+        for n in (1, 3, 8):
+            assert abs(_quad_oracle(obs, times, xi=n).imag) <= 1e-13
+
     @pytest.mark.parametrize("xi", [-4, -1, 0, 3])
-    def test_twist_sign_on_an_odd_integrand(self, xi, monkeypatch):
-        # every supported factor is even in x, so no row tells e(n x)
-        # from e(-n x); a factor patched to read x on its support is not
-        # even, and its row must be the integral of x rho(x) e(xi x)
-        # over the pieces, far from that of x rho(-x) e(-xi x)
-        monkeypatch.setattr(modular, "_arc_term", lambda f, y, c, d, x: x)
-        sigma = _wiener()
-        lo, hi, _ = modular._pieces([(_HAAR_PAIR[0].profile,
-                                      math.exp(-2.0))])
-        val = correlation(sigma, _HAAR_PAIR[:1], [2.0], nodes=2 ** 12, xi=xi)
-        ref, mirror = (sum(quad(lambda x: x * sum(
-            a * cmath.exp(2j * math.pi * sign * (k + xi) * x)
-            for k, a in _coeffs(sigma).items()), a, b, complex_func=True)[0]
-            for a, b in zip(lo, hi)) for sign in (1, -1))
-        assert abs(val - ref) <= 1e-12
-        assert abs(val - mirror) > 1e-3
+    def test_reflected_density_and_twist(self, xi):
+        # x -> -x maps the row of sigma at xi to that of the reflected
+        # density sigma(-k) at -xi: the same bytes, for a density that is
+        # not real
+        coeffs = {0: 1.0, 1: 0.3 + 0.2j, -2: 0.1 - 0.05j, 3: 0.02j}
+        sigma, reflected = (TorusMeasure(1, {(sign * k,): a
+                                             for k, a in coeffs.items()})
+                            for sign in (1, -1))
+        for obs, times in ((_HAAR_PAIR[:1], [2.0]),
+                           (_HAAR_PAIR, [1.5, 3.0])):
+            val = correlation(sigma, obs, times, nodes=2 ** 12, xi=xi)
+            assert _bytes(val) == _bytes(correlation(
+                reflected, obs, times, nodes=2 ** 12, xi=-xi))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.dictionaries(st.integers(1, 12),
+                           st.complex_numbers(max_magnitude=0.1), max_size=4),
+           st.floats(0.5, 2.5), st.sampled_from([1, 2]))
+    def test_real_densities_give_real_rows(self, half, t, r):
+        # a real density's coefficients at n and -n add to a real weight,
+        # so its untwisted rows have imaginary part exactly 0
+        coeffs = {(0,): 1.0}
+        for k, a in half.items():
+            coeffs[(k,)], coeffs[(-k,)] = a, a.conjugate()
+        sigma = TorusMeasure(1, coeffs)
+        times = [t * (i + 1) for i in range(r)]
+        assert correlation(sigma, _HAAR_PAIR[:r], times,
+                           nodes=2 ** 12).imag == 0.0
 
     def test_weight_band(self):
         # a piece spans at most 8 periods of the weight e((k + xi) x):
         # the constant row is one piece of width 1, cut in two at xi = 9
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         ones = [ConstantObservable()]
         for xi, cuts in ((8, [0.0, 1.0]), (9, [0.0, 0.5, 1.0])):
             lo, hi, _ = modular._split(np.zeros(1), np.ones(1), [], xi,
@@ -832,8 +853,7 @@ class TestGaussLegendre:
         # the widest piece at t = 2 is 0.105 wide: a density coefficient
         # at 100 cuts it
         coeffs = {0: 1.0, 100: 0.1, -100: 0.1}
-        sigma = HorocycleMeasure(TorusMeasure(
-            1, {(k,): a for k, a in coeffs.items()}))
+        sigma = TorusMeasure(1, {(k,): a for k, a in coeffs.items()})
         val = correlation(sigma, _HAAR_PAIR[:1], [2.0], nodes=2 ** 12)
         assert abs(val - _quad_oracle(_HAAR_PAIR[:1], [2.0], coeffs)) \
             <= 1e-12
@@ -843,14 +863,13 @@ class TestGaussLegendre:
         # cuts: refused at 16 nodes before any sub-piece is built,
         # answered at 17; a weight at 10^9 would cut the t = 2 row about
         # 4 * 10^7 times and is refused at 2^14 nodes
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         ones = [ConstantObservable()]
         with pytest.raises(ValueError, match=re.escape(
                 "row t=(1) needs nodes >= 17 to cut its pieces")):
             correlation(haar, ones, [1.0], nodes=16, xi=144)
         assert abs(correlation(haar, ones, [1.0], nodes=17, xi=144)) < 1e-13
-        sigma = HorocycleMeasure(TorusMeasure(
-            1, {(0,): 1.0, (10 ** 9,): 0.1, (-10 ** 9,): 0.1}))
+        sigma = TorusMeasure(1, {(0,): 1.0, (10 ** 9,): 0.1, (-10 ** 9,): 0.1})
         lo, hi, _ = modular._pieces([(_HAAR_PAIR[0].profile, math.exp(-2.0))])
         need = int(np.sum(np.ceil(1e9 * (hi - lo) / 8.0))) - lo.size
         assert need > 4 * 10 ** 7
@@ -888,7 +907,7 @@ class TestTwistedCorrelation:
     def test_zero_frequency_collapses(self):
         # no twist left: the row is the constant term, the same bytes at
         # 256 nodes (four pieces at a time) and at 1024 (all eight)
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
         y = math.exp(-3.0)
         vals = []
@@ -903,27 +922,27 @@ class TestTwistedCorrelation:
 
     @pytest.mark.parametrize("xi", [0.5, -2.25, math.nan, math.inf])
     def test_non_integer_frequency_refused(self, xi):
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
         with pytest.raises(ValueError, match="integer frequency"):
             correlation(haar, obs, [3.0], nodes=2 ** 10, xi=xi)
 
     def test_integral_float_frequency_accepted(self):
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         obs = [EisensteinObservable(BumpProfile("bump", 1.5, 3.0))]
         assert correlation(haar, obs, [3.0], nodes=2 ** 10, xi=3.0) \
             == correlation(haar, obs, [3.0], nodes=2 ** 10, xi=3) \
             == correlation(haar, obs, [3.0], nodes=2 ** 10, xi=np.int64(3))
 
     def test_pure_oscillation_vanishes(self):
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         ones = [ConstantObservable()]
         val = correlation(haar, ones, [1.0], nodes=2 ** 10, xi=4)
         assert abs(val) < 1e-13
 
     def test_magnitude_decays_in_t(self):
         # 2^14 nodes admit the Farey set at t = 10 (e^10 / 1.5 = 14685)
-        haar = HorocycleMeasure.haar()
+        haar = TorusMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 1.5, 3.0))
         mags = [abs(correlation(haar, [obs], [t], nodes=2 ** 14, xi=1))
                 for t in (2.0, 6.0, 10.0)]
@@ -933,12 +952,11 @@ class TestTwistedCorrelation:
         # the row is linear in the density: it equals the coefficient-
         # weighted sum of twisted Haar rows, row(sigma, xi) = sum_k
         # sigma_k row(Haar, k + xi), to rounding, since both sides add
-        # the same cosine and sine sums; r = 1 and r = 2, with and
-        # without a twist
-        density = TorusMeasure(1, {(0,): 1.0, (1,): 0.3 + 0.1j,
-                                   (-1,): 0.3 - 0.1j, (2,): 0.05 - 0.02j,
-                                   (-2,): 0.05 + 0.02j})
-        sigma, haar = HorocycleMeasure(density), HorocycleMeasure.haar()
+        # the same cosine sums; r = 1 and r = 2, with and without a twist
+        sigma = TorusMeasure(1, {(0,): 1.0, (1,): 0.3 + 0.1j,
+                                 (-1,): 0.3 - 0.1j, (2,): 0.05 - 0.02j,
+                                 (-2,): 0.05 + 0.02j})
+        haar = TorusMeasure.haar()
         for obs, times, xi in [(_HAAR_PAIR[:1], [2.5], 0),
                                (_HAAR_PAIR, [2.0, 4.0], 0),
                                (_HAAR_PAIR[:1], [3.0], 4),
@@ -946,7 +964,7 @@ class TestTwistedCorrelation:
             lhs = correlation(sigma, obs, times, nodes=2 ** 12, xi=xi)
             rhs = sum(amp * correlation(haar, obs, times, nodes=2 ** 12,
                                         xi=k + xi)
-                      for (k,), amp in density.coeffs.items())
+                      for (k,), amp in sigma.coeffs.items())
             assert abs(lhs - rhs) <= 1e-15 * abs(lhs)
 
 
@@ -999,7 +1017,7 @@ class TestFitDecay:
         # t = 2..12 step 1 at 2^17 nodes.  The golden is the exponent of
         # the constant-term oracle `_constant_term` on these rows, held
         # to +-20%.
-        meas = HorocycleMeasure.haar()
+        meas = TorusMeasure.haar()
         obs = EisensteinObservable(BumpProfile("bump", 2.0, 3.0))
         mu = obs.mu
         ts = range(2, 13)

@@ -109,8 +109,10 @@ def test_sources_import_only_the_standard_library_and_numpy():
 
 
 # (module file, sibling module it must not import): the layering of the
-# exact half, where selection works on plain rows and geometry on logs
-FORBIDDEN_IMPORTS = {("selection.py", "geometry"), ("geometry.py", "constants")}
+# exact half, where selection works on plain rows and geometry on logs,
+# and modular, which reads a density only through its coefficients
+FORBIDDEN_IMPORTS = {("selection.py", "geometry"),
+                     ("geometry.py", "constants"), ("modular.py", "wiener")}
 
 
 def _package_imports(name):
