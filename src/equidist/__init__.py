@@ -27,9 +27,8 @@ _EXPORTS = {
         "star_norm", "log_star_norm", "tuple_stats", "select_direction"),
     "modular": (
         "BumpProfile", "EisensteinObservable", "ConstantObservable",
-        "IntegralEstimate", "DecayFit", "reduce_arrays", "mu_integral",
-        "correlation", "check_integral_estimate", "fit_decay",
-        "s_norm_surrogate"),
+        "DecayFit", "reduce_arrays", "mu_integral", "correlation",
+        "fit_decay", "s_norm_surrogate"),
     "selection": ("pigeonhole", "choose_window", "WindowChoice"),
     "wiener": (
         "TorusMeasure", "TorusObservable", "wiener_norm", "character_twist",

@@ -334,9 +334,9 @@ _SCHEDULE_COLUMNS = (
 
 def _schedule_columns(action, tuples, theta_spec):
     """The schedule of tuples (entry lists) as columns in input order:
-    the checked TupleStack, its tuple_stats and select_direction results,
-    M_r, and {name: list} for the window columns: theta, one _window_row
-    and L.  A refusal does not name its tuple."""
+    the tuple_stats and select_direction results of their checked
+    TupleStack, M_r, and {name: list} for the window columns: theta, one
+    _window_row and L.  A refusal does not name its tuple."""
     from .constants import _exp
     from .geometry import TupleStack, select_direction, tuple_stats
     from .selection import _CHECKS, _window_row
@@ -370,7 +370,7 @@ def _schedule_columns(action, tuples, theta_spec):
                                            *(v for c in checks for v in c),
                                            math.exp(log_L))):
             append(value)
-    return stack, stats, sel, M, window
+    return stats, sel, M, window
 
 
 @_subcommand()
@@ -385,7 +385,7 @@ def schedule(blk, seed, **_):
     action = (RootAction.u_mn(spec["m"], spec["n"]) if "builtin" in spec
               else RootAction.from_json(spec))
     try:
-        stack, stats, sel, M, window = _schedule_columns(
+        stats, sel, M, window = _schedule_columns(
             action, blk["tuples"], theta_spec)
     except _NUMERIC_ERRORS:
         # refuse for the first failing tuple in manifest order, by index.
@@ -410,7 +410,7 @@ def schedule(blk, seed, **_):
         raise
     oks = [window["ok_" + name] for name in _CHECKS]
     ok_all = all(all(ok) for ok in oks)
-    r = stack.r.tolist()
+    r = stats.r.tolist()
 
     csv_rows = zip(range(len(r)), r,
                    *(map(_exp, col.tolist()) for col in (
@@ -440,8 +440,7 @@ def schedule(blk, seed, **_):
         for k, log_Delta_r in enumerate(stats.log_Delta_r.tolist()):
             lo, hi = offsets[k], offsets[k + 1]
             yield (", " if k else "") + _json_value({
-                "tuple_index": k, "entries": stack[k].tolist(),
-                "log_Delta_r": log_Delta_r,
+                "tuple_index": k, "log_Delta_r": log_Delta_r,
                 "relabeling": relabeling[lo:hi],
                 "log_norms": log_norms[lo:hi],
                 "checks": {name: {"lhs": lhs[k], "rhs": rhs[k]}

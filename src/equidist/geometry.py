@@ -19,7 +19,6 @@ and return records of arrays with one value, or r values, per tuple
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -38,8 +37,6 @@ class RootAction:
         dim_t coefficient vector.
     multiplicities : sequence of int, optional
         Dimension of each weight space (default all 1).
-    basis_labels : sequence of sequence of str, optional
-        Labels for the weight basis vectors; defaults to "e[i],k".
     proper : bool
         Declare that log star_norm vanishes only at t = 0.  When set,
         the roots are required to span the dual space.
@@ -50,8 +47,8 @@ class RootAction:
         n).  Any other tag is refused.
     """
 
-    def __init__(self, dim_t, roots, multiplicities=None, basis_labels=None,
-                 proper=False, cone_tag="free"):
+    def __init__(self, dim_t, roots, multiplicities=None, proper=False,
+                 cone_tag="free"):
         dim_t = int(dim_t)
         if dim_t < 1:
             raise ValueError("dim_t must be a positive integer")
@@ -76,19 +73,10 @@ class RootAction:
         if proper and np.linalg.matrix_rank(mat) < dim_t:
             raise ValueError("action declared proper but the roots do not "
                              "span the dual space")
-        if basis_labels is None:
-            basis_labels = [["e[%d],%d" % (i + 1, k + 1) for k in range(mult[i])]
-                            for i in range(n)]
-        else:
-            basis_labels = [list(lbl) for lbl in basis_labels]
-            if len(basis_labels) != n or any(len(basis_labels[i]) != mult[i]
-                                             for i in range(n)):
-                raise ValueError("basis_labels must match multiplicities")
         self.dim_t = dim_t
         self.roots = mat
         self.roots.setflags(write=False)
         self.multiplicities = tuple(mult)
-        self.basis_labels = tuple(tuple(lbl) for lbl in basis_labels)
         self.proper = bool(proper)
         self.cone_tag = str(cone_tag)
         self._cone = _cone(self.cone_tag, dim_t)
@@ -106,38 +94,35 @@ class RootAction:
         if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
         roots = []
-        labels = []
         for i in range(m):
             for j in range(n):
                 row = np.zeros(m + n)
                 row[i] = 1.0
                 row[m + j] = 1.0
                 roots.append(row)
-                labels.append(["e[%d,%d],1" % (i + 1, j + 1)])
         # The common kernel of the roots is the line spanned by
         # (1,..,1,-1,..,-1), so properness cannot be declared here; the
         # balanced cone predicate kills that direction instead.
-        return cls(m + n, roots, basis_labels=labels, proper=False,
-                   cone_tag="u_mn:%d,%d" % (m, n))
+        return cls(m + n, roots, proper=False, cone_tag="u_mn:%d,%d" % (m, n))
 
     @classmethod
     def from_json(cls, obj):
-        """Build from {"dim_t": k, "roots": [[...]], "multiplicities": [...]}
-        (optional keys: "basis_labels", "proper", "cone_tag"), the dict
-        that to_json writes.
+        """Build from {"dim_t": k, "roots": [[...]]} (optional keys:
+        "multiplicities", "proper", "cone_tag"), the schema's custom
+        schedule action and the dict that to_json writes.
         """
         return cls(obj["dim_t"], obj["roots"],
                    multiplicities=obj.get("multiplicities"),
-                   basis_labels=obj.get("basis_labels"),
                    proper=obj.get("proper", False),
                    cone_tag=obj.get("cone_tag", "free"))
 
     def to_json(self):
+        """The action as a custom schedule action of the manifest schema:
+        from_json rebuilds it, and a manifest may give it."""
         return {
             "dim_t": self.dim_t,
             "roots": [[float(c) for c in row] for row in self.roots],
             "multiplicities": list(self.multiplicities),
-            "basis_labels": [list(l) for l in self.basis_labels],
             "proper": self.proper,
             "cone_tag": self.cone_tag,
         }
@@ -220,17 +205,17 @@ def _shape(entries):
         return None  # not a nonempty sequence of sequences
 
 
-class TupleStack(Sequence):
+class TupleStack:
     """Translation tuples of one action, checked and stacked by shape.
 
     tuples is a sequence of entry lists, each a nonempty sequence of
     finite coordinate vectors of the action's length that lie in its
-    cone (RootAction's cone_tag).  item k is the read-only (r, dim_t)
-    entry array of tuple k.  groups lists, per shape in order of first
-    appearance, the increasing input positions of its tuples and their
-    read-only (N, r, dim_t) entries.  r gives each tuple's length in
-    input order, and offsets its first row in a column that holds r
-    values per tuple: tuple k owns rows offsets[k] to offsets[k + 1].
+    cone (RootAction's cone_tag).  groups lists, per shape in order of
+    first appearance, the increasing input positions of its tuples and
+    their read-only (N, r, dim_t) entries, stacked in input order.  len
+    is the number of tuples, r gives each tuple's length in input
+    order, and offsets its first row in a column that holds r values
+    per tuple: tuple k owns rows offsets[k] to offsets[k + 1].
     """
 
     def __init__(self, action, tuples):
@@ -239,9 +224,8 @@ class TupleStack(Sequence):
         for pos, entries in enumerate(tuples):
             shapes.setdefault(_shape(entries), []).append(pos)
         self.groups = []
-        self._where = np.empty((len(tuples), 2), dtype=np.intp)
         self.r = np.empty(len(tuples), dtype=np.intp)
-        for g, positions in enumerate(shapes.values()):
+        for positions in shapes.values():
             members = [tuples[p] for p in positions]
             try:
                 entries = np.array(members, dtype=float)
@@ -262,8 +246,6 @@ class TupleStack(Sequence):
             entries.setflags(write=False)
             positions = np.array(positions, dtype=np.intp)
             self.groups.append((positions, entries))
-            self._where[positions, 0] = g
-            self._where[positions, 1] = np.arange(len(positions))
             self.r[positions] = entries.shape[1]
         self.offsets = np.zeros(len(tuples) + 1, dtype=np.intp)
         np.cumsum(self.r, out=self.offsets[1:])
@@ -293,10 +275,6 @@ class TupleStack(Sequence):
 
     def __len__(self):
         return len(self.r)
-
-    def __getitem__(self, k):
-        g, row = self._where[k]
-        return self.groups[g][1][row]
 
 
 def _by_length(stack, stacked, columns):

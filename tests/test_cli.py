@@ -588,7 +588,7 @@ class TestScheduleCommand:
                                   "version"]
         (entry,) = detail["tuples"]
         assert entry == {
-            "tuple_index": 0, "entries": [[2.0, 2.0], [5.0, 5.0]],
+            "tuple_index": 0,
             # Delta_r = min(rho_r, m_r) = min(e^2, e^6)
             "log_Delta_r": 2.0,
             # root values 4 and 10, i = 2, j = 1: images e^6 and e^0
@@ -798,6 +798,55 @@ class TestScheduleCommand:
             '%d"}\n' % (tag, dim_t))
         assert not (tmp_path / "out").exists()
 
+    def test_proper_action_whose_roots_do_not_span_is_refused(
+            self, tmp_path, runner):
+        mpath = write_manifest(
+            tmp_path / "s.json",
+            {"mode": "schedule",
+             "schedule": {"action": {"dim_t": 2, "roots": [[1.0, 1.0]],
+                                     "proper": True},
+                          "tuples": [[[1.0, 2.0], [3.0, 4.0]]]}})
+        res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        assert json.loads(res.stderr) == {
+            "error": "numerical", "message": "action declared proper but "
+            "the roots do not span the dual space"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("action,tuples", [
+        ({"builtin": "u_mn", "m": 2, "n": 3},
+         [[[1.0, 2.0, 1.0, 1.0, 1.0], [4.0, 0.5, 2.0, 2.0, 0.5]],
+          [[0.0, 3.0, 3.0, 0.0, 0.0], [1.5, 1.5, 0.5, 1.0, 1.5],
+           [6.0, 1.0, 2.0, 2.0, 3.0]]]),
+        ({"dim_t": 2, "roots": [[1.0, 1.0], [1.0, -1.0], [2.0, 0.5]],
+          "multiplicities": [1, 3, 2], "proper": True},
+         [[[1.0, 2.0], [3.0, 0.5], [0.0, 4.0]], [[2.0, 2.0], [5.0, 1.0]]]),
+        ({"dim_t": 3, "roots": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+          "cone_tag": "u_mn:2,1"},
+         [[[1.0, 2.0, 3.0], [4.0, 0.0, 4.0]],
+          [[0.5, 0.5, 1.0], [2.0, 1.0, 3.0], [0.0, 6.0, 6.0]]]),
+    ])
+    def test_written_action_reproduces_the_run(self, tmp_path, runner,
+                                               action, tuples):
+        # schedule.json's action is a manifest action: in place of the
+        # manifest's own it gives the same exit code, stdout and files
+        def run(name, action):
+            mpath = write_manifest(
+                tmp_path / (name + ".json"),
+                {"mode": "schedule", "seed": 3,
+                 "schedule": {"action": action, "tuples": tuples}})
+            out = tmp_path / name
+            res = runner.invoke(main, ["schedule", "--manifest", mpath,
+                                       "--out", str(out)])
+            return (res.exit_code, res.output, res.stderr,
+                    {f.name: f.read_bytes() for f in out.glob("*")})
+
+        first = run("first", action)
+        assert first[0] == 0, first[2]
+        written = json.loads(first[3]["schedule.json"])["action"]
+        assert run("again", written) == first
+
     @pytest.mark.parametrize("action,message,path", [
         # u_mn(10^5, 1) would build a 0.8 GB root table
         ({"builtin": "u_mn", "m": 100000, "n": 1},
@@ -805,7 +854,7 @@ class TestScheduleCommand:
         # past numpy's largest dimension
         ({"builtin": "u_mn", "m": 2 ** 70, "n": 1},
          "1180591620717411303424 is greater than the maximum of 64", ["m"]),
-        # 2^70 default labels would never finish building
+        # a multiplicity past the schema's cap
         ({"dim_t": 2, "roots": [[1.0, 1.0], [1.0, -1.0]],
           "multiplicities": [1, 2 ** 70]},
          "1180591620717411303424 is greater than the maximum of 1024",
@@ -1141,6 +1190,26 @@ class TestCorrelateCommand:
         assert len(rows) == 69
         assert {row["value_im"] for row in rows} == {
             "0.0000000000000000e+00"}
+
+    def test_negative_constants_give_no_negative_zero(self, tmp_path,
+                                                      runner):
+        # two constants -1 beside the bump; at t = 0.1 the bump reaches
+        # no coset.  Both rows' value_im, and the empty row's value_re,
+        # are 0 with a positive sign
+        blk = {key: CORRELATE_BLOCK[key] for key in ("sigma", "nodes")}
+        mpath = write_manifest(tmp_path / "c.json", {
+            "mode": "correlate", "correlate": dict(
+                blk, profiles=[{"kind": "constant", "value": -1.0}] * 2
+                + CORRELATE_BLOCK["profiles"],
+                times=[[1.0, 1.0, 2.0], [1.0, 1.0, 0.1]])})
+        res = runner.invoke(main, ["correlate", "--manifest", mpath,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        _, rows = read_csv_rows(tmp_path / "correlate.csv")
+        assert [(row["value_re"], row["value_im"]) for row in rows] == [
+            (rows[0]["value_re"], "0.0000000000000000e+00"),
+            ("0.0000000000000000e+00", "0.0000000000000000e+00")]
+        assert float(rows[0]["value_re"]) > 0.0
 
     def test_nodes_flag_overrides_manifest(self, tmp_path, runner):
         mpath = self.manifest(tmp_path)

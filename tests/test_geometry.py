@@ -61,7 +61,14 @@ class TestRootAction:
         back = RootAction.from_json(act.to_json())
         assert np.array_equal(back.roots, act.roots)
         assert back.cone_tag == act.cone_tag
-        assert back.basis_labels == act.basis_labels
+        assert back.multiplicities == act.multiplicities
+        assert back.proper == act.proper
+        custom = RootAction(2, [[1.0, 1.0], [1.0, -1.0]],
+                            multiplicities=[2, 3], proper=True)
+        back = RootAction.from_json(custom.to_json())
+        assert np.array_equal(back.roots, custom.roots)
+        assert (back.cone_tag, back.multiplicities, back.proper) == (
+            "free", (2, 3), True)
 
     @pytest.mark.parametrize("tag", ["u_mn:x", "u_mn:1,2,3", "u_mn:",
                                      "cone", "u_mn:0,3", "u_mn:4,-1",
@@ -95,10 +102,12 @@ class TestTupleStack:
 
     def test_free_tag_skips_checks(self):
         stack = TupleStack(free_action(2), [[[-3.0, 2.0]]])
-        assert stack.r.tolist() == [1] and stack[0].shape == (1, 2)
-        assert stack[0].tolist() == [[-3.0, 2.0]]
+        assert stack.r.tolist() == [1] and len(stack) == 1
+        ((positions, entries),) = stack.groups
+        assert positions.tolist() == [0]
+        assert entries.tolist() == [[[-3.0, 2.0]]]
         with pytest.raises(ValueError):
-            stack[0][0, 0] = 1.0  # read-only
+            entries[0, 0, 0] = 1.0  # read-only
 
     def test_coordinate_count_follows_the_action(self):
         # the (m, n) cone fixes the coordinate count, as dim_t does for a
@@ -127,7 +136,9 @@ class TestTupleStack:
         assert stack.r.tolist() == [2, 3, 2]
         assert stack.offsets.tolist() == [0, 2, 5, 7]
         assert [g[0].tolist() for g in stack.groups] == [[0, 2], [1]]
-        assert [stack[k][0, 0] for k in range(3)] == [1.0, 2.0, 3.0]
+        # each group stacks its tuples in input order
+        assert [g[1][:, 0, 0].tolist() for g in stack.groups] == [
+            [1.0, 3.0], [2.0]]
 
 
 def test_star_norm_diagonal_pair():
@@ -431,7 +442,8 @@ def random_case(rng):
     if rng.random() < 0.1:
         entries[:] = entries[0]
     # checked against the action's cone as the schedule checks it
-    return act, one(act, entries.tolist())[0]
+    one(act, entries.tolist())
+    return act, entries
 
 
 def general_action(rng):
@@ -468,7 +480,7 @@ def general_tuple(rng, action, r):
     if rng.random() < 0.5:
         entries = np.abs(entries)
     entries[rng.random(shape) < 0.15] = -0.0
-    return one(action, entries.tolist())[0]
+    return entries
 
 
 def outcome(fn, action, entries):

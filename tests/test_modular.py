@@ -13,10 +13,9 @@ from scipy.integrate import IntegrationWarning, quad
 
 from equidist import modular
 from equidist.modular import (BumpProfile, ConstantObservable,
-                              EisensteinObservable, check_integral_estimate,
-                              correlation, fit_decay, mu_integral,
-                              reduce_arrays, s_norm_surrogate)
-from equidist.suites import _suite_modular
+                              EisensteinObservable, correlation, fit_decay,
+                              mu_integral, reduce_arrays, s_norm_surrogate)
+from equidist.suites import _integral_estimate, _suite_modular
 from equidist.wiener import TorusMeasure
 
 
@@ -549,6 +548,26 @@ class TestKernelBytes:
                 assert abs(single - _quad_oracle(
                     _HAAR_PAIR[:1], [2.0], _coeffs(sigma), xi)) <= 1e-12
 
+    @pytest.mark.parametrize("consts", [[-1.0], [-1.0, -1.0], [-2.5, 3.0]])
+    def test_negative_constants_leave_no_negative_zero(self, consts):
+        # a zero part reads +0.0, on a row and on the empty row (at t =
+        # 0.1 the bump reaches no coset); a nonzero part is the row
+        # without its constants, times each constant in turn
+        for t in (2.0, 0.1):
+            base = correlation(TorusMeasure.haar(), _HAAR_PAIR[:1], [t],
+                               nodes=1024)
+            row = correlation(
+                TorusMeasure.haar(),
+                [ConstantObservable(c) for c in consts] + _HAAR_PAIR[:1],
+                [1.0] * len(consts) + [t], nodes=1024)
+            for part, want in ((row.real, base.real), (row.imag, base.imag)):
+                for c in consts:
+                    want *= c
+                if want == 0.0:
+                    assert part == 0.0 and math.copysign(1.0, part) == 1.0
+                else:
+                    assert _bytes(part) == _bytes(want)
+
     def test_empty_support(self):
         # at t = 0 no coset reaches [1.5, 3]: the row is exactly 0,
         # whichever factor comes first and even beside a factor at t = 30,
@@ -970,25 +989,25 @@ class TestTwistedCorrelation:
 
 class TestIntegralEstimate:
     def test_unit_square(self):
-        est = check_integral_estimate(1.0, 0.3)
-        assert est.lhs == pytest.approx(1.0, rel=1e-14)
-        assert est.rhs == pytest.approx(10.0)
-        assert est.passed
+        lhs, rhs, passed = _integral_estimate(1.0, 0.3)
+        assert lhs == pytest.approx(1.0, rel=1e-14)
+        assert rhs == pytest.approx(10.0)
+        assert passed
 
     def test_frozen_golden_value(self):
-        est = check_integral_estimate(100.0, 0.4)
-        assert est.lhs == pytest.approx(0.316877748429, abs=1e-11)
-        assert est.rhs == pytest.approx(7.0 * 100.0 ** -0.4 / 0.6, rel=1e-14)
-        assert est.passed
+        lhs, rhs, passed = _integral_estimate(100.0, 0.4)
+        assert lhs == pytest.approx(0.316877748429, abs=1e-11)
+        assert rhs == pytest.approx(7.0 * 100.0 ** -0.4 / 0.6, rel=1e-14)
+        assert passed
 
     def test_large_R_small_c(self):
-        assert check_integral_estimate(1e4, 0.1).passed
+        assert _integral_estimate(1e4, 0.1)[2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            check_integral_estimate(0.5, 0.3)
+            _integral_estimate(0.5, 0.3)
         with pytest.raises(ValueError):
-            check_integral_estimate(10.0, 0.5)
+            _integral_estimate(10.0, 0.5)
 
 
 class TestFitDecay:

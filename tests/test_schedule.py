@@ -30,8 +30,8 @@ _SCHEDULE_COLUMNS = (
     "tuple_index", "r", "rho_r", "m_r", "M_r", "Delta_mult", "chosen_root",
     "i", "j", "l", "theta", "p", "q", "L", "log_L", "ok_scale_cap",
     "ok_group_lower", "ok_group_upper")
-_SCHEDULE_JSON_FIELDS = ("tuple_index", "entries", "log_Delta_r",
-                         "relabeling", "log_norms", "checks")
+_SCHEDULE_JSON_FIELDS = ("tuple_index", "log_Delta_r", "relabeling",
+                         "log_norms", "checks")
 
 
 def _csv_text(header, rows):
@@ -85,7 +85,7 @@ def _schedule_record(action, idx, entries, theta_spec):
            for name in ("chosen_root", "i", "j", "l")},
         theta=theta, p=win.p, q=win.q, L=win.L, log_L=win.log_L,
         **{"ok_" + name: ok for name, (_, _, ok) in win.checks.items()},
-        entries=stack[0].tolist(), log_Delta_r=log_Delta_r,
+        log_Delta_r=log_Delta_r,
         relabeling=sel.relabeling.tolist(), log_norms=log_norms,
         checks={name: {"lhs": lhs, "rhs": rhs}
                 for name, (lhs, rhs, _) in win.checks.items()})
@@ -159,35 +159,51 @@ def cli_run(manifest):
 
 @st.composite
 def _entry(draw, action, integral):
-    """One translation: balanced and nonnegative for a u_mn action,
-    nonnegative for a custom one; integers make ties common."""
+    """One translation: balanced and nonnegative for a u_mn action or a
+    u_mn:m,n cone tag, nonnegative for a free one; integers make ties
+    common."""
     if "builtin" in action:
         m, n = action["m"], action["n"]
-        if integral:
-            left = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
-            cuts = sorted(draw(st.lists(st.integers(0, sum(left)),
-                                        min_size=n - 1, max_size=n - 1)))
-            return left + [b - a for a, b in
-                           zip([0] + cuts, cuts + [sum(left)])]
-        left = draw(st.lists(st.floats(0.0, 12.0), min_size=m, max_size=m))
-        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
-        total = sum(left)
-        return left + [total * w / sum(weights) for w in weights]
-    coords = st.integers(0, 9) if integral else st.floats(0.0, 8.0)
-    return draw(st.lists(coords, min_size=action["dim_t"],
-                         max_size=action["dim_t"]))
+    elif action.get("cone_tag", "free") != "free":
+        m, n = map(int, action["cone_tag"][5:].split(","))
+    else:
+        coords = st.integers(0, 9) if integral else st.floats(0.0, 8.0)
+        return draw(st.lists(coords, min_size=action["dim_t"],
+                             max_size=action["dim_t"]))
+    if integral:
+        left = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+        cuts = sorted(draw(st.lists(st.integers(0, sum(left)),
+                                    min_size=n - 1, max_size=n - 1)))
+        return left + [b - a for a, b in zip([0] + cuts, cuts + [sum(left)])]
+    left = draw(st.lists(st.floats(0.0, 12.0), min_size=m, max_size=m))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    total = sum(left)
+    return left + [total * w / sum(weights) for w in weights]
 
 
 @st.composite
 def _action(draw):
+    """A builtin u_mn action, or a custom one that may give each of
+    multiplicities, proper and a cone tag (free or u_mn:m,n)."""
     if draw(st.booleans()):
         return {"builtin": "u_mn", "m": draw(st.integers(1, 3)),
                 "n": draw(st.integers(1, 3))}
     dim = draw(st.integers(1, 4))
     coeffs = st.lists(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0, 3.0]),
                       min_size=dim, max_size=dim)
-    return {"dim_t": dim, "roots": draw(st.lists(coeffs, min_size=1,
-                                                 max_size=5))}
+    action = {"dim_t": dim, "roots": draw(st.lists(coeffs, min_size=1,
+                                                   max_size=5))}
+    if draw(st.booleans()):
+        action["multiplicities"] = draw(st.lists(
+            st.integers(1, 3), min_size=len(action["roots"]),
+            max_size=len(action["roots"])))
+    if draw(st.booleans()):
+        action["proper"] = draw(st.booleans())
+    if dim > 1 and draw(st.booleans()):
+        m = draw(st.integers(1, dim - 1))
+        action["cone_tag"] = draw(st.sampled_from(
+            ["free", "u_mn:%d,%d" % (m, dim - m)]))
+    return action
 
 
 def _spoil(entries, kind):
